@@ -17,14 +17,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from .config import MAX_RETRIES
 from .errors import GenericityExhausted, InputError, MathInvariantError
 from .fields import DEFAULT_PRIME
 from .groebner import Ideal, ideal_quotient, ideal_sum, krull_dim, saturation
 from .hilbert import (ETable, HilbertPoly2, e_table, polynomial_of, series_of,
                       total_multiplicity)
 from .rings import Bidegree, Poly, Ring, swap_ring, transport
-
-MAX_RETRIES = 16
 
 
 @dataclass

@@ -16,13 +16,14 @@ from .errors import InputError
 from .fields import DEFAULT_PRIME, is_prime
 
 _U64 = 1 << 64
+MAX_RETRIES = 16
 
 
 @dataclass
 class RunConfig:
     seed: int = 0
     prime: int = DEFAULT_PRIME
-    max_retries: int = 16
+    max_retries: int = MAX_RETRIES
     verify: bool = False
 
     def __post_init__(self):
@@ -60,6 +61,6 @@ def load_config(
     return RunConfig(
         seed=0 if seed is None else seed,
         prime=DEFAULT_PRIME if prime is None else prime,
-        max_retries=16 if max_retries is None else max_retries,
+        max_retries=MAX_RETRIES if max_retries is None else max_retries,
         verify=verify,
     )

@@ -4,21 +4,28 @@ Provides reduced Groebner bases, normal forms, ideal sum / product /
 intersection / quotient / saturation, elimination behind fresh tag variables,
 radical membership, zero-divisor tests, and Krull dimension of quotients.
 
-The engine is a plain Buchberger loop with the coprime and chain criteria and
-the normal selection strategy; correctness over speed, with monomial-ideal
-fast paths for the operations that dominate the workloads here.
+The engine is a Buchberger loop with the coprime and chain criteria and the
+normal selection strategy: S-pairs wait in a heap keyed by the selection key
+of their lcm, computed once when the pair is made, and pairs with equal lcms
+leave in the order they were made. Each call builds the order's key
+functions once, with the block/rest variable split precomputed. Monomial-ideal
+fast paths cover the operations that dominate the workloads here and return
+minimal generators in a fixed order.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
-from typing import Iterable, Sequence, Union
+from itertools import combinations_with_replacement, count
+from operator import add, itemgetter, le, neg, sub
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import InputError, MathInvariantError
 from .fields import FieldSpec
-from .rings import Exponent, Poly, Ring
+from .rings import Exponent, Poly, Ring, _degrevlex_sortkey
+
+SortKey = Callable[[Exponent], tuple]
 
 # ---------------------------------------------------------------------------
 # monomial orders
@@ -30,8 +37,9 @@ class MonomialOrder:
     """Degrevlex on all variables, or a block order eliminating ``block``.
 
     ``sortkey`` is ascending in the *reverse* of the monomial order: the
-    leading term of a polynomial has the minimal sortkey. Block orders compare
-    the block exponents degrevlex first, so any monomial involving a block
+    leading term of a polynomial has the minimal sortkey. ``selkey`` is its
+    exact opposite, ascending in the monomial order. Block orders compare the
+    block exponents degrevlex first, so any monomial involving a block
     variable exceeds every monomial without one.
     """
 
@@ -45,13 +53,38 @@ class MonomialOrder:
     def elimination(block: Sequence[int]) -> "MonomialOrder":
         return MonomialOrder(tuple(sorted(block)))
 
-    def sortkey(self, exp: Exponent):
+    def keys(self, nvars: int) -> tuple[SortKey, SortKey]:
+        """``(sortkey, selkey)`` for exponents of length ``nvars``; the split
+        into block and rest variables is computed here, once."""
         if not self.block:
-            return (-sum(exp), exp[::-1])
-        block = self.block
-        eb = tuple(exp[i] for i in block)
-        rest = tuple(e for i, e in enumerate(exp) if i not in block)
-        return (-sum(eb), eb[::-1], -sum(rest), rest[::-1])
+            return _degrevlex_sortkey, _degrevlex_selkey
+        block_rev = _picker(self.block[::-1])
+        rest_rev = _picker(tuple(i for i in reversed(range(nvars)) if i not in self.block))
+
+        def sortkey(exp: Exponent):
+            b, r = block_rev(exp), rest_rev(exp)
+            return (-sum(b), b, -sum(r), r)
+
+        def selkey(exp: Exponent):
+            b, r = block_rev(exp), rest_rev(exp)
+            return (sum(b), tuple(map(neg, b)), sum(r), tuple(map(neg, r)))
+
+        return sortkey, selkey
+
+    def sortkey(self, exp: Exponent):
+        return self.keys(len(exp))[0](exp)
+
+
+def _degrevlex_selkey(exp: Exponent):
+    return (sum(exp), tuple(map(neg, reversed(exp))))
+
+
+def _picker(idx: tuple[int, ...]) -> Callable[[Exponent], tuple]:
+    """The exponents at ``idx`` as a tuple (itemgetter, but always a tuple)."""
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda exp: (exp[i],)
+    return itemgetter(*idx) if idx else (lambda exp: ())
 
 
 DEGREVLEX = MonomialOrder.degrevlex()
@@ -63,31 +96,31 @@ DEGREVLEX = MonomialOrder.degrevlex()
 
 
 def _divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _esub(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _eadd(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _elcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _egcd(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(min(x, y) for x, y in zip(a, b))
+    return tuple(map(min, a, b))
 
 
-def _lead(terms: dict, order: MonomialOrder) -> Exponent:
-    return min(terms, key=order.sortkey)
+def _lead(terms: dict, sortkey: SortKey) -> Exponent:
+    return min(terms, key=sortkey)
 
 
-def _monic(terms: dict, field: FieldSpec, order: MonomialOrder) -> dict:
-    lead = _lead(terms, order)
+def _monic(terms: dict, field: FieldSpec, sortkey: SortKey) -> dict:
+    lead = _lead(terms, sortkey)
     lc = terms[lead]
     if lc == field.one:
         return terms
@@ -96,14 +129,13 @@ def _monic(terms: dict, field: FieldSpec, order: MonomialOrder) -> dict:
 
 
 def _reduce_full(terms: dict, basis: list[tuple[Exponent, dict]], field: FieldSpec,
-                 order: MonomialOrder) -> dict:
+                 sortkey: SortKey) -> dict:
     """Fully reduce ``terms`` against monic ``basis``; no term of the result
     is divisible by any basis leading term."""
     if not terms or not basis:
         return dict(terms)
     p = dict(terms)
     out: dict = {}
-    sortkey = order.sortkey
     heap = [(sortkey(e), e) for e in p]
     heapq.heapify(heap)
     while heap:
@@ -162,31 +194,38 @@ def buchberger(gens: Iterable[dict], field: FieldSpec, order: MonomialOrder) -> 
         return []
     nvars = len(next(iter(gens[0])))
     unit = [{(0,) * nvars: field.one}]
+    sortkey, selkey = order.keys(nvars)
 
     G: list[dict] = []
     lts: list[Exponent] = []
     pending: dict[frozenset, Exponent] = {}
+    # (selkey of the lcm, creation tick, pair): pops the smallest lcm first,
+    # equal lcms in creation order
+    queue: list = []
+    tick = count()
 
     def push(h: dict) -> bool:
         """Add a fully reduced nonzero polynomial; True when it is a unit."""
-        lt = _lead(h, order)
+        lt = _lead(h, sortkey)
         if not any(lt):
             return True
-        h = _monic(h, field, order)
+        h = _monic(h, field, sortkey)
         k = len(G)
         G.append(h)
         lts.append(lt)
         for i in range(k):
-            pending[frozenset((i, k))] = _elcm(lts[i], lt)
+            key = frozenset((i, k))
+            lcm = pending[key] = _elcm(lts[i], lt)
+            heapq.heappush(queue, (selkey(lcm), next(tick), key))
         return False
 
     for g in gens:
-        r = _reduce_full(g, list(zip(lts, G)), field, order)
+        r = _reduce_full(g, list(zip(lts, G)), field, sortkey)
         if r and push(r):
             return unit
 
-    while pending:
-        key = max(pending, key=lambda k: order.sortkey(pending[k]))
+    while queue:
+        key = heapq.heappop(queue)[2]
         lcm = pending.pop(key)
         i, j = tuple(key)
         # coprime criterion: disjoint leading supports reduce to zero
@@ -205,7 +244,7 @@ def buchberger(gens: Iterable[dict], field: FieldSpec, order: MonomialOrder) -> 
         if skip:
             continue
         s = _spoly((lts[i], G[i]), (lts[j], G[j]), field)
-        r = _reduce_full(s, list(zip(lts, G)), field, order)
+        r = _reduce_full(s, list(zip(lts, G)), field, sortkey)
         if r and push(r):
             return unit
 
@@ -228,9 +267,9 @@ def buchberger(gens: Iterable[dict], field: FieldSpec, order: MonomialOrder) -> 
     # tail-reduce each against the others; leading terms are already minimal
     for i in range(len(H)):
         others = [(HL[j], H[j]) for j in range(len(H)) if j != i]
-        H[i] = _monic(_reduce_full(H[i], others, field, order), field, order)
+        H[i] = _monic(_reduce_full(H[i], others, field, sortkey), field, sortkey)
 
-    H.sort(key=lambda h: order.sortkey(_lead(h, order)), reverse=True)
+    H.sort(key=lambda h: sortkey(_lead(h, sortkey)), reverse=True)
     return H
 
 
@@ -271,13 +310,12 @@ class Ideal:
             self._gb[order] = cached
         return cached
 
-    def _gb_pairs(self, order: MonomialOrder = DEGREVLEX) -> list[tuple[Exponent, dict]]:
-        return [(_lead(g.terms, order), g.terms) for g in self.groebner(order)]
-
     def normal_form(self, f: Poly, order: MonomialOrder = DEGREVLEX) -> Poly:
         if f.ring != self.ring:
             raise InputError("polynomial from a different ring")
-        r = _reduce_full(f.terms, self._gb_pairs(order), self.ring.field, order)
+        sortkey = order.keys(self.ring.nvars)[0]
+        pairs = [(_lead(g.terms, sortkey), g.terms) for g in self.groebner(order)]
+        r = _reduce_full(f.terms, pairs, self.ring.field, sortkey)
         return Poly(self.ring, r, _trusted=True)
 
     def contains(self, f: Poly) -> bool:
@@ -305,7 +343,8 @@ class Ideal:
         return frozenset(self.groebner())
 
     def leading_exponents(self, order: MonomialOrder = DEGREVLEX) -> tuple[Exponent, ...]:
-        return tuple(_lead(g.terms, order) for g in self.groebner(order))
+        sortkey = order.keys(self.ring.nvars)[0]
+        return tuple(_lead(g.terms, sortkey) for g in self.groebner(order))
 
     @property
     def is_monomial(self) -> bool:
@@ -391,6 +430,16 @@ def ideal_power(I: Ideal, n: int) -> Ideal:
     return Ideal(I.ring, gens)
 
 
+def _monomial_ideal(ring: Ring, exps: Iterable[Exponent]) -> Ideal:
+    """The ideal of the monomials ``exps``, by its minimal generators sorted
+    by (degree, exponent), so later bases never depend on set order."""
+    kept: list[Exponent] = []
+    for e in sorted(set(exps), key=lambda e: (sum(e), e)):
+        if not any(_divides(k, e) for k in kept):
+            kept.append(e)
+    return Ideal(ring, [ring.monomial(e) for e in kept])
+
+
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     if I.ring != J.ring:
         raise InputError("ideals live in different rings")
@@ -401,12 +450,11 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     if J.is_unit:
         return I
     if I.is_monomial and J.is_monomial:
-        gens = {
-            I.ring.monomial(_elcm(next(iter(f.terms)), next(iter(g.terms))))
+        return _monomial_ideal(I.ring, (
+            _elcm(next(iter(f.terms)), next(iter(g.terms)))
             for f in I.gens
             for g in J.gens
-        }
-        return Ideal(I.ring, gens)
+        ))
     # one tag t: (t*I + (1-t)*J) eliminated down to the base ring
     ext = _tagged_ring(I.ring, 1)
     t = ext.var(ext.nvars - 1)
@@ -421,13 +469,12 @@ def poly_exact_div(f: Poly, g: Poly) -> Poly:
     if g.is_zero:
         raise InputError("division by the zero polynomial")
     field = f.ring.field
-    order = DEGREVLEX
-    lg = _lead(g.terms, order)
+    lg = _lead(g.terms, _degrevlex_sortkey)
     cg = g.terms[lg]
     rem = dict(f.terms)
     quot: dict = {}
     while rem:
-        e = _lead(rem, order)
+        e = _lead(rem, _degrevlex_sortkey)
         if not _divides(lg, e):
             raise MathInvariantError("claimed exact division has a remainder")
         shift = _esub(e, lg)
@@ -466,11 +513,10 @@ def ideal_quotient(I: Ideal, divisor: Union[Poly, Ideal]) -> Ideal:
         return I
     if I.is_monomial and len(g.terms) == 1:
         m = next(iter(g.terms))
-        gens = {
-            I.ring.monomial(_esub(next(iter(f.terms)), _egcd(next(iter(f.terms)), m)))
+        return _monomial_ideal(I.ring, (
+            _esub(next(iter(f.terms)), _egcd(next(iter(f.terms)), m))
             for f in I.gens
-        }
-        return Ideal(I.ring, gens)
+        ))
     if I.is_zero:
         return Ideal(I.ring)  # the ambient ring is a domain
     meet = ideal_intersection(I, Ideal(I.ring, [g]))

@@ -22,9 +22,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .bigraded import BigradedAlgebra, e_table_full
+from .config import MAX_RETRIES
 from .errors import GenericityExhausted, InputError, MathInvariantError
 from .fields import DEFAULT_PRIME
-from .bigraded import MAX_RETRIES, BigradedAlgebra, e_table_full
 from .groebner import (Ideal, ideal_power, ideal_product, ideal_sum,
                        in_radical, is_nzd, krull_dim, saturation)
 from .hilbert import ETable, total_multiplicity

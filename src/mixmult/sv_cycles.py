@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .config import MAX_RETRIES
 from .errors import InputError, MathInvariantError
-from .bigraded import MAX_RETRIES
 from .groebner import Ideal
 from .ideal_mixed import GradedSetting, mixed_report
 from .rings import Poly, Ring

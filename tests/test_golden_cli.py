@@ -1,0 +1,79 @@
+"""Golden CLI output: every subcommand but ``selftest`` on every shipped problem.
+
+Each case runs ``mixmult`` in process at ``--seed 0`` from the repository
+root and compares stdout byte for byte with ``tests/golden/<case>.out``. An
+empty golden file records a command that fails; the run must then exit
+nonzero. Regenerate the files with ``PYTHONPATH=src python
+tests/test_golden_cli.py`` only when an output change is intended.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import pytest
+
+from mixmult.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+_SINGLE = ("gb", "hilbert", "bigraded-report", "bigraded-e", "ideal-mixed",
+           "rees-mult", "diagonal-degree")
+_WITH_AMBIENT = ("ideal-mixed", "rees-mult", "diagonal-degree")
+
+
+def golden_cases() -> list[tuple[str, list[str]]]:
+    """(case name, argv) for each subcommand on each shipped problem file."""
+    cases = []
+    for path in sorted((ROOT / "problems").glob("*.mix")):
+        rel = f"problems/{path.name}"
+        ideals = re.findall(r"^ideal (\w+) in (\w+)", path.read_text(), re.M)
+        for name, ring in ideals:
+            for cmd in _SINGLE:
+                cases.append((f"{path.stem}.{cmd}.{name}",
+                              [cmd, "--file", rel, "--ideal", name]))
+            cases.append((f"{path.stem}.bigraded-e.{name}.verify",
+                          ["bigraded-e", "--file", rel, "--ideal", name, "--verify"]))
+            for amb, amb_ring in ideals:
+                if amb != name and amb_ring == ring:
+                    for cmd in _WITH_AMBIENT:
+                        cases.append((f"{path.stem}.{cmd}.{name}.{amb}",
+                                      [cmd, "--file", rel, "--ideal", name,
+                                       "--ambient", amb]))
+        for x, _ in ideals:
+            for y, _ in ideals:
+                cases.append((f"{path.stem}.sv.{x}.{y}",
+                              ["sv", "--file", rel, "--x", x, "--y", y]))
+    return cases
+
+
+def run_case(argv: list[str]) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--seed", "0"])
+    return code, out.getvalue()
+
+
+CASES = golden_cases()
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
+def test_golden_stdout(name, argv, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    expected = (GOLDEN / f"{name}.out").read_bytes()
+    code, out = run_case(argv)
+    assert out.encode() == expected
+    assert (code == 0) == bool(expected)
+
+
+if __name__ == "__main__":
+    import os
+
+    os.chdir(ROOT)
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES:
+        (GOLDEN / f"{name}.out").write_bytes(run_case(argv)[1].encode())

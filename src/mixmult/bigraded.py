@@ -9,6 +9,15 @@ Filter-regularity of z over a previous ideal B is certified by the finite
 containment (B : z) <= (B : Rpp^infinity), where Rpp is generated by the
 products of one variable of each degree kind. This is the order-free
 equivalent of the classical "equal in all large bidegrees" condition.
+
+Every saturation by Rpp uses the product rule. Rpp = R1 * R2 exactly, where
+R1 and R2 are generated by the (1,0)- and the (0,1)-variables, and
+(R1 R2)^n = R1^n R2^n, so
+
+    I : Rpp^infinity = (I : R1^infinity) : R2^infinity.
+
+Both right-hand saturations are by variables, which Bayer's trick handles
+without elimination (see ``groebner``).
 """
 
 from __future__ import annotations
@@ -63,10 +72,17 @@ class BigradedAlgebra:
         ]
         return Ideal(self.ring, gens)
 
+    def saturate(self, I: Ideal) -> Ideal:
+        """I : Rpp^infinity, by the product rule (I : R1^inf) : R2^inf."""
+        if not (self.ring.first_kind and self.ring.second_kind):
+            raise InputError("this command needs variables of both bidegrees "
+                             "(1,0) and (0,1)")
+        return saturation(saturation(I, self.r1_ideal), self.r2_ideal)
+
     def sat0(self) -> Ideal:
         """Preimage of 0 : Rpp^infinity in the quotient."""
         if self._sat0 is None:
-            self._sat0 = saturation(self.defining, self.rpp_ideal)
+            self._sat0 = self.saturate(self.defining)
         return self._sat0
 
     def series(self):
@@ -159,7 +175,7 @@ def _filter_step(alg: BigradedAlgebra, prev: Ideal, z: Poly) -> FilterStep:
     bideg = z.bidegree()
     if bideg is None:
         raise InputError(f"inhomogeneous sequence element {z}")
-    rhs = saturation(prev, alg.rpp_ideal)
+    rhs = alg.saturate(prev)
     if rhs.is_unit:
         return FilterStep(z, bideg, True, None)
     lhs = ideal_quotient(prev, z)
@@ -260,7 +276,7 @@ def e_positivity(
     else:
         cert = find_filter_regular(alg, [(1, 0)] * i, seed, max_retries, span)
     prefix = ideal_sum(alg.defining, cert.elements)
-    sat = saturation(prefix, alg.rpp_ideal)
+    sat = alg.saturate(prefix)
     witness_dim = krull_dim(ideal_sum(sat, alg.r1_ideal))
     return witness_dim == j + 1, witness_dim, cert
 
@@ -316,7 +332,7 @@ def e_value_via_criterion(
                     f"no filter-regular (0,1)-element found in {max_retries} attempts"
                 )
     quotient = ideal_sum(alg.defining, cert.elements)
-    bar = saturation(quotient, alg.rpp_ideal)
+    bar = alg.saturate(quotient)
     dim, e = total_multiplicity(bar)
     if dim != 2:
         raise MathInvariantError(

@@ -23,7 +23,6 @@ from .groebner import Ideal
 from .hilbert import polynomial_of, series_of
 from .ideal_mixed import GradedSetting, mixed_report, order_of, rees_and_diagonal
 from .problemfile import ProblemFile, parse_problem
-from .selftest import run_selftest
 from .sv_cycles import bezout_check, make_join, sv_degrees
 
 
@@ -248,6 +247,8 @@ def _cmd_sv(args, config: RunConfig) -> str:
 
 
 def _cmd_selftest(args, config: RunConfig) -> str:
+    from .selftest import run_selftest  # with instances, only this command needs it
+
     results = run_selftest(config.seed)
     failures = sum(r.failures for r in results)
     result = {

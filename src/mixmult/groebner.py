@@ -11,6 +11,21 @@ leave in the order they were made. Each call builds the order's key
 functions once, with the block/rest variable split precomputed. Monomial-ideal
 fast paths cover the operations that dominate the workloads here and return
 minimal generators in a fixed order.
+
+Saturation never iterates colons. I : J^inf is the intersection of the
+I : g^inf over the generators g of J, and each of those takes one of two
+routes:
+
+- g a monomial and I homogeneous in the standard grading (every generator
+  has a single exponent sum): Bayer's trick, once per variable v of g
+  (Bayer-Stillman, "A criterion for detecting m-regularity", Invent. Math.
+  87, 1987). In degrevlex with v last, v divides a homogeneous basis element
+  exactly when it divides its leading term, so dividing every element of the
+  reduced basis by its largest power of v gives a basis of I : v^inf.
+- anything else, an inhomogeneous I included: Rabinowitsch's
+  I : g^inf = (I + (1 - t*g)) meet k[x], one tag elimination.
+
+Intersections are tag eliminations too; ``eliminate`` is the one primitive.
 """
 
 from __future__ import annotations
@@ -326,7 +341,7 @@ class Ideal:
 
     @property
     def is_zero(self) -> bool:
-        return not self.groebner()
+        return not self.gens  # __init__ drops zero generators
 
     @property
     def is_unit(self) -> bool:
@@ -386,17 +401,28 @@ def _lift(poly: Poly, ext: Ring) -> Poly:
     return Poly(ext, terms, _trusted=True)
 
 
-def _eliminate_tags(ext: Ring, gens: list[Poly], base: Ring) -> list[Poly]:
-    """Groebner-basis elimination of the trailing tag variables."""
-    ntags = ext.nvars - base.nvars
+def eliminate(gens: Sequence[Poly], base: Ring) -> Ideal:
+    """The ideal of ``gens`` meet k[base], for ``gens`` in a ring that
+    extends ``base`` by trailing variables.
+
+    One Groebner basis in the block order that eliminates the trailing
+    variables; its elements free of them are the reduced degrevlex basis of
+    the result (the block order restricts to degrevlex there), so the
+    result's basis is preset rather than computed again.
+    """
+    if not gens:
+        return Ideal(base)
+    ext = gens[0].ring
     block = tuple(range(base.nvars, ext.nvars))
-    order = MonomialOrder.elimination(block)
-    basis = buchberger([g.terms for g in gens], ext.field, order)
-    kept = []
-    for h in basis:
-        if all(all(e[i] == 0 for i in block) for e in h):
-            kept.append(Poly(base, {e[: base.nvars]: c for e, c in h.items()}, _trusted=True))
-    return kept
+    basis = buchberger([g.terms for g in gens], ext.field, MonomialOrder.elimination(block))
+    kept = tuple(
+        Poly(base, {e[: base.nvars]: c for e, c in h.items()}, _trusted=True)
+        for h in basis
+        if not any(e[i] for e in h for i in block)
+    )
+    result = Ideal(base, kept)
+    result._gb[DEGREVLEX] = kept
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +487,7 @@ def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
     one_minus_t = ext.one() - t
     gens = [t * _lift(f, ext) for f in I.gens]
     gens += [one_minus_t * _lift(g, ext) for g in J.gens]
-    return Ideal(I.ring, _eliminate_tags(ext, gens, I.ring))
+    return eliminate(gens, I.ring)
 
 
 def poly_exact_div(f: Poly, g: Poly) -> Poly:
@@ -523,29 +549,79 @@ def ideal_quotient(I: Ideal, divisor: Union[Poly, Ideal]) -> Ideal:
     return Ideal(I.ring, [poly_exact_div(h, g) for h in meet.groebner()])
 
 
-_SATURATION_CAP = 10_000
+def _bayer_step(gens: list[dict], v: int, field: FieldSpec) -> list[dict]:
+    """Generators of (gens) : x_v^inf for homogeneous ``gens``, by Bayer's
+    trick: the reduced degrevlex basis with x_v moved last, each element
+    divided by its largest power of x_v."""
+    moved = [{e[:v] + e[v + 1:] + (e[v],): c for e, c in g.items()} for g in gens]
+    out = []
+    for h in buchberger(moved, field, DEGREVLEX):
+        k = min(e[-1] for e in h)
+        out.append({e[:v] + (e[-1] - k,) + e[v:-1]: c for e, c in h.items()})
+    return out
+
+
+def _rabinowitsch(I: Ideal, g: Poly) -> list[Poly]:
+    """Generators of I + (1 - t*g) with one tag t. Their ideal meets k[x]
+    in I : g^inf, and it is the unit ideal exactly when g lies in the
+    radical of I."""
+    ext = _tagged_ring(I.ring, 1)
+    t = ext.var(ext.nvars - 1)
+    return [_lift(f, ext) for f in I.gens] + [ext.one() - t * _lift(g, ext)]
+
+
+def _saturate_by(I: Ideal, g: Poly, homogeneous: bool, memo: dict) -> Ideal:
+    """I : g^inf for one nonzero g. ``memo`` maps a tuple of variables to
+    the generators of I saturated by each of them in turn, so monomials
+    with a common support prefix share their Bayer steps."""
+    if g.is_constant:
+        return I
+    if not (homogeneous and len(g.terms) == 1):
+        return eliminate(_rabinowitsch(I, g), I.ring)
+    prefix: tuple[int, ...] = ()
+    gens = memo.setdefault((), [f.terms for f in I.gens])
+    for v, e in enumerate(next(iter(g.terms))):
+        if e:
+            prev, prefix = gens, prefix + (v,)
+            gens = memo.get(prefix)
+            if gens is None:
+                gens = memo[prefix] = _bayer_step(prev, v, I.ring.field)
+    return Ideal(I.ring, [Poly(I.ring, h, _trusted=True) for h in gens])
 
 
 def saturation(I: Ideal, J: Union[Poly, Ideal]) -> Ideal:
-    """I : J^infinity by iterated colon until the reduced basis stabilizes."""
+    """I : J^infinity, the intersection of I : g^infinity over the
+    generators g of J. Each I : g^infinity takes one of two routes:
+
+    - g a monomial and I homogeneous in the standard grading (each
+      generator has one exponent sum, which degrevlex compares first):
+      Bayer's trick for each variable of g in turn (Bayer-Stillman, Invent.
+      Math. 87, 1987);
+    - otherwise: one tag elimination of I + (1 - t*g) (Rabinowitsch).
+
+    The intersection stops once it equals I, because every I : g^infinity
+    contains I.
+    """
     if isinstance(J, Poly):
         J = Ideal(I.ring, [J])
-    if all(g.is_zero for g in J.gens):
+    if J.is_zero:
         raise InputError("saturation by the zero ideal")
     cache_key = J.key()
     cached = I._satcache.get(cache_key)
     if cached is not None:
         return cached
-    prev = I
-    for _ in range(_SATURATION_CAP):
-        nxt = ideal_quotient(prev, J)
-        if nxt.same_ideal(prev):
-            result = Ideal(I.ring, prev.groebner())
-            result._gb[DEGREVLEX] = prev.groebner()
-            I._satcache[cache_key] = result
-            return result
-        prev = nxt
-    raise MathInvariantError("saturation failed to stabilize")
+    homogeneous = all(len({sum(e) for e in f.terms}) == 1 for f in I.gens)
+    memo: dict = {}
+    meet = None
+    for g in J.gens:
+        part = _saturate_by(I, g, homogeneous, memo)
+        meet = part if meet is None else ideal_intersection(meet, part)
+        if meet.same_ideal(I):
+            break
+    result = Ideal(I.ring, meet.groebner())
+    result._gb[DEGREVLEX] = meet.groebner()
+    I._satcache[cache_key] = result
+    return result
 
 
 def krull_dim(I: Ideal) -> int:
@@ -600,13 +676,6 @@ def in_radical(f: Poly, I: Ideal) -> bool:
     """Radical membership via one inverted tag: 1 in I + (1 - t*f)."""
     if f.is_zero or I.contains(f):
         return True
-    ext = _tagged_ring(I.ring, 1)
-    t = ext.var(ext.nvars - 1)
-    gens = [_lift(g, ext) for g in I.gens]
-    gens.append(ext.one() - t * _lift(f, ext))
-    return Ideal(ext, gens).is_unit
+    gens = _rabinowitsch(I, f)
+    return Ideal(gens[0].ring, gens).is_unit
 
-
-def radical_contains_ideal(I: Ideal, J: Ideal) -> bool:
-    """True when J is contained in the radical of I."""
-    return all(in_radical(g, I) for g in J.gens)

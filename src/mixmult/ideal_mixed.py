@@ -26,7 +26,7 @@ from .bigraded import BigradedAlgebra, e_table_full
 from .config import MAX_RETRIES
 from .errors import GenericityExhausted, InputError, MathInvariantError
 from .fields import DEFAULT_PRIME
-from .groebner import (Ideal, ideal_power, ideal_product, ideal_sum,
+from .groebner import (Ideal, eliminate, ideal_power, ideal_product, ideal_sum,
                        in_radical, is_nzd, krull_dim, saturation)
 from .hilbert import ETable, total_multiplicity
 from .rings import Poly, Ring, monomials_of_bidegree
@@ -151,10 +151,7 @@ def rees_presentation(setting: GradedSetting) -> tuple[Ring, Ideal]:
             work_ring, {e + (0,) * (pad_p + 1): c for e, c in g.terms.items()}, _trusted=True
         )
         lifted.append(T - t * g_lift)
-    from .groebner import _eliminate_tags  # internal elimination helper
-
-    kernel = _eliminate_tags(work_ring, lifted, present_ring)
-    return present_ring, Ideal(present_ring, kernel)
+    return present_ring, eliminate(lifted, present_ring)
 
 
 def analytic_spread(setting: GradedSetting) -> int:

@@ -2,12 +2,26 @@
 
 The membership oracle solves a linear system over the monomials of a bounded
 degree window, never touching the division algorithm it is used to check.
+The saturation oracle iterates colons, never touching the direct routes of
+``saturation`` it is used to check.
 """
 
 from __future__ import annotations
 
-from mixmult import Ideal, Poly
+from mixmult import Ideal, Poly, ideal_quotient
 from mixmult.rings import monomials_of_bidegree
+
+
+def saturation_by_colon(I: Ideal, J: Ideal, cap: int = 100) -> Ideal:
+    """I : J^infinity by iterated colon until the reduced basis stops
+    changing: the definition, and the route ``saturation`` used to take."""
+    prev = I
+    for _ in range(cap):
+        nxt = ideal_quotient(prev, J)
+        if nxt.same_ideal(prev):
+            return prev
+        prev = nxt
+    raise AssertionError("iterated colon did not stabilize")
 
 
 def _row_reduce_solve(rows, target, field):

@@ -122,6 +122,12 @@ class TestExitCodes:
                              "--i", "2")
         assert code == 1
 
+    def test_single_graded_bigraded_report_is_one(self, capsys):
+        code, out, err = run_cli(capsys, "bigraded-report", "--file",
+                                 "problems/twisted_cubic.mix", "--ideal", "J")
+        assert code == 1 and out == ""
+        assert "needs variables of both bidegrees (1,0) and (0,1)" in err
+
     def test_inhomogeneous_input_is_one(self, capsys, tmp_path):
         bad = tmp_path / "inhom.mix"
         bad.write_text("field Q\nring A vars x:(1,0) y:(0,1)\nideal I in A = x + 1\n")

@@ -155,7 +155,7 @@ class TestIntersection:
         # dual route: lcm shortcut vs tag-variable elimination
         rng = random.Random(23)
         R = kxyzw()
-        from mixmult.groebner import _eliminate_tags, _lift, _tagged_ring
+        from mixmult.groebner import _lift, _tagged_ring, eliminate
         from mixmult.rings import monomials_of_bidegree
 
         def rand_monomial_ideal():
@@ -173,7 +173,7 @@ class TestIntersection:
             t = ext.var(ext.nvars - 1)
             gens = [t * _lift(f, ext) for f in I_m.gens]
             gens += [(ext.one() - t) * _lift(g, ext) for g in J_m.gens]
-            general = Ideal(R, _eliminate_tags(ext, gens, R))
+            general = eliminate(gens, R)
             assert fast.same_ideal(general)
 
     def test_monomial_fast_paths_give_minimal_sorted_generators(self):

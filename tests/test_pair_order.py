@@ -15,7 +15,7 @@ import random
 import pytest
 
 from mixmult import DEGREVLEX, groebner
-from mixmult.groebner import _eliminate_tags, _lift, _tagged_ring, buchberger
+from mixmult.groebner import _lift, _tagged_ring, buchberger, eliminate
 from mixmult.instances import bigraded_ring
 from mixmult.problemfile import parse_problem
 from mixmult.rings import monomials_of_bidegree
@@ -62,7 +62,7 @@ def _tagged_intersection():
     t = ext.var(ext.nvars - 1)
     gens = [t * _lift(f, ext) for f in I.gens]
     gens += [(ext.one() - t) * _lift(g, ext) for g in K.gens]
-    return _eliminate_tags(ext, gens, I.ring)
+    return eliminate(gens, I.ring)
 
 
 def _forms_21():

@@ -318,9 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ideal", required=True, help="the ideal J")
         p.add_argument("--ambient", default=None,
                        help="ideal defining the ambient quotient ring")
-        p.add_argument("--upto", type=int, default=None,
-                       help="accepted for compatibility; the chain always runs "
-                            "to the analytic spread")
 
     p = sub.add_parser("sv", help="intersection cycle degrees on the ruled join")
     common(p)

@@ -5,12 +5,21 @@ intersection / quotient / saturation, elimination behind fresh tag variables,
 radical membership, zero-divisor tests, and Krull dimension of quotients.
 
 The engine is a Buchberger loop with the coprime and chain criteria and the
-normal selection strategy: S-pairs wait in a heap keyed by the selection key
-of their lcm, computed once when the pair is made, and pairs with equal lcms
-leave in the order they were made. Each call builds the order's key
-functions once, with the block/rest variable split precomputed. Monomial-ideal
-fast paths cover the operations that dominate the workloads here and return
+normal selection strategy: S-pairs wait in a heap keyed by their lcm, and
+pairs with equal lcms leave in the order they were made. Monomial-ideal fast
+paths cover the operations that dominate the workloads here and return
 minimal generators in a fixed order.
+
+Inside the loop and in normal forms a monomial in n variables is one int
+(packed exponent vectors: Monagan-Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007) of 2n fields of one
+width. The low n fields hold the exponents; the high n hold the partial sums
+the order compares (``_Packing``), so integer order is the monomial order
+and a product is one addition. The top bit of every field is a guard bit,
+clear in every monomial, so a divides b exactly when b - a has no guard bit
+set. Fields start wide enough for twice the input degree; when a guard bit
+trips, the call is redone with fields twice as wide. Term dicts keep
+exponent tuples outside these calls.
 
 Saturation never iterates colons. I : J^inf is the intersection of the
 I : g^inf over the generators g of J, and each of those takes one of two
@@ -33,14 +42,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, count
-from operator import add, itemgetter, le, neg, sub
+from operator import add, itemgetter, le, mul, sub
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import InputError, MathInvariantError
 from .fields import FieldSpec
 from .rings import Exponent, Poly, Ring, _degrevlex_sortkey
-
-SortKey = Callable[[Exponent], tuple]
 
 # ---------------------------------------------------------------------------
 # monomial orders
@@ -51,11 +58,8 @@ SortKey = Callable[[Exponent], tuple]
 class MonomialOrder:
     """Degrevlex on all variables, or a block order eliminating ``block``.
 
-    ``sortkey`` is ascending in the *reverse* of the monomial order: the
-    leading term of a polynomial has the minimal sortkey. ``selkey`` is its
-    exact opposite, ascending in the monomial order. Block orders compare the
-    block exponents degrevlex first, so any monomial involving a block
-    variable exceeds every monomial without one.
+    Block orders compare the block exponents degrevlex first, so any monomial
+    involving a block variable exceeds every monomial without one.
     """
 
     block: tuple[int, ...] = ()
@@ -68,41 +72,68 @@ class MonomialOrder:
     def elimination(block: Sequence[int]) -> "MonomialOrder":
         return MonomialOrder(tuple(sorted(block)))
 
-    def keys(self, nvars: int) -> tuple[SortKey, SortKey]:
-        """``(sortkey, selkey)`` for exponents of length ``nvars``; the split
-        into block and rest variables is computed here, once."""
-        if not self.block:
-            return _degrevlex_sortkey, _degrevlex_selkey
-        block_rev = _picker(self.block[::-1])
-        rest_rev = _picker(tuple(i for i in reversed(range(nvars)) if i not in self.block))
-
-        def sortkey(exp: Exponent):
-            b, r = block_rev(exp), rest_rev(exp)
-            return (-sum(b), b, -sum(r), r)
-
-        def selkey(exp: Exponent):
-            b, r = block_rev(exp), rest_rev(exp)
-            return (sum(b), tuple(map(neg, b)), sum(r), tuple(map(neg, r)))
-
-        return sortkey, selkey
-
-    def sortkey(self, exp: Exponent):
-        return self.keys(len(exp))[0](exp)
-
-
-def _degrevlex_selkey(exp: Exponent):
-    return (sum(exp), tuple(map(neg, reversed(exp))))
-
-
-def _picker(idx: tuple[int, ...]) -> Callable[[Exponent], tuple]:
-    """The exponents at ``idx`` as a tuple (itemgetter, but always a tuple)."""
-    if len(idx) == 1:
-        i = idx[0]
-        return lambda exp: (exp[i],)
-    return itemgetter(*idx) if idx else (lambda exp: ())
-
 
 DEGREVLEX = MonomialOrder.degrevlex()
+
+
+# ---------------------------------------------------------------------------
+# packed monomials
+# ---------------------------------------------------------------------------
+
+
+class _Overflow(Exception):
+    """A field of a packed monomial reached its guard bit."""
+
+
+class _Packing:
+    """Exponent tuples as ints of 2 * nvars fields of ``width`` bits. Field i
+    holds x_i; the high fields hold, most significant first, the degree, then
+    x_1 + ... + x_{n-1}, down to x_1 (for a block order: the same within the
+    block, then within the rest)."""
+
+    __slots__ = ("weights", "shifts", "mask", "half", "guard")
+
+    def __init__(self, order: MonomialOrder, nvars: int, width: int):
+        rest = [v for v in range(nvars) if v not in order.block]
+        self.weights = [1 << (v * width) for v in range(nvars)]
+        top = nvars
+        for group in (rest, order.block):
+            top += len(group)
+            high = 0  # the fields from a variable's own up to its group's top
+            for k, v in zip(count(top - 1, -1), reversed(group)):
+                high += 1 << (k * width)
+                self.weights[v] += high
+        self.shifts = range(0, nvars * width, width)
+        self.half = 1 << (width - 1)
+        self.mask = self.half - 1
+        self.guard = sum(self.half << (k * width) for k in range(2 * nvars))
+
+    def pack(self, exp: Exponent) -> int:
+        if sum(exp) >= self.half:  # no field value exceeds the degree
+            raise _Overflow
+        return sum(map(mul, exp, self.weights))
+
+    def unpack(self, m: int) -> Exponent:
+        return tuple([m >> s & self.mask for s in self.shifts])
+
+    def pack_terms(self, terms: dict) -> dict:
+        return {self.pack(e): c for e, c in terms.items()}
+
+    def unpack_terms(self, terms: dict) -> dict:
+        return {self.unpack(m): c for m, c in terms.items()}
+
+
+def _packed(work: Callable[[_Packing], object], order: MonomialOrder, nvars: int,
+            polys: Sequence[dict]):
+    """``work(packing)`` with fields wide enough for twice the degree of
+    ``polys``, redone with fields twice as wide whenever a guard bit trips."""
+    degree = max((sum(e) for t in polys for e in t), default=0)
+    width = max(16, degree.bit_length() + 2)
+    while True:
+        try:
+            return work(_Packing(order, nvars, width))
+        except _Overflow:
+            width *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -130,47 +161,47 @@ def _egcd(a: Exponent, b: Exponent) -> Exponent:
     return tuple(map(min, a, b))
 
 
-def _lead(terms: dict, sortkey: SortKey) -> Exponent:
-    return min(terms, key=sortkey)
-
-
-def _monic(terms: dict, field: FieldSpec, sortkey: SortKey) -> dict:
-    lead = _lead(terms, sortkey)
-    lc = terms[lead]
+def _monic(terms: dict, field: FieldSpec) -> dict:
+    lc = terms[max(terms)]
     if lc == field.one:
         return terms
     inv = field.inv(lc)
     return {e: field.mul(inv, c) for e, c in terms.items()}
 
 
-def _reduce_full(terms: dict, basis: list[tuple[Exponent, dict]], field: FieldSpec,
-                 sortkey: SortKey) -> dict:
-    """Fully reduce ``terms`` against monic ``basis``; no term of the result
-    is divisible by any basis leading term."""
+def _reduce_full(terms: dict, basis: list[tuple[int, dict]], field: FieldSpec,
+                 guard: int) -> dict:
+    """Fully reduce packed ``terms`` against the monic packed ``basis`` of
+    (leading monomial, terms) pairs; no term of the result is divisible by
+    any basis leading monomial. Terms leave in descending order."""
     if not terms or not basis:
         return dict(terms)
+    fadd, fmul, push = field.add, field.mul, heapq.heappush
     p = dict(terms)
     out: dict = {}
-    heap = [(sortkey(e), e) for e in p]
+    heap = [-e for e in p]
     heapq.heapify(heap)
     while heap:
-        _, e = heapq.heappop(heap)
+        e = -heapq.heappop(heap)
         c = p.get(e)
         if not c:
             continue
+        if e & guard:
+            raise _Overflow
         for lt, g in basis:
-            if _divides(lt, e):
-                shift = _esub(e, lt)
+            shift = e - lt
+            if not shift & guard:
+                c = field.neg(c)
                 for ge, gc in g.items():
-                    ne = _eadd(ge, shift)
+                    ne = ge + shift
                     old = p.get(ne)
-                    nv = field.sub(old, field.mul(c, gc)) if old is not None else field.neg(field.mul(c, gc))
-                    if nv:
-                        if old is None:
-                            heapq.heappush(heap, (sortkey(ne), ne))
+                    if old is None:
+                        p[ne] = fmul(c, gc)
+                        push(heap, -ne)
+                    elif nv := fadd(old, fmul(c, gc)):
                         p[ne] = nv
                     else:
-                        p.pop(ne, None)
+                        del p[ne]
                 break
         else:
             out[e] = c
@@ -178,17 +209,14 @@ def _reduce_full(terms: dict, basis: list[tuple[Exponent, dict]], field: FieldSp
     return out
 
 
-def _spoly(f: tuple[Exponent, dict], g: tuple[Exponent, dict], field: FieldSpec) -> dict:
-    """S-polynomial of two monic polynomials given as (leading exp, terms)."""
-    lf, ft = f
-    lg, gt = g
-    lcm = _elcm(lf, lg)
-    sf, sg = _esub(lcm, lf), _esub(lcm, lg)
-    acc: dict = {}
-    for e, c in ft.items():
-        acc[_eadd(e, sf)] = c
+def _spoly(f: tuple, g: tuple, field: FieldSpec) -> dict:
+    """S-polynomial of two monic polynomials, each given as (leading
+    exponent, packed terms, packed shift from its leading monomial to the lcm)."""
+    _, ft, sf = f
+    _, gt, sg = g
+    acc = {e + sf: c for e, c in ft.items()}
     for e, c in gt.items():
-        ne = _eadd(e, sg)
+        ne = e + sg
         old = acc.get(ne)
         nv = field.sub(old, c) if old is not None else field.neg(c)
         if nv:
@@ -208,34 +236,36 @@ def buchberger(gens: Iterable[dict], field: FieldSpec, order: MonomialOrder) -> 
     if not gens:
         return []
     nvars = len(next(iter(gens[0])))
-    unit = [{(0,) * nvars: field.one}]
-    sortkey, selkey = order.keys(nvars)
+    return _packed(lambda pk: _buchberger(gens, field, pk), order, nvars, gens)
 
-    G: list[dict] = []
+
+def _buchberger(gens: list[dict], field: FieldSpec, pk: _Packing) -> list[dict]:
+    guard = pk.guard
+    unit = [{(0,) * len(pk.weights): field.one}]
+    basis: list[tuple[int, dict]] = []  # (packed leading monomial, packed terms)
     lts: list[Exponent] = []
-    pending: dict[frozenset, Exponent] = {}
-    # (selkey of the lcm, creation tick, pair): pops the smallest lcm first,
-    # equal lcms in creation order
+    pending: dict[frozenset, int] = {}
+    # (packed lcm, creation tick, pair): pops the smallest lcm first, equal
+    # lcms in creation order
     queue: list = []
     tick = count()
 
     def push(h: dict) -> bool:
         """Add a fully reduced nonzero polynomial; True when it is a unit."""
-        lt = _lead(h, sortkey)
-        if not any(lt):
+        lt = max(h)
+        if not lt:
             return True
-        h = _monic(h, field, sortkey)
-        k = len(G)
-        G.append(h)
-        lts.append(lt)
+        k = len(basis)
+        basis.append((lt, _monic(h, field)))
+        lts.append(pk.unpack(lt))
         for i in range(k):
             key = frozenset((i, k))
-            lcm = pending[key] = _elcm(lts[i], lt)
-            heapq.heappush(queue, (selkey(lcm), next(tick), key))
+            lcm = pending[key] = pk.pack(_elcm(lts[i], lts[k]))
+            heapq.heappush(queue, (lcm, next(tick), key))
         return False
 
     for g in gens:
-        r = _reduce_full(g, list(zip(lts, G)), field, sortkey)
+        r = _reduce_full(pk.pack_terms(g), basis, field, guard)
         if r and push(r):
             return unit
 
@@ -244,48 +274,31 @@ def buchberger(gens: Iterable[dict], field: FieldSpec, order: MonomialOrder) -> 
         lcm = pending.pop(key)
         i, j = tuple(key)
         # coprime criterion: disjoint leading supports reduce to zero
-        if lcm == _eadd(lts[i], lts[j]):
+        if lcm == basis[i][0] + basis[j][0]:
             continue
         # chain criterion: a third element divides the lcm and both companion
         # pairs were already treated
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            if _divides(lts[k], lcm) and frozenset((i, k)) not in pending \
-                    and frozenset((j, k)) not in pending:
-                skip = True
+        for k, (m, _) in enumerate(basis):
+            if k != i and k != j and not (lcm - m) & guard \
+                    and frozenset((i, k)) not in pending and frozenset((j, k)) not in pending:
                 break
-        if skip:
-            continue
-        s = _spoly((lts[i], G[i]), (lts[j], G[j]), field)
-        r = _reduce_full(s, list(zip(lts, G)), field, sortkey)
-        if r and push(r):
-            return unit
-
-    if not G:
-        return []
+        else:
+            s = _spoly((lts[i], basis[i][1], lcm - basis[i][0]),
+                       (lts[j], basis[j][1], lcm - basis[j][0]), field)
+            r = _reduce_full(s, basis, field, guard)
+            if r and push(r):
+                return unit
 
     # minimalize: drop any element whose leading term another one divides
-    keep = []
-    for i, lt in enumerate(lts):
-        if any(
-            _divides(lts[j], lt) and (lts[j] != lt or j < i)
-            for j in keep
-        ):
-            continue
-        keep = [j for j in keep if not (_divides(lt, lts[j]) and lts[j] != lt)]
-        keep.append(i)
-    H = [G[i] for i in keep]
-    HL = [lts[i] for i in keep]
+    # (leading terms are distinct: each was reduced by the earlier ones)
+    H = [(lt, h) for lt, h in basis
+         if not any(m != lt and not (lt - m) & guard for m, _ in basis)]
 
     # tail-reduce each against the others; leading terms are already minimal
-    for i in range(len(H)):
-        others = [(HL[j], H[j]) for j in range(len(H)) if j != i]
-        H[i] = _monic(_reduce_full(H[i], others, field, sortkey), field, sortkey)
+    for i, (lt, h) in enumerate(H):
+        H[i] = (lt, _monic(_reduce_full(h, H[:i] + H[i + 1:], field, guard), field))
 
-    H.sort(key=lambda h: sortkey(_lead(h, sortkey)), reverse=True)
-    return H
+    return [pk.unpack_terms(h) for _, h in sorted(H, key=itemgetter(0))]
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +341,14 @@ class Ideal:
     def normal_form(self, f: Poly, order: MonomialOrder = DEGREVLEX) -> Poly:
         if f.ring != self.ring:
             raise InputError("polynomial from a different ring")
-        sortkey = order.keys(self.ring.nvars)[0]
-        pairs = [(_lead(g.terms, sortkey), g.terms) for g in self.groebner(order)]
-        r = _reduce_full(f.terms, pairs, self.ring.field, sortkey)
+        basis = [g.terms for g in self.groebner(order)]
+
+        def reduce(pk: _Packing) -> dict:
+            packed = [(max(h), h) for h in map(pk.pack_terms, basis)]
+            r = _reduce_full(pk.pack_terms(f.terms), packed, self.ring.field, pk.guard)
+            return pk.unpack_terms(r)
+
+        r = _packed(reduce, order, self.ring.nvars, basis + [f.terms])
         return Poly(self.ring, r, _trusted=True)
 
     def contains(self, f: Poly) -> bool:
@@ -358,8 +376,10 @@ class Ideal:
         return frozenset(self.groebner())
 
     def leading_exponents(self, order: MonomialOrder = DEGREVLEX) -> tuple[Exponent, ...]:
-        sortkey = order.keys(self.ring.nvars)[0]
-        return tuple(_lead(g.terms, sortkey) for g in self.groebner(order))
+        basis = [g.terms for g in self.groebner(order)]
+        return _packed(
+            lambda pk: tuple(pk.unpack(max(map(pk.pack, h))) for h in basis),
+            order, self.ring.nvars, basis)
 
     @property
     def is_monomial(self) -> bool:
@@ -495,12 +515,12 @@ def poly_exact_div(f: Poly, g: Poly) -> Poly:
     if g.is_zero:
         raise InputError("division by the zero polynomial")
     field = f.ring.field
-    lg = _lead(g.terms, _degrevlex_sortkey)
+    lg = min(g.terms, key=_degrevlex_sortkey)
     cg = g.terms[lg]
     rem = dict(f.terms)
     quot: dict = {}
     while rem:
-        e = _lead(rem, _degrevlex_sortkey)
+        e = min(rem, key=_degrevlex_sortkey)
         if not _divides(lg, e):
             raise MathInvariantError("claimed exact division has a remainder")
         shift = _esub(e, lg)

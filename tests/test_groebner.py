@@ -7,10 +7,10 @@ import random
 import pytest
 
 from conftest import homogeneous_membership_oracle, truncated_membership_oracle
-from mixmult import (DEGREVLEX, FieldSpec, Ideal, InputError, Poly, Ring,
+from mixmult import (DEGREVLEX, FieldSpec, Ideal, InputError, MonomialOrder, Poly, Ring,
                      ideal_intersection, ideal_quotient, in_radical, is_nzd,
                      krull_dim, saturation)
-from mixmult.groebner import _lead, _reduce_full, _spoly
+from mixmult import groebner
 from mixmult.instances import random_ideal_pair
 
 F = FieldSpec(32003)
@@ -44,16 +44,23 @@ class TestBasis:
         assert truncated_membership_oracle(y * y, I, 4)
 
     def test_buchberger_certificate(self):
-        # every S-polynomial of the returned basis reduces to zero
+        # every S-polynomial of the returned basis reduces to zero, built with
+        # public Poly arithmetic; the block orders certify their packing too
         rng = random.Random(7)
+        orders = (DEGREVLEX, MonomialOrder.elimination((0,)),
+                  MonomialOrder.elimination((1, 3)))
         for _ in range(10):
             I, _ = random_ideal_pair(rng)
-            gb = [g.terms for g in I.groebner()]
-            pairs = [(_lead(g, DEGREVLEX.sortkey), g) for g in gb]
-            for a in range(len(gb)):
-                for b in range(a + 1, len(gb)):
-                    s = _spoly(pairs[a], pairs[b], I.ring.field)
-                    assert not _reduce_full(s, pairs, I.ring.field, DEGREVLEX.sortkey)
+            ring = I.ring
+            for order in orders:
+                gb = I.groebner(order)
+                lts = I.leading_exponents(order)
+                for a in range(len(gb)):
+                    for b in range(a + 1, len(gb)):
+                        lcm = tuple(map(max, lts[a], lts[b]))
+                        s = (ring.monomial([m - e for m, e in zip(lcm, lts[a])]) * gb[a]
+                             - ring.monomial([m - e for m, e in zip(lcm, lts[b])]) * gb[b])
+                        assert I.normal_form(s, order).is_zero
 
     def test_reduced_basis_is_unique_under_generator_shuffle(self):
         rng = random.Random(19)
@@ -81,6 +88,43 @@ class TestBasis:
                     continue
                 f = Poly(ring, terms)
                 assert I.contains(f) == homogeneous_membership_oracle(f, I)
+
+
+class TestLargeExponents:
+    """Packed fields are as wide as each call needs: no exponent ever wraps.
+    The expected bases are those of the earlier tuple-exponent kernel."""
+
+    def test_degrevlex_basis(self):
+        R = kxyz()
+        x, y, _ = R.gens()
+        gb = Ideal(R, [x**40000 - y**40000, x * y]).groebner()
+        assert [str(g) for g in gb] == ["x*y", "x^40000 + 32002*y^40000", "y^40001"]
+
+    def test_saturation_through_a_block_order(self):
+        R = kxyz()
+        x, y, z = R.gens()
+        sat = saturation(Ideal(R, [x**40000 * z - y**40001, x * y * z]), z + x)
+        assert [str(g) for g in sat.groebner()] == [
+            "x*y*z", "y^40001 + 32002*x^40000*z", "x^40001*z^2"]
+
+    def test_guard_bit_widens_the_fields(self, monkeypatch):
+        # degree 40000 from inputs of degree 200: the first width trips
+        widths = []
+        real = groebner._Packing
+
+        def spy(order, nvars, width):
+            widths.append(width)
+            return real(order, nvars, width)
+
+        monkeypatch.setattr(groebner, "_Packing", spy)
+        R = kxyz()
+        x, y, z = R.gens()
+        I = Ideal(R, [z - x**200, z**200 - y])
+        order = MonomialOrder.elimination((2,))
+        assert [str(g) for g in I.groebner(order)] == ["x^40000 + 32002*y", "32002*x^200 + z"]
+        assert widths[0] < widths[-1]
+        assert I.leading_exponents(order) == ((40000, 0, 0), (0, 0, 1))
+        assert I.normal_form(y * z**3 - x**40600, order).is_zero
 
 
 class TestNormalForm:

@@ -3,9 +3,9 @@ and intersection-cycle degrees over the rationals or a prime field."""
 
 from .bigraded import (BigradedAlgebra, DegreesReport, FilterRegularCertificate,
                        degrees_report, e_positivity, e_table_full,
-                       e_value_via_criterion, find_filter_regular,
-                       is_filter_regular, sum_check)
-from .config import RunConfig, load_config
+                       e_value_from_prefix, e_value_via_criterion,
+                       find_filter_regular, is_filter_regular, sum_check)
+from .config import RunConfig, certified_search, load_config
 from .errors import (GenericityExhausted, InputError, MathInvariantError,
                      MixmultError, ParseError)
 from .fields import DEFAULT_PRIME, FieldSpec

@@ -26,8 +26,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .config import MAX_RETRIES
-from .errors import GenericityExhausted, InputError, MathInvariantError
+from .config import MAX_RETRIES, certified_search
+from .errors import InputError, MathInvariantError
 from .fields import DEFAULT_PRIME
 from .groebner import Ideal, ideal_quotient, ideal_sum, krull_dim, saturation
 from .hilbert import (ETable, HilbertPoly2, e_table, polynomial_of, series_of,
@@ -51,6 +51,7 @@ class BigradedAlgebra:
             if g.bidegree() is None:
                 raise InputError(f"defining ideal has inhomogeneous generator {g}")
         self._sat0: Optional[Ideal] = None
+        self._degrees: Optional[DegreesReport] = None
 
     @property
     def r1_ideal(self) -> Ideal:
@@ -84,6 +85,12 @@ class BigradedAlgebra:
         if self._sat0 is None:
             self._sat0 = self.saturate(self.defining)
         return self._sat0
+
+    def degrees(self) -> "DegreesReport":
+        """``degrees_report`` of this algebra, computed once per handle."""
+        if self._degrees is None:
+            self._degrees = degrees_report(self)
+        return self._degrees
 
     def series(self):
         return series_of(self.defining)
@@ -159,6 +166,9 @@ class FilterStep:
     ok: bool
     witness: Optional[Poly]  # a colon generator escaping the saturation
 
+    def __bool__(self) -> bool:  # a step certifies its element only when it passed
+        return self.ok
+
 
 @dataclass
 class FilterRegularCertificate:
@@ -185,10 +195,21 @@ def _filter_step(alg: BigradedAlgebra, prev: Ideal, z: Poly) -> FilterStep:
     return FilterStep(z, bideg, True, None)
 
 
-def is_filter_regular(alg: BigradedAlgebra, seq: Sequence[Poly]) -> FilterRegularCertificate:
-    """Check the per-step colon containment for a candidate sequence."""
-    cert = FilterRegularCertificate()
-    prev = alg.defining
+def is_filter_regular(
+    alg: BigradedAlgebra,
+    seq: Sequence[Poly],
+    cert: Optional[FilterRegularCertificate] = None,
+) -> FilterRegularCertificate:
+    """Check the per-step colon containment for a candidate sequence.
+
+    With ``cert``, the sequence continues that certified prefix; its steps
+    are appended to a copy.
+    """
+    if cert is None:
+        cert, prev = FilterRegularCertificate(), alg.defining
+    else:
+        cert = FilterRegularCertificate(steps=list(cert.steps), seed=cert.seed)
+        prev = ideal_sum(alg.defining, cert.elements)
     for z in seq:
         step = _filter_step(alg, prev, z)
         cert.steps.append(step)
@@ -231,23 +252,24 @@ def find_filter_regular(
     for kind in pattern:
         if kind not in ((1, 0), (0, 1)):
             raise InputError(f"pattern entries must be (1,0) or (0,1), got {kind}")
-    rng = random.Random(seed)
     cert = FilterRegularCertificate(seed=seed)
-    prev = alg.defining
-    for kind in pattern:
-        for attempt in range(max_retries):
-            z = _random_kind_element(alg, kind, rng, span)
-            step = _filter_step(alg, prev, z)
-            if step.ok:
-                cert.steps.append(step)
-                prev = ideal_sum(prev, [z])
-                break
-        else:
-            raise GenericityExhausted(
-                f"no filter-regular element of bidegree {kind} found in "
-                f"{max_retries} attempts"
-            )
+    _extend(alg, cert, alg.defining, pattern, random.Random(seed), max_retries, span,
+            "filter-regular element of bidegree {}")
     return cert
+
+
+def _extend(alg: BigradedAlgebra, cert: FilterRegularCertificate, prev: Ideal,
+            pattern: Sequence[Bidegree], rng: random.Random, max_retries: int,
+            span: Optional[int], what: str) -> None:
+    """Append one certified random element per kind in ``pattern`` to ``cert``;
+    ``prev`` is the ideal the certified steps so far have reached."""
+    for kind in pattern:
+        z, step = certified_search(
+            lambda: _random_kind_element(alg, kind, rng, span),
+            lambda z: _filter_step(alg, prev, z),
+            max_retries, what.format(kind))
+        cert.steps.append(step)
+        prev = ideal_sum(prev, [z])
 
 
 def e_positivity(
@@ -261,7 +283,7 @@ def e_positivity(
 ) -> tuple[bool, int, FilterRegularCertificate]:
     """Positivity test for e_ij: does the saturated quotient by i generic
     (1,0)-forms plus all (1,0)-variables have dimension j + 1?"""
-    report = degrees_report(alg)
+    report = alg.degrees()
     if report.r is None:
         raise InputError("the Hilbert polynomial vanishes; no top diagonal")
     if i < 0 or j < 0 or i + j != report.r:
@@ -295,44 +317,43 @@ def e_value_via_criterion(
     Returns 0 when the positivity test fails. In the positive branch the
     saturated quotient must have dimension exactly 2.
     """
-    if sequence is not None:
-        seq = list(sequence)
-        if len(seq) != i + j:
-            raise InputError(f"sequence must have {i + j} elements")
-        xs, ys = seq[:i], seq[i:]
-        if any(z.bidegree() != (1, 0) for z in xs) or any(
-            z.bidegree() != (0, 1) for z in ys
-        ):
-            raise InputError("sequence must list (1,0)-elements then (0,1)-elements")
-        full = is_filter_regular(alg, seq)
-        if not full.ok:
-            raise InputError("supplied sequence is not filter-regular")
-        positive, _, _ = e_positivity(alg, i, j, seed, max_retries, sequence=xs)
-        if not positive:
-            return 0
-        cert = full
-    else:
+    if sequence is None:
         positive, _, cert_x = e_positivity(alg, i, j, seed, max_retries, span=span)
-        if not positive:
-            return 0
-        rng_seed = seed + 1
-        cert = FilterRegularCertificate(steps=list(cert_x.steps), seed=seed)
-        prev = ideal_sum(alg.defining, cert_x.elements)
-        rng = random.Random(rng_seed)
-        for _ in range(j):
-            for attempt in range(max_retries):
-                z = _random_kind_element(alg, (0, 1), rng, span)
-                step = _filter_step(alg, prev, z)
-                if step.ok:
-                    cert.steps.append(step)
-                    prev = ideal_sum(prev, [z])
-                    break
-            else:
-                raise GenericityExhausted(
-                    f"no filter-regular (0,1)-element found in {max_retries} attempts"
-                )
-    quotient = ideal_sum(alg.defining, cert.elements)
-    bar = alg.saturate(quotient)
+        return e_value_from_prefix(alg, cert_x, j, seed, max_retries, span) if positive else 0
+    seq = list(sequence)
+    if len(seq) != i + j:
+        raise InputError(f"sequence must have {i + j} elements")
+    xs, ys = seq[:i], seq[i:]
+    if any(z.bidegree() != (1, 0) for z in xs) or any(
+        z.bidegree() != (0, 1) for z in ys
+    ):
+        raise InputError("sequence must list (1,0)-elements then (0,1)-elements")
+    positive, _, cert_x = e_positivity(alg, i, j, seed, max_retries, sequence=xs)
+    cert = is_filter_regular(alg, ys, cert_x)
+    if not cert.ok:
+        raise InputError("supplied sequence is not filter-regular")
+    return _saturated_multiplicity(alg, cert) if positive else 0
+
+
+def e_value_from_prefix(
+    alg: BigradedAlgebra,
+    cert_x: FilterRegularCertificate,
+    j: int,
+    seed: int = 0,
+    max_retries: int = MAX_RETRIES,
+    span: Optional[int] = None,
+) -> int:
+    """e_ij of a positive cell, from the certified (1,0)-prefix of its
+    positivity test: extend it by j random (0,1)-elements, drawn from
+    ``seed + 1`` and certified one by one, and take the multiplicity."""
+    cert = FilterRegularCertificate(steps=list(cert_x.steps), seed=seed)
+    _extend(alg, cert, ideal_sum(alg.defining, cert_x.elements), [(0, 1)] * j,
+            random.Random(seed + 1), max_retries, span, "filter-regular (0,1)-element")
+    return _saturated_multiplicity(alg, cert)
+
+
+def _saturated_multiplicity(alg: BigradedAlgebra, cert: FilterRegularCertificate) -> int:
+    bar = alg.saturate(ideal_sum(alg.defining, cert.elements))
     dim, e = total_multiplicity(bar)
     if dim != 2:
         raise MathInvariantError(

@@ -15,12 +15,12 @@ import json
 import sys
 from typing import Optional
 
-from .bigraded import (BigradedAlgebra, degrees_report, e_table_full,
-                       e_value_via_criterion, e_positivity)
+from .bigraded import (BigradedAlgebra, degrees_report, e_positivity, e_table_full,
+                       e_value_from_prefix)
 from .config import RunConfig, load_config
 from .errors import GenericityExhausted, InputError, MathInvariantError, MixmultError
 from .groebner import Ideal
-from .hilbert import polynomial_of, series_of
+from .hilbert import e_table, polynomial_of, series_of, total_multiplicity
 from .ideal_mixed import GradedSetting, mixed_report, order_of, rees_and_diagonal
 from .problemfile import ProblemFile, parse_problem
 from .sv_cycles import bezout_check, make_join, sv_degrees
@@ -74,7 +74,7 @@ def _span(pf: ProblemFile, config: RunConfig) -> Optional[int]:
     return config.prime if pf.field_spec.p is None else None
 
 
-def _graded_setting(pf: ProblemFile, args, config: RunConfig) -> tuple[GradedSetting, dict]:
+def _graded_setting(pf: ProblemFile, args) -> tuple[GradedSetting, dict]:
     J = _pick_ideal(pf, args.ideal)
     ring = J.ring
     names = {"ideal": args.ideal}
@@ -120,8 +120,6 @@ def _cmd_hilbert(args, config: RunConfig) -> str:
     }
     if I.ring.is_standard_bigraded and I.ring.first_kind and I.ring.second_kind:
         P = polynomial_of(S)
-        from .hilbert import e_table
-
         result["polynomial"] = {
             "coeffs": {f"{i},{j}": c for (i, j), c in sorted(P.coeffs.items())},
             "total_degree": P.total_degree,
@@ -131,8 +129,6 @@ def _cmd_hilbert(args, config: RunConfig) -> str:
         }
         result["table"] = _table_payload(e_table(P))
     if not I.is_unit:
-        from .hilbert import total_multiplicity
-
         dim, mult = total_multiplicity(I)
         result["dimension"] = dim
         result["multiplicity"] = mult
@@ -168,8 +164,8 @@ def _cmd_bigraded_e(args, config: RunConfig) -> str:
     if args.i is not None:
         positive, wdim, cert = e_positivity(alg, args.i, args.j, config.seed,
                                             config.max_retries, span=span)
-        value = e_value_via_criterion(alg, args.i, args.j, config.seed,
-                                      config.max_retries, span=span)
+        value = e_value_from_prefix(alg, cert, args.j, config.seed, config.max_retries,
+                                    span) if positive else 0
         table = e_table_full(alg)
         if table.entries.get((args.i, args.j), 0) != value:
             raise MathInvariantError("criterion and table disagree")
@@ -181,50 +177,36 @@ def _cmd_bigraded_e(args, config: RunConfig) -> str:
             "ok": cert.ok,
         }
     else:
-        table = e_table_full(alg, verify=config.verify, seed=config.seed,
+        table = e_table_full(alg, verify=args.verify, seed=config.seed,
                              max_retries=config.max_retries, span=span)
-        result = {"table": _table_payload(table), "verified": config.verify}
+        result = {"table": _table_payload(table), "verified": args.verify}
     return _emit("bigraded-e", inputs, config, result, certificates)
 
 
-def _cmd_ideal_mixed(args, config: RunConfig) -> str:
+def _cmd_mixed(args, config: RunConfig) -> str:
+    """ideal-mixed, rees-mult and diagonal-degree: one mixed report, projected."""
     pf, inputs = _load_file(args.file)
-    setting, names = _graded_setting(pf, args, config)
+    setting, names = _graded_setting(pf, args)
     inputs.update(names)
-    span = _span(pf, config)
-    rep = mixed_report(setting, config.seed, config.max_retries, span)
-    result = {
-        "e": rep.e, "rho": rep.rho, "spread": rep.spread, "height": rep.height,
-        "dim": rep.dim_a, "dims_along_chain": rep.dims,
-        "order": order_of(setting) if setting.defining.is_zero else None,
-    }
-    return _emit("ideal-mixed", inputs, config, result,
-                 {"seed": rep.seed, "dims": rep.dims})
-
-
-def _cmd_rees_mult(args, config: RunConfig) -> str:
-    pf, inputs = _load_file(args.file)
-    setting, names = _graded_setting(pf, args, config)
-    inputs.update(names)
-    span = _span(pf, config)
-    rep = mixed_report(setting, config.seed, config.max_retries, span)
-    rees, diag = rees_and_diagonal(setting, rep)
-    return _emit("rees-mult", inputs, config,
-                 {"rees_multiplicity": rees, "e": rep.e})
-
-
-def _cmd_diagonal_degree(args, config: RunConfig) -> str:
-    pf, inputs = _load_file(args.file)
-    setting, names = _graded_setting(pf, args, config)
-    inputs.update(names)
-    span = _span(pf, config)
-    rep = mixed_report(setting, config.seed, config.max_retries, span)
-    rees, diag = rees_and_diagonal(setting, rep)
-    if diag is None:
-        raise InputError("diagonal degree needs a polynomial ambient ring and "
-                         "an equigenerated ideal")
-    return _emit("diagonal-degree", inputs, config,
-                 {"diagonal_degree": diag, "e": rep.e})
+    rep = mixed_report(setting, config.seed, config.max_retries, _span(pf, config))
+    certificates = None
+    if args.command == "ideal-mixed":
+        result = {
+            "e": rep.e, "rho": rep.rho, "spread": rep.spread, "height": rep.height,
+            "dim": rep.dim_a, "dims_along_chain": rep.dims,
+            "order": order_of(setting) if setting.defining.is_zero else None,
+        }
+        certificates = {"seed": rep.seed, "dims": rep.dims}
+    else:
+        rees, diag = rees_and_diagonal(setting, rep)
+        if args.command == "rees-mult":
+            result = {"rees_multiplicity": rees, "e": rep.e}
+        elif diag is None:
+            raise InputError("diagonal degree needs a polynomial ambient ring and "
+                             "an equigenerated ideal")
+        else:
+            result = {"diagonal_degree": diag, "e": rep.e}
+    return _emit(args.command, inputs, config, result, certificates)
 
 
 def _cmd_sv(args, config: RunConfig) -> str:
@@ -288,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--prime", type=int, default=None)
         p.add_argument("--max-retries", type=int, default=None)
-        p.add_argument("--verify", action="store_true")
 
     p = sub.add_parser("gb", help="reduced degrevlex Groebner basis")
     common(p)
@@ -307,6 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ideal", required=True)
     p.add_argument("--i", type=int, default=None)
     p.add_argument("--j", type=int, default=None)
+    p.add_argument("--verify", action="store_true",
+                   help="recompute every top-diagonal cell of the table by the criterion")
 
     for name, helptext in (
         ("ideal-mixed", "mixed multiplicities e_i(m|J) via saturation chains"),
@@ -334,9 +317,9 @@ _HANDLERS = {
     "hilbert": _cmd_hilbert,
     "bigraded-report": _cmd_bigraded_report,
     "bigraded-e": _cmd_bigraded_e,
-    "ideal-mixed": _cmd_ideal_mixed,
-    "rees-mult": _cmd_rees_mult,
-    "diagonal-degree": _cmd_diagonal_degree,
+    "ideal-mixed": _cmd_mixed,
+    "rees-mult": _cmd_mixed,
+    "diagonal-degree": _cmd_mixed,
     "sv": _cmd_sv,
     "selftest": _cmd_selftest,
 }
@@ -346,7 +329,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = load_config(args.seed, args.prime, args.max_retries, args.verify)
+        config = load_config(args.seed, args.prime, args.max_retries)
         print(_HANDLERS[args.command](args, config))
         return 0
     except _SelftestFailed as exc:

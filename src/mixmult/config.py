@@ -1,22 +1,43 @@
-"""Run configuration: seed, genericity prime, retry budget, verification flag.
+"""Run configuration: seed, genericity prime, retry budget; the certified search.
 
 Flags override the MIXMULT_SEED / MIXMULT_PRIME / MIXMULT_MAX_RETRIES
 environment variables, which override the defaults. The seed feeds Python's
 Mersenne-Twister generator (``random.Random``) and fully determines every
-random choice in a run.
+random choice in a run. Every random choice that must be certified goes
+through ``certified_search``, the one loop that spends the retry budget.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
-from .errors import InputError
+from .errors import GenericityExhausted, InputError
 from .fields import DEFAULT_PRIME, is_prime
 
 _U64 = 1 << 64
 MAX_RETRIES = 16
+
+_T = TypeVar("_T")
+_C = TypeVar("_C")
+
+
+def certified_search(draw: Callable[[], _T], certify: Callable[[_T], Optional[_C]],
+                     max_retries: int, what: str) -> tuple[_T, _C]:
+    """Draw candidates until one is certified; return it with its certificate.
+
+    ``certify`` returns a false value to reject a candidate. Each attempt
+    calls ``draw`` and then ``certify``, so the random stream is consumed in
+    a fixed order. After ``max_retries`` rejections the search raises
+    ``GenericityExhausted``.
+    """
+    for _ in range(max_retries):
+        candidate = draw()
+        certificate = certify(candidate)
+        if certificate:
+            return candidate, certificate
+    raise GenericityExhausted(f"no {what} found in {max_retries} attempts")
 
 
 @dataclass
@@ -24,7 +45,6 @@ class RunConfig:
     seed: int = 0
     prime: int = DEFAULT_PRIME
     max_retries: int = MAX_RETRIES
-    verify: bool = False
 
     def __post_init__(self):
         if not 0 <= self.seed < _U64:
@@ -49,7 +69,6 @@ def load_config(
     seed: Optional[int] = None,
     prime: Optional[int] = None,
     max_retries: Optional[int] = None,
-    verify: bool = False,
 ) -> RunConfig:
     """Merge explicit values over environment overrides over defaults."""
     if seed is None:
@@ -62,5 +81,4 @@ def load_config(
         seed=0 if seed is None else seed,
         prime=DEFAULT_PRIME if prime is None else prime,
         max_retries=MAX_RETRIES if max_retries is None else max_retries,
-        verify=verify,
     )

@@ -27,4 +27,10 @@ class MathInvariantError(MixmultError):
 
 
 class GenericityExhausted(MixmultError):
-    """Random element search failed repeatedly; field too small or a bug."""
+    """Random choices could not be certified within the retry budget.
+
+    Raised by ``config.certified_search``, the one draw-then-certify loop,
+    when every attempt is rejected: the field is too small, the budget too
+    low, or there is a bug. ``sv`` reaches it when both of its seeds give a
+    negative cycle degree.
+    """

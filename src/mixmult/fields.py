@@ -54,14 +54,6 @@ class FieldSpec:
     def rationals() -> "FieldSpec":
         return FieldSpec(None)
 
-    @staticmethod
-    def prime_field(p: int) -> "FieldSpec":
-        return FieldSpec(p)
-
-    @property
-    def is_prime_field(self) -> bool:
-        return self.p is not None
-
     def __str__(self) -> str:
         return "Q" if self.p is None else f"F{self.p}"
 

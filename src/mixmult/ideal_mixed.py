@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .bigraded import BigradedAlgebra, e_table_full
-from .config import MAX_RETRIES
-from .errors import GenericityExhausted, InputError, MathInvariantError
+from .config import MAX_RETRIES, certified_search
+from .errors import InputError, MathInvariantError
 from .fields import DEFAULT_PRIME
 from .groebner import (Ideal, eliminate, ideal_power, ideal_product, ideal_sum,
                        in_radical, is_nzd, krull_dim, saturation)
@@ -64,10 +64,6 @@ class GradedSetting:
     @property
     def maximal_ideal(self) -> Ideal:
         return Ideal(self.ring, self.ring.gens())
-
-    @property
-    def primary_or_m(self) -> Ideal:
-        return self.maximal_ideal if self.primary is None else self.primary
 
     def s0(self) -> Ideal:
         """Preimage of 0 : J^infinity in A."""
@@ -186,13 +182,11 @@ class ChainStep:
     element: Poly
     ideal: Ideal
     dim: int
-    nzd_ok: bool
 
 
 @dataclass
 class SatChain:
     setting: GradedSetting
-    d_work: int
     s0: Ideal
     dim0: int
     steps: list[ChainStep] = field(default_factory=list)
@@ -219,20 +213,15 @@ def sat_chain(
     s0 = setting.s0()
     if s0.is_unit:
         raise InputError("J is nilpotent modulo the defining ideal")
-    chain = SatChain(setting, setting.working_degree(), s0, krull_dim(s0), seed=seed)
+    chain = SatChain(setting, s0, krull_dim(s0), seed=seed)
     rng = random.Random(seed)
     prev = s0
     for _ in range(upto):
-        for attempt in range(max_retries):
-            a = generic_element(setting, rng, span)
-            if is_nzd(a, prev):
-                break
-        else:
-            raise GenericityExhausted(
-                f"no non-zerodivisor element of J found in {max_retries} attempts"
-            )
+        a, _ = certified_search(lambda: generic_element(setting, rng, span),
+                                lambda a: is_nzd(a, prev),
+                                max_retries, "non-zerodivisor element of J")
         nxt = saturation(ideal_sum(prev, [a]), setting.J)
-        chain.steps.append(ChainStep(a, nxt, krull_dim(nxt), True))
+        chain.steps.append(ChainStep(a, nxt, krull_dim(nxt)))
         prev = nxt
     return chain
 
@@ -268,12 +257,14 @@ class MixedIdealReport:
     seed: int
 
 
-def e_i_values(setting: GradedSetting, chain: SatChain) -> MixedIdealReport:
+def e_i_values(setting: GradedSetting, chain: SatChain, max_retries: int = MAX_RETRIES,
+               span: Optional[int] = None) -> MixedIdealReport:
     """Extract the e_i from a chain and enforce the rigidity window.
 
     e_i is the Samuel multiplicity of A/S_i exactly when the dimension has
     dropped by one per step; the positivity set must be an initial interval
-    and must reach at least height(J) - 1.
+    and must reach at least height(J) - 1. The height chain is drawn from the
+    chain's seed with the given retry budget and span.
     """
     spread = analytic_spread(setting)
     dims = chain.dims()
@@ -299,7 +290,7 @@ def e_i_values(setting: GradedSetting, chain: SatChain) -> MixedIdealReport:
         )
     # dims beyond the first failure must keep failing: implied by the interval
     # check above whenever the chain was computed far enough
-    ht = height_of(setting, seed=chain.seed)
+    ht = height_of(setting, chain.seed, max_retries, span)
     if not (ht - 1 <= rho < spread):
         raise MathInvariantError(
             f"rho = {rho} escapes [height-1, spread) = [{ht - 1}, {spread})"
@@ -314,7 +305,7 @@ def mixed_report(
     """Chain all the way to s(J) - 1 and extract the report."""
     spread = analytic_spread(setting)
     chain = sat_chain(setting, max(spread - 1, 0), seed, max_retries, span)
-    return e_i_values(setting, chain)
+    return e_i_values(setting, chain, max_retries, span)
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +346,9 @@ def height_of(
     while k <= cap:
         if not _minimal_primes_avoid(B, setting.J):
             return k
-        for attempt in range(max_retries):
-            a = generic_element(setting, rng, span)
-            a_sat = saturation(B, Ideal(setting.ring, [a]))
-            if a_sat.same_ideal(B) or all(in_radical(g, B) for g in a_sat.groebner()):
-                break
-        else:
-            raise GenericityExhausted(
-                f"no element of J avoiding the minimal primes found in "
-                f"{max_retries} attempts"
-            )
+        a, _ = certified_search(lambda: generic_element(setting, rng, span),
+                                lambda a: _minimal_primes_avoid(B, Ideal(setting.ring, [a])),
+                                max_retries, "element of J avoiding the minimal primes")
         B = ideal_sum(B, [a])
         k += 1
     raise MathInvariantError("height chain exceeded the ambient dimension")

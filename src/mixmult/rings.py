@@ -9,7 +9,7 @@ dict from exponent tuples to nonzero field elements; all arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from .errors import InputError
 from .fields import FieldSpec
@@ -96,17 +96,6 @@ class Ring:
         c = self.field.coerce(c)
         return Poly(self, {tuple(exp): c} if c else {})
 
-    def from_terms(self, terms: Iterable[tuple[Exponent, object]]) -> "Poly":
-        acc: dict = {}
-        for exp, c in terms:
-            exp = tuple(exp)
-            c = self.field.add(acc.get(exp, self.field.zero), self.field.coerce(c))
-            if c:
-                acc[exp] = c
-            else:
-                acc.pop(exp, None)
-        return Poly(self, acc, _trusted=True)
-
 
 def _degrevlex_sortkey(exp: Exponent):
     # Ascending sortkey corresponds to descending degrevlex monomial order.
@@ -144,10 +133,6 @@ class Poly:
     @property
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
-
-    def constant_value(self):
-        zero_exp = (0,) * self.ring.nvars
-        return self.terms.get(zero_exp, self.ring.field.zero)
 
     def total_exp_degree(self) -> int:
         """Largest exponent sum over the terms (0 for the zero polynomial)."""

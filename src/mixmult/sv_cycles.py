@@ -7,7 +7,9 @@ the difference e_{i-1}(m|J) - e_i(m|J), so the degrees telescope to e_0.
 
 The generic hyperplanes of the classical construction live over a purely
 transcendental extension; here random scalars stand in for the
-transcendentals, guarded by a dual-seed agreement check at the call sites.
+transcendentals. A negative cycle degree can only come from unlucky scalars,
+so ``sv_degrees`` retries it once with a second seed; when both seeds give a
+negative degree it raises ``GenericityExhausted`` (exit 3 in the CLI).
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .config import MAX_RETRIES
-from .errors import InputError, MathInvariantError
+from .config import MAX_RETRIES, certified_search
+from .errors import InputError
 from .groebner import Ideal
 from .ideal_mixed import GradedSetting, mixed_report
 from .rings import Poly, Ring
@@ -75,20 +77,24 @@ def sv_degrees(js: JoinSetting, seed: int = 0, max_retries: int = MAX_RETRIES,
                span: Optional[int] = None) -> SVReport:
     """deg v_i = e_{i-1} - e_i for i = 1..n+1, from the saturation chain.
 
-    A negative difference signals bad randomness; one fresh seed is retried
-    before treating it as a hard failure.
+    A negative difference signals bad randomness: the chain is redrawn once
+    from ``seed + 0x5DEECE66D``, and ``seeds`` lists the seeds tried.
     """
-    seeds = [seed]
-    for attempt in range(2):
+    candidates = (seed, seed + 0x5DEECE66D)
+    seeds: list[int] = []
+
+    def draw() -> list[int]:
+        seeds.append(candidates[len(seeds)])
         rep = mixed_report(js.setting, seeds[-1], max_retries, span)
-        e_full = rep.e + [0] * (js.n + 2 - len(rep.e))
+        return rep.e + [0] * (js.n + 2 - len(rep.e))
+
+    def certify(e_full: list[int]) -> Optional[list[int]]:
         degs = [e_full[i - 1] - e_full[i] for i in range(1, js.n + 2)]
-        if all(d >= 0 for d in degs):
-            return SVReport(degs, e_full, seeds)
-        seeds.append(seed + 0x5DEECE66D)
-    raise MathInvariantError(
-        f"negative cycle degree persisted across seeds {seeds}"
-    )
+        return degs if min(degs) >= 0 else None
+
+    e_full, degs = certified_search(draw, certify, len(candidates),
+                                    "seed giving nonnegative cycle degrees")
+    return SVReport(degs, e_full, seeds)
 
 
 def bezout_check(

@@ -1,0 +1,133 @@
+"""The certified-search loop: its contract, real exhaustion through the CLI,
+the retry budget reaching every search, and the pinned small-field defect."""
+
+from __future__ import annotations
+
+import json
+import re
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+import mixmult.ideal_mixed as ideal_mixed
+import mixmult.sv_cycles as sv_cycles
+from mixmult.cli import main
+from mixmult.config import certified_search
+from mixmult.errors import GenericityExhausted
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def rewrite_field(tmp_path, stem: str, field: str) -> str:
+    """A shipped problem file with its ``field`` line replaced."""
+    text = (PROBLEMS / f"{stem}.mix").read_text()
+    path = tmp_path / f"{stem}.mix"
+    path.write_text(re.sub(r"^field .*$", f"field {field}", text, count=1, flags=re.M))
+    return str(path)
+
+
+class TestContract:
+    def test_returns_first_certified_draw(self):
+        events = []
+        draws = iter(range(1, 10))
+
+        def draw():
+            value = next(draws)
+            events.append(("draw", value))
+            return value
+
+        def certify(value):
+            events.append(("certify", value))
+            return f"cert{value}" if value >= 3 else None
+
+        assert certified_search(draw, certify, 5, "widget") == (3, "cert3")
+        assert events == [("draw", 1), ("certify", 1), ("draw", 2), ("certify", 2),
+                          ("draw", 3), ("certify", 3)]
+
+    def test_draws_exactly_max_retries_before_raising(self):
+        calls = []
+
+        def draw():
+            calls.append(len(calls))
+            return len(calls)
+
+        with pytest.raises(GenericityExhausted, match=r"^no widget found in 4 attempts$"):
+            certified_search(draw, lambda value: False, 4, "widget")
+        assert len(calls) == 4
+
+
+class TestExhaustionThroughTheCli:
+    """Over F 2 with one attempt per search, these inputs run out of budget."""
+
+    @pytest.mark.parametrize("stem,argv,seed,message", [
+        ("three_component", ["bigraded-e", "--ideal", "I", "--i", "2", "--j", "2"], 0,
+         "no filter-regular (0,1)-element found in 1 attempts"),
+        ("three_component", ["bigraded-e", "--ideal", "I", "--i", "2", "--j", "2"], 1,
+         "no filter-regular element of bidegree (1, 0) found in 1 attempts"),
+        ("three_points", ["ideal-mixed", "--ideal", "J"], 1,
+         "no non-zerodivisor element of J found in 1 attempts"),
+    ])
+    def test_exit_three_with_message(self, capsys, tmp_path, stem, argv, seed, message):
+        path = rewrite_field(tmp_path, stem, "F 2")
+        code, out, err = run_cli(capsys, *argv, "--file", path, "--max-retries", "1",
+                                 "--seed", str(seed))
+        assert code == 3 and out == ""
+        assert err == f"genericity exhausted: {message}\n"
+
+    def test_sv_tries_two_seeds_then_exits_three(self, capsys, monkeypatch):
+        seeds = []
+
+        def negative_report(setting, seed, max_retries, span):
+            seeds.append(seed)
+            return SimpleNamespace(e=[1, 5])  # e_0 - e_1 < 0
+
+        monkeypatch.setattr(sv_cycles, "mixed_report", negative_report)
+        code, out, err = run_cli(capsys, "sv", "--file", str(PROBLEMS / "two_lines.mix"),
+                                 "--x", "X", "--y", "Y", "--seed", "7")
+        assert seeds == [7, 7 + 0x5DEECE66D]
+        assert code == 3 and out == ""
+        assert "no seed giving nonnegative cycle degrees found in 2 attempts" in err
+
+
+class TestBudgetReachesEverySearch:
+    def test_ideal_mixed_searches_get_the_configured_budget(self, capsys, tmp_path,
+                                                            monkeypatch):
+        budgets, spans = [], []
+
+        def spy(draw, certify, max_retries, what):
+            budgets.append((what, max_retries))
+            return certified_search(draw, certify, max_retries, what)
+
+        def spy_element(setting, rng, span=None):
+            spans.append(span)
+            return generic_element(setting, rng, span)
+
+        generic_element = ideal_mixed.generic_element
+        monkeypatch.setattr(ideal_mixed, "certified_search", spy)
+        monkeypatch.setattr(ideal_mixed, "generic_element", spy_element)
+        path = rewrite_field(tmp_path, "twisted_cubic", "Q")
+        code, out, err = run_cli(capsys, "ideal-mixed", "--file", path, "--ideal", "J",
+                                 "--max-retries", "5", "--prime", "101")
+        assert code == 0, err
+        assert json.loads(out)["result"]["e"] == ["1", "2", "1"]
+        assert {what for what, _ in budgets} == {
+            "non-zerodivisor element of J", "element of J avoiding the minimal primes"}
+        assert {budget for _, budget in budgets} == {5}
+        assert spans and set(spans) == {101}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: a too-large dimension drop over "
+                                       "a small field is read as zero by rigidity")
+def test_small_field_three_points_is_right_or_exhausted(capsys, tmp_path):
+    for p, seed in ((2, 0), (2, 1), (3, 1), (3, 2)):
+        path = rewrite_field(tmp_path, "three_points", f"F {p}")
+        code, out, _ = run_cli(capsys, "ideal-mixed", "--file", path, "--ideal", "J",
+                               "--seed", str(seed))
+        assert code == 3 or json.loads(out)["result"]["e"] == ["1", "2", "1"], (p, seed)

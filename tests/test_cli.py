@@ -128,6 +128,11 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "needs variables of both bidegrees (1,0) and (0,1)" in err
 
+    def test_verify_belongs_to_bigraded_e_only(self, capsys):
+        code, out, err = run_cli(capsys, "gb", "--file", "problems/twisted_cubic.mix",
+                                 "--ideal", "J", "--verify")
+        assert code == 1 and out == "" and "--verify" in err
+
     def test_inhomogeneous_input_is_one(self, capsys, tmp_path):
         bad = tmp_path / "inhom.mix"
         bad.write_text("field Q\nring A vars x:(1,0) y:(0,1)\nideal I in A = x + 1\n")

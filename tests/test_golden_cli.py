@@ -1,4 +1,5 @@
-"""Golden CLI output: every subcommand but ``selftest`` on every shipped problem.
+"""Golden CLI output: every subcommand but ``selftest`` on every shipped problem,
+plus single ``bigraded-e`` cells.
 
 Each case runs ``mixmult`` in process at ``--seed 0`` from the repository
 root and compares stdout byte for byte with ``tests/golden/<case>.out``. An
@@ -48,6 +49,14 @@ def golden_cases() -> list[tuple[str, list[str]]]:
             for y, _ in ideals:
                 cases.append((f"{path.stem}.sv.{x}.{y}",
                               ["sv", "--file", rel, "--x", x, "--y", y]))
+    # single cells of bigraded-e: the top diagonal of three_component, and a
+    # cell of an algebra whose Hilbert polynomial vanishes (exit 1)
+    cells = [("three_component", i, 4 - i) for i in range(5)]
+    cells.append(("mixed_products_vanish", 0, 0))
+    for stem, i, j in cells:
+        cases.append((f"{stem}.bigraded-e.I.cell{i}{j}",
+                      ["bigraded-e", "--file", f"problems/{stem}.mix", "--ideal", "I",
+                       "--i", str(i), "--j", str(j)]))
     return cases
 
 

@@ -2,7 +2,8 @@
 
 Provides reduced Groebner bases, normal forms, ideal sum / product /
 intersection / quotient / saturation, elimination behind fresh tag variables,
-radical membership, zero-divisor tests, and Krull dimension of quotients.
+radical membership, zero-divisor tests (by Hilbert series, see ``is_nzd``),
+and Krull dimension of quotients.
 
 The engine is a Buchberger loop with the coprime and chain criteria and the
 normal selection strategy: S-pairs wait in a heap keyed by their lcm, and
@@ -684,12 +685,28 @@ def krull_dim(I: Ideal) -> int:
 
 
 def is_nzd(f: Poly, I: Ideal) -> bool:
-    """True when f is a non-zerodivisor modulo I, i.e. I : f = I."""
+    """True when f is a non-zerodivisor modulo I, i.e. I : f = I.
+
+    Decided by Hilbert series, with no colon and no elimination. For f of
+    bidegree d the exact sequence
+
+        0 -> ((I : f)/I)(-d) -> (R/I)(-d) --f--> R/I -> R/(I + (f)) -> 0
+
+    gives HS(R/(I + (f))) = (1 - t^d) HS(R/I) + t^d HS((I : f)/I), so the
+    numerators agree with (1 - t^d) times that of R/I exactly when
+    (I : f)/I = 0. Both f and I must be bihomogeneous; either one
+    inhomogeneous raises ``InputError`` (for I, from ``series_of``).
+    """
+    from .hilbert import _num_sub, series_of  # hilbert imports this module
+
     if f.is_zero:
         return False
-    if f.bidegree() is None:
+    d = f.bidegree()
+    if d is None:
         raise InputError("zero-divisor test expects a homogeneous element")
-    return ideal_quotient(I, f).same_ideal(I)
+    base = series_of(I).numerator
+    shifted = {(a + d[0], b + d[1]): c for (a, b), c in base.items()}
+    return series_of(ideal_sum(I, [f])).numerator == _num_sub(base, shifted)
 
 
 def in_radical(f: Poly, I: Ideal) -> bool:

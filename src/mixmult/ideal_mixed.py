@@ -11,6 +11,18 @@ exactly one per step; a larger drop forces that and all later values to zero.
 Each a_k is a random degree-lifted combination of the generators of J and is
 certified to be a non-zerodivisor modulo S_{k-1} before being accepted.
 
+The chain and its positivity window [ht J - 1, l(J)) rest on three
+certificates, none of which needs an elimination:
+
+- non-zerodivisor (``is_nzd``): HS(A/(S + (a))) = (1 - t^d) HS(A/S) holds
+  exactly when a of degree d is regular modulo S;
+- analytic spread l(J) (``analytic_spread``): for J equigenerated in a
+  polynomial ring, a Jacobian of rank min(s, n) at one point, which bounds
+  the transcendence degree of the generators from below over a perfect
+  field; otherwise the Rees presentation;
+- height (``height_of``): dim A - dim A/J for a polynomial ring A;
+  otherwise a certified chain of generic elements avoiding minimal primes.
+
 Closed-form cross-checks (order of J, products of least form degrees,
 equigenerated powers) and an independent bigraded route through the Rees
 presentation validate the chain values on suitable instances.
@@ -104,6 +116,10 @@ def generic_element(setting: GradedSetting, rng: random.Random,
 # analytic spread and the Rees presentation
 # ---------------------------------------------------------------------------
 
+# Seed of the Jacobian's evaluation point: fixed, and apart from the chain's
+# and the height's generators, so the spread never moves their draws.
+_JACOBIAN_SEED = 0x7AC0B1
+
 
 def rees_presentation(setting: GradedSetting) -> tuple[Ring, Ideal]:
     """Presentation ideal of the Rees algebra A[Jt] inside k[x, T].
@@ -150,14 +166,78 @@ def rees_presentation(setting: GradedSetting) -> tuple[Ring, Ideal]:
     return present_ring, eliminate(lifted, present_ring)
 
 
+def _jacobian_rank(gens: tuple[Poly, ...], ring: Ring) -> int:
+    """Rank of the Jacobian matrix of ``gens`` at one point of k^n drawn
+    from a private generator with a fixed seed, by Gaussian elimination."""
+    field = ring.field
+    rng = random.Random(_JACOBIAN_SEED)
+    span = field.p or DEFAULT_PRIME
+    top = max(g.total_exp_degree() for g in gens)
+    powers = []  # powers[v][k] = point_v ** k
+    for _ in range(ring.nvars):
+        x = field.coerce(rng.randrange(span))
+        row = [field.one]
+        for _ in range(top):
+            row.append(field.mul(row[-1], x))
+        powers.append(row)
+    rows = []
+    for g in gens:
+        row = [field.zero] * ring.nvars
+        for e, c in g.terms.items():
+            for v, k in enumerate(e):
+                if k:
+                    term = field.mul(c, field.coerce(k))
+                    for w, kw in enumerate(e):
+                        term = field.mul(term, powers[w][kw - (w == v)])
+                    row[v] = field.add(row[v], term)
+        rows.append(row)
+    rank = 0
+    for col in range(ring.nvars):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = field.inv(rows[rank][col])
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
+                c = field.mul(rows[i][col], inv)
+                rows[i] = [field.sub(a, field.mul(c, b)) for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
 def analytic_spread(setting: GradedSetting) -> int:
-    """Dimension of the special fiber F(J) = A[Jt] / m A[Jt]."""
-    if setting._spread is not None:
-        return setting._spread
-    pring, pres = rees_presentation(setting)
-    fiber = ideal_sum(pres, [pring.var(i) for i in range(setting.ring.nvars)])
-    setting._spread = krull_dim(fiber)
+    """Dimension of the special fiber F(J) = A[Jt] / m A[Jt].
+
+    Two routes:
+
+    - A a polynomial ring and J generated by s nonzero forms g of one
+      degree: then F(J) is k[g_1..g_s], so the spread is the transcendence
+      degree of the g over k, at most min(s, n). Over a perfect field (Q and
+      every F_p) the rank of the Jacobian matrix over k(x) is at most that
+      degree (k(g) is separably generated, so the dg_i span at most that
+      many dimensions), and the rank at a point is at most the rank over
+      k(x). A rank of min(s, n) at one point therefore certifies the spread
+      with no Groebner basis.
+    - otherwise, including a lower rank (a dependent or p-th-power J, or an
+      unlucky point): the Krull dimension of the fiber of the Rees
+      presentation, one block-order elimination.
+    """
+    if setting._spread is None:
+        gens = setting.J.gens
+        bound = min(len(gens), setting.ring.nvars)
+        if (setting.defining.is_zero and len({g.total_exp_degree() for g in gens}) == 1
+                and _jacobian_rank(gens, setting.ring) == bound):
+            setting._spread = bound
+        else:
+            setting._spread = _spread_by_rees(setting)
     return setting._spread
+
+
+def _spread_by_rees(setting: GradedSetting) -> int:
+    """Krull dimension of the fiber of the Rees presentation modulo m."""
+    pring, pres = rees_presentation(setting)
+    return krull_dim(ideal_sum(pres, [pring.var(i) for i in range(setting.ring.nvars)]))
 
 
 def order_of(setting: GradedSetting) -> int:
@@ -309,7 +389,7 @@ def mixed_report(
 
 
 # ---------------------------------------------------------------------------
-# height via certified generic chains
+# height: Krull dimension, or certified generic chains
 # ---------------------------------------------------------------------------
 
 
@@ -329,16 +409,30 @@ def height_of(
     setting: GradedSetting, seed: int = 0, max_retries: int = MAX_RETRIES,
     span: Optional[int] = None,
 ) -> int:
-    """Height of J in A, without primary decomposition.
+    """Height of J in A, without primary decomposition. Two routes:
 
-    Extends a chain of generic elements of J while every minimal prime of the
-    partial ideal avoids J; each accepted element is certified to avoid all
-    minimal primes of the previous step. The count at the first failure is
-    the height, by the generalized principal ideal theorem plus the avoidance
-    certificates.
+    - A a polynomial ring: ht J = dim A - dim A/J, because every prime P of
+      the affine domain A has ht P + dim A/P = dim A. One degrevlex basis,
+      deterministic, and no random draw.
+    - any other A, where the two can differ (say A not equidimensional):
+      the certified chain of ``_height_by_chain``, drawn from ``seed`` with
+      the given retry budget and span.
     """
-    if ideal_sum(setting.defining, setting.J).is_unit:
+    total = ideal_sum(setting.defining, setting.J)
+    if total.is_unit:
         raise InputError("J is the unit ideal modulo the defining ideal")
+    if setting.defining.is_zero:
+        return setting.ring.nvars - krull_dim(total)
+    return _height_by_chain(setting, seed, max_retries, span)
+
+
+def _height_by_chain(setting: GradedSetting, seed: int, max_retries: int,
+                     span: Optional[int]) -> int:
+    """Extends a chain of generic elements of J while every minimal prime of
+    the partial ideal avoids J; each accepted element is certified to avoid
+    all minimal primes of the previous step. The count at the first failure
+    is the height, by the generalized principal ideal theorem plus the
+    avoidance certificates."""
     rng = random.Random(seed ^ 0x9E3779B9)
     B = setting.defining
     k = 0
@@ -370,17 +464,19 @@ class InstanceLabels:
 
 
 def closed_form_oracles(
-    setting: GradedSetting, labels: InstanceLabels, seed: int = 0
+    setting: GradedSetting, labels: InstanceLabels, seed: int = 0,
+    max_retries: int = MAX_RETRIES, span: Optional[int] = None,
 ) -> dict:
     """Formula values available under the labelled hypotheses.
 
     Returns a dict with any of the keys ``equigenerated`` (list of e_i for
     i <= height, when J is generated in one degree), ``order`` (the degree-1
     step for a polynomial ambient ring), and ``least_degrees`` (the two-form
-    product formula). Only formulas whose hypotheses hold are included.
+    product formula). Only formulas whose hypotheses hold are included. The
+    height is found with the given retry budget and span.
     """
     out: dict = {}
-    ht = height_of(setting, seed)
+    ht = height_of(setting, seed, max_retries, span)
     ambient_polynomial = setting.defining.is_zero
     if not ideal_sum(setting.defining, setting.J).is_unit:
         degs = {g.total_exp_degree() for g in setting.J.gens if not g.is_zero}

@@ -266,7 +266,12 @@ class _Parser:
 
 
 def parse_problem(text: str) -> ProblemFile:
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:  # the descent outran the interpreter's stack
+        tok = parser.tokens[min(parser.pos, len(parser.tokens) - 1)]
+        raise ParseError("expression nested too deeply", tok.line, tok.col) from None
 
 
 def print_problem(pf: ProblemFile) -> str:

@@ -464,19 +464,17 @@ class InstanceLabels:
 
 
 def closed_form_oracles(
-    setting: GradedSetting, labels: InstanceLabels, seed: int = 0,
-    max_retries: int = MAX_RETRIES, span: Optional[int] = None,
+    setting: GradedSetting, labels: InstanceLabels, seed: int = 0
 ) -> dict:
     """Formula values available under the labelled hypotheses.
 
     Returns a dict with any of the keys ``equigenerated`` (list of e_i for
     i <= height, when J is generated in one degree), ``order`` (the degree-1
     step for a polynomial ambient ring), and ``least_degrees`` (the two-form
-    product formula). Only formulas whose hypotheses hold are included. The
-    height is found with the given retry budget and span.
+    product formula). Only formulas whose hypotheses hold are included.
     """
     out: dict = {}
-    ht = height_of(setting, seed, max_retries, span)
+    ht = height_of(setting, seed)
     ambient_polynomial = setting.defining.is_zero
     if not ideal_sum(setting.defining, setting.J).is_unit:
         degs = {g.total_exp_degree() for g in setting.J.gens if not g.is_zero}

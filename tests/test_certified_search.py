@@ -15,7 +15,6 @@ import mixmult.sv_cycles as sv_cycles
 from mixmult.cli import main
 from mixmult.config import certified_search
 from mixmult.errors import GenericityExhausted
-from mixmult.instances import nonrigid_pair_of_planes
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -97,30 +96,22 @@ class TestExhaustionThroughTheCli:
         assert "no seed giving nonnegative cycle degrees found in 2 attempts" in err
 
 
-@pytest.fixture
-def search_spy(monkeypatch):
-    """(search name, budget) of every certified search in ``ideal_mixed``,
-    and the span of every generic element drawn there."""
-    budgets, spans = [], []
-    generic_element = ideal_mixed.generic_element
-
-    def spy(draw, certify, max_retries, what):
-        budgets.append((what, max_retries))
-        return certified_search(draw, certify, max_retries, what)
-
-    def spy_element(setting, rng, span=None):
-        spans.append(span)
-        return generic_element(setting, rng, span)
-
-    monkeypatch.setattr(ideal_mixed, "certified_search", spy)
-    monkeypatch.setattr(ideal_mixed, "generic_element", spy_element)
-    return budgets, spans
-
-
 class TestBudgetReachesEverySearch:
     def test_ideal_mixed_searches_get_the_configured_budget(self, capsys, tmp_path,
-                                                            search_spy):
-        budgets, spans = search_spy
+                                                            monkeypatch):
+        budgets, spans = [], []
+
+        def spy(draw, certify, max_retries, what):
+            budgets.append((what, max_retries))
+            return certified_search(draw, certify, max_retries, what)
+
+        def spy_element(setting, rng, span=None):
+            spans.append(span)
+            return generic_element(setting, rng, span)
+
+        generic_element = ideal_mixed.generic_element
+        monkeypatch.setattr(ideal_mixed, "certified_search", spy)
+        monkeypatch.setattr(ideal_mixed, "generic_element", spy_element)
         # a non-domain ambient ring: a polynomial one reads the height off
         # the Krull dimension and runs no height search
         path = rewrite_field(tmp_path, "pair_of_planes", "Q")
@@ -131,15 +122,6 @@ class TestBudgetReachesEverySearch:
         assert {what for what, _ in budgets} == {
             "non-zerodivisor element of J", "element of J avoiding the minimal primes"}
         assert {budget for _, budget in budgets} == {5}
-        assert spans and set(spans) == {101}
-
-    def test_closed_form_oracles_pass_the_budget_on(self, search_spy):
-        budgets, spans = search_spy
-        planes = nonrigid_pair_of_planes()  # not a domain: the height search runs
-        out = ideal_mixed.closed_form_oracles(planes.setting, planes.labels, 3,
-                                              max_retries=5, span=101)
-        assert out["equigenerated"]["values"] == [1]
-        assert budgets == [("element of J avoiding the minimal primes", 5)]
         assert spans and set(spans) == {101}
 
 

@@ -9,10 +9,9 @@ from .config import RunConfig, certified_search, load_config
 from .errors import (GenericityExhausted, InputError, MathInvariantError,
                      MixmultError, ParseError)
 from .fields import DEFAULT_PRIME, FieldSpec
-from .groebner import (DEGREVLEX, Ideal, MonomialOrder, groebner_basis,
-                       ideal_intersection, ideal_power, ideal_product,
-                       ideal_quotient, ideal_sum, in_radical, is_nzd, krull_dim,
-                       normal_form, saturation)
+from .groebner import (DEGREVLEX, Ideal, MonomialOrder, ideal_intersection,
+                       ideal_power, ideal_product, ideal_quotient, ideal_sum,
+                       in_radical, is_nzd, krull_dim, saturation)
 from .hilbert import (ETable, HilbertPoly2, HilbertSeries2, e_table,
                       hilbert_function, polynomial_of, series_of,
                       total_multiplicity)

@@ -5,10 +5,13 @@ bigraded Hilbert polynomial, filter-regular sequence certification, the
 positivity criterion for the top-diagonal coefficients e_ij, and their
 computation as multiplicities of saturated quotients.
 
-Filter-regularity of z over a previous ideal B is certified by the finite
-containment (B : z) <= (B : Rpp^infinity), where Rpp is generated by the
-products of one variable of each degree kind. This is the order-free
-equivalent of the classical "equal in all large bidegrees" condition.
+An element z is filter-regular over a previous ideal B when (B : z)/B
+vanishes in all large bidegrees, i.e. when its Hilbert polynomial is zero.
+Its series comes from those of R/B and R/(B + (z)) (``colon_numerator``), so
+no colon is built. A finitely generated bigraded module vanishes in all large
+bidegrees exactly when it is Rpp-torsion, where Rpp is generated by the
+products of one variable of each degree kind, so this is the containment
+(B : z) <= (B : Rpp^infinity).
 
 Every saturation by Rpp uses the product rule. Rpp = R1 * R2 exactly, where
 R1 and R2 are generated by the (1,0)- and the (0,1)-variables, and
@@ -29,9 +32,9 @@ from typing import Optional, Sequence
 from .config import MAX_RETRIES, certified_search
 from .errors import InputError, MathInvariantError
 from .fields import DEFAULT_PRIME
-from .groebner import Ideal, ideal_quotient, ideal_sum, krull_dim, saturation
-from .hilbert import (ETable, HilbertPoly2, e_table, polynomial_of, series_of,
-                      total_multiplicity)
+from .groebner import Ideal, ideal_sum, krull_dim, saturation
+from .hilbert import (ETable, HilbertPoly2, HilbertSeries2, colon_numerator,
+                      e_table, polynomial_of, series_of, total_multiplicity)
 from .rings import Bidegree, Poly, Ring, swap_ring, transport
 
 
@@ -73,11 +76,15 @@ class BigradedAlgebra:
         ]
         return Ideal(self.ring, gens)
 
-    def saturate(self, I: Ideal) -> Ideal:
-        """I : Rpp^infinity, by the product rule (I : R1^inf) : R2^inf."""
+    def _need_both_kinds(self) -> None:
+        """Rpp is zero, and every module torsion, without both kinds."""
         if not (self.ring.first_kind and self.ring.second_kind):
             raise InputError("this command needs variables of both bidegrees "
                              "(1,0) and (0,1)")
+
+    def saturate(self, I: Ideal) -> Ideal:
+        """I : Rpp^infinity, by the product rule (I : R1^inf) : R2^inf."""
+        self._need_both_kinds()
         return saturation(saturation(I, self.r1_ideal), self.r2_ideal)
 
     def sat0(self) -> Ideal:
@@ -164,7 +171,6 @@ class FilterStep:
     element: Poly
     bidegree: Bidegree
     ok: bool
-    witness: Optional[Poly]  # a colon generator escaping the saturation
 
     def __bool__(self) -> bool:  # a step certifies its element only when it passed
         return self.ok
@@ -185,14 +191,9 @@ def _filter_step(alg: BigradedAlgebra, prev: Ideal, z: Poly) -> FilterStep:
     bideg = z.bidegree()
     if bideg is None:
         raise InputError(f"inhomogeneous sequence element {z}")
-    rhs = alg.saturate(prev)
-    if rhs.is_unit:
-        return FilterStep(z, bideg, True, None)
-    lhs = ideal_quotient(prev, z)
-    for g in lhs.groebner():
-        if not rhs.normal_form(g).is_zero:
-            return FilterStep(z, bideg, False, g)
-    return FilterStep(z, bideg, True, None)
+    alg._need_both_kinds()
+    torsion = HilbertSeries2(alg.ring, colon_numerator(prev, z))
+    return FilterStep(z, bideg, polynomial_of(torsion).is_zero)
 
 
 def is_filter_regular(
@@ -200,7 +201,7 @@ def is_filter_regular(
     seq: Sequence[Poly],
     cert: Optional[FilterRegularCertificate] = None,
 ) -> FilterRegularCertificate:
-    """Check the per-step colon containment for a candidate sequence.
+    """Check each element of a candidate sequence for filter-regularity.
 
     With ``cert``, the sequence continues that certified prefix; its steps
     are appended to a copy.

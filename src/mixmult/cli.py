@@ -4,7 +4,8 @@ Subcommands: gb, hilbert, bigraded-report, bigraded-e, ideal-mixed,
 rees-mult, diagonal-degree, sv, selftest. Every integer in the output is
 serialized as decimal text so arbitrarily large values survive any JSON
 consumer. Exit codes: 0 success, 1 usage or parse error, 2 mathematical
-assertion failure, 3 genericity exhausted.
+assertion failure, 3 genericity exhausted, 4 internal error (any other
+exception: its traceback, then one ``internal error:`` line, on stderr).
 """
 
 from __future__ import annotations
@@ -348,6 +349,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except MixmultError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:  # a bug: keep the traceback, but exit with a code of its own
+        import traceback
+
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Exception taxonomy shared across the package.
 
 Exit-code mapping used by the CLI: InputError -> 1, MathInvariantError -> 2,
-GenericityExhausted -> 3.
+GenericityExhausted -> 3, any other exception -> 4.
 """
 
 

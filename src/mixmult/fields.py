@@ -50,10 +50,6 @@ class FieldSpec:
         if self.p is not None and not is_prime(self.p):
             raise InputError(f"field characteristic {self.p} is not prime")
 
-    @staticmethod
-    def rationals() -> "FieldSpec":
-        return FieldSpec(None)
-
     def __str__(self) -> str:
         return "Q" if self.p is None else f"F{self.p}"
 

@@ -386,19 +386,8 @@ class Ideal:
     def is_monomial(self) -> bool:
         return all(len(g.terms) == 1 for g in self.gens)
 
-    def is_homogeneous(self) -> bool:
-        return all(g.bidegree() is not None for g in self.gens)
-
     def __repr__(self):
         return f"Ideal({self.ring.name}; {len(self.gens)} gens)"
-
-
-def groebner_basis(I: Ideal, order: MonomialOrder = DEGREVLEX) -> tuple[Poly, ...]:
-    return I.groebner(order)
-
-
-def normal_form(f: Poly, I: Ideal) -> Poly:
-    return I.normal_form(f)
 
 
 # ---------------------------------------------------------------------------
@@ -685,28 +674,12 @@ def krull_dim(I: Ideal) -> int:
 
 
 def is_nzd(f: Poly, I: Ideal) -> bool:
-    """True when f is a non-zerodivisor modulo I, i.e. I : f = I.
+    """True when f is a non-zerodivisor modulo I, i.e. I : f = I, decided
+    with no colon: the series numerator of (I : f)/I must be empty (see
+    ``hilbert.colon_numerator``, which also rejects inhomogeneous f or I)."""
+    from .hilbert import colon_numerator  # hilbert imports this module
 
-    Decided by Hilbert series, with no colon and no elimination. For f of
-    bidegree d the exact sequence
-
-        0 -> ((I : f)/I)(-d) -> (R/I)(-d) --f--> R/I -> R/(I + (f)) -> 0
-
-    gives HS(R/(I + (f))) = (1 - t^d) HS(R/I) + t^d HS((I : f)/I), so the
-    numerators agree with (1 - t^d) times that of R/I exactly when
-    (I : f)/I = 0. Both f and I must be bihomogeneous; either one
-    inhomogeneous raises ``InputError`` (for I, from ``series_of``).
-    """
-    from .hilbert import _num_sub, series_of  # hilbert imports this module
-
-    if f.is_zero:
-        return False
-    d = f.bidegree()
-    if d is None:
-        raise InputError("zero-divisor test expects a homogeneous element")
-    base = series_of(I).numerator
-    shifted = {(a + d[0], b + d[1]): c for (a, b), c in base.items()}
-    return series_of(ideal_sum(I, [f])).numerator == _num_sub(base, shifted)
+    return not f.is_zero and not colon_numerator(I, f)
 
 
 def in_radical(f: Poly, I: Ideal) -> bool:

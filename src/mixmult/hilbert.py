@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import InputError, MathInvariantError
-from .groebner import Ideal, krull_dim
-from .rings import Bidegree, Exponent, Ring, monomials_of_bidegree
+from .groebner import Ideal, ideal_sum, krull_dim
+from .rings import Bidegree, Exponent, Poly, Ring, monomials_of_bidegree
 
 Numerator = dict  # (a, b) -> int, over prod_v (1 - t1^d1 t2^d2)
 
@@ -88,16 +88,12 @@ def _numerator_uncached(bidegs, gens: frozenset) -> Numerator:
                 ((_mono_bideg(bidegs, e)[0] + a, _mono_bideg(bidegs, e)[1] + b), v)
                 for (a, b), v in out.items())})
         return out
-    # pivot: most frequent variable among generators of exponent degree >= 2
+    # pivot: most frequent variable among generators of exponent degree >= 2;
+    # one exists, since two distinct minimal generators sharing a variable
+    # cannot both have degree 1
     counts: dict[int, int] = {}
     for e, s in zip(gens, supports):
         if sum(e) >= 2:
-            for i in s:
-                counts[i] = counts.get(i, 0) + 1
-    # fall back to overall frequency if needed (cannot happen after the
-    # coprime base case, kept for safety)
-    if not counts:
-        for s in supports:
             for i in s:
                 counts[i] = counts.get(i, 0) + 1
     pivot = max(counts, key=lambda i: (counts[i], -i))
@@ -128,13 +124,6 @@ class HilbertSeries2:
     def n2(self) -> int:
         return sum(1 for d in self.ring.bidegrees if d == (0, 1))
 
-    def transposed(self) -> "HilbertSeries2":
-        from .rings import swap_ring
-
-        return HilbertSeries2(
-            swap_ring(self.ring), {(b, a): v for (a, b), v in self.numerator.items()}
-        )
-
     def coefficient(self, u: int, v: int) -> int:
         """Exact coefficient of t1^u t2^v, for standard bigraded rings."""
         if not self.ring.is_standard_bigraded:
@@ -162,6 +151,26 @@ def series_of(I: Ideal) -> HilbertSeries2:
             raise InputError(f"inhomogeneous generator: {g}")
     lead = frozenset(I.leading_exponents())
     return HilbertSeries2(I.ring, _numerator(I.ring.bidegrees, _minimal_monomials(lead)))
+
+
+def colon_numerator(I: Ideal, f: Poly) -> Numerator:
+    """Series numerator of ((I : f)/I)(-d), for a form f of bidegree d.
+
+    Multiplication by f gives the exact sequence
+
+        0 -> ((I : f)/I)(-d) -> (R/I)(-d) --f--> R/I -> R/(I + (f)) -> 0,
+
+    so HS(R/(I + (f))) = (1 - t^d) HS(R/I) + t^d HS((I : f)/I), and the
+    numerator is N(I + (f)) - (1 - t^d) N(I), with no colon computed. Both
+    f and I must be bihomogeneous; either one inhomogeneous raises
+    ``InputError`` (for I, from ``series_of``).
+    """
+    d = f.bidegree()
+    if d is None:
+        raise InputError("colon series expects a homogeneous element")
+    base = series_of(I).numerator
+    return _num_add_shifted(_num_sub(series_of(ideal_sum(I, [f])).numerator, base),
+                            base, d)
 
 
 def hilbert_function(I: Ideal, u: int, v: int) -> int:

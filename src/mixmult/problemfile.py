@@ -13,6 +13,7 @@ text that parses back to an identical structure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ParseError
@@ -23,6 +24,10 @@ from .rings import Poly, Ring
 _KEYWORDS = {"field", "ring", "ideal", "vars", "in"}
 _SYMBOLS = set("+-*^():,;=")
 _EXPONENT_CAP = 1 << 20
+# Bound, checked before expanding, on the terms of a product (len(a) * len(b))
+# and of a t-term base to the e (C(e + t - 1, t - 1)). A binomial's power costs
+# about its size squared, so (x + y)^2047, a few seconds, is the dearest.
+_TERM_CAP = 1 << 11
 
 
 @dataclass
@@ -223,9 +228,16 @@ class _Parser:
     def _term(self, ring: Ring) -> Poly:
         acc = self._factor(ring)
         while self.peek().kind == "*":
-            self.next()
-            acc = acc * self._factor(ring)
+            star = self.next()
+            rhs = self._factor(ring)
+            self._bound_terms(len(acc.terms) * len(rhs.terms), star)
+            acc = acc * rhs
         return acc
+
+    def _bound_terms(self, bound: int, tok: Token) -> None:
+        if bound > _TERM_CAP:
+            raise ParseError(f"expansion may reach {bound} terms, above the cap of "
+                             f"{_TERM_CAP}", tok.line, tok.col)
 
     def _factor(self, ring: Ring) -> Poly:
         tok = self.peek()
@@ -239,6 +251,8 @@ class _Parser:
             exp = int(e.value)
             if exp > _EXPONENT_CAP:
                 raise ParseError(f"exponent {exp} exceeds the cap", e.line, e.col)
+            t = len(base.terms)
+            self._bound_terms(math.comb(exp + t - 1, t - 1) if t else 0, caret)
             base = base ** exp
         return base
 

@@ -150,10 +150,6 @@ class Poly:
             return degs.pop()
         return None
 
-    @property
-    def is_homogeneous(self) -> bool:
-        return self.bidegree() is not None
-
     def sorted_terms(self) -> list[tuple[Exponent, object]]:
         """Terms in descending degrevlex order (the canonical form)."""
         return sorted(self.terms.items(), key=lambda t: _degrevlex_sortkey(t[0]))

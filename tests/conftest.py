@@ -3,12 +3,16 @@
 The membership oracle solves a linear system over the monomials of a bounded
 degree window, never touching the division algorithm it is used to check.
 The saturation oracle iterates colons, never touching the direct routes of
-``saturation`` it is used to check.
+``saturation`` it is used to check. The filter-regularity oracle builds the
+colon the Hilbert-series certificate avoids.
 """
 
 from __future__ import annotations
 
-from mixmult import Ideal, Poly, ideal_quotient
+from typing import Optional
+
+from mixmult import Ideal, Poly, ideal_quotient, saturation
+from mixmult.bigraded import BigradedAlgebra
 from mixmult.rings import monomials_of_bidegree
 
 
@@ -22,6 +26,19 @@ def saturation_by_colon(I: Ideal, J: Ideal, cap: int = 100) -> Ideal:
             return prev
         prev = nxt
     raise AssertionError("iterated colon did not stabilize")
+
+
+def colon_escape(alg: BigradedAlgebra, prev: Ideal, z: Poly) -> Optional[Poly]:
+    """A generator of prev : z outside prev : Rpp^infinity, or None.
+
+    None exactly when (prev : z) <= (prev : Rpp^infinity), i.e. when
+    (prev : z)/prev is Rpp-torsion and z is filter-regular over prev.
+    """
+    sat = saturation(prev, alg.rpp_ideal)
+    for g in ideal_quotient(prev, z).groebner():
+        if not sat.contains(g):
+            return g
+    return None
 
 
 def _row_reduce_solve(rows, target, field):

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from conftest import colon_escape
 
 from mixmult import (FieldSpec, Ideal, InputError, degrees_report, e_positivity,
                      e_table_full, e_value_via_criterion, find_filter_regular,
                      is_filter_regular, sum_check)
-from mixmult.bigraded import BigradedAlgebra
+from mixmult.bigraded import BigradedAlgebra, _filter_step, _random_kind_element
 from mixmult.groebner import ideal_sum, saturation
 from mixmult.hilbert import polynomial_of, series_of
-from mixmult.instances import (bigraded_ring, rigidity_instances,
-                               three_component_example, trivial_plane,
-                               two_component_vanishing)
+from mixmult.instances import (bigraded_ring, random_bigraded_algebra,
+                               rigidity_instances, three_component_example,
+                               trivial_plane, two_component_vanishing)
 
 F = FieldSpec(32003)
 
@@ -55,14 +58,44 @@ class TestFilterRegular:
         assert is_filter_regular(alg, [y, x]).ok
 
     def test_component_variable_fails_with_witness(self, example8):
-        cert = is_filter_regular(example8, [example8.ring.var("x1")])
-        assert not cert.ok
-        step = cert.steps[0]
-        assert step.witness is not None
-        # the witness multiplies x1 into the ideal but escapes the saturation
+        x1 = example8.ring.var("x1")
+        cert = is_filter_regular(example8, [x1])
+        assert not cert.ok and not cert.steps[0].ok
+        # the colon oracle names a witness: it multiplies x1 into the ideal
+        # but escapes the saturation
         prev = example8.defining
-        assert prev.contains(step.witness * example8.ring.var("x1"))
-        assert not saturation(prev, example8.rpp_ideal).contains(step.witness)
+        witness = colon_escape(example8, prev, x1)
+        assert witness is not None
+        assert prev.contains(witness * x1)
+        assert not saturation(prev, example8.rpp_ideal).contains(witness)
+
+    def test_series_verdict_matches_colon_oracle(self):
+        # every variable and a random form of each kind, over the defining
+        # ideal and over it plus one of those candidates
+        rng = random.Random(20261018)
+        triples = rejected = 0
+        for _ in range(40):
+            alg = random_bigraded_algebra(rng)
+            ring = alg.ring
+            cands = [ring.var(i) for i in range(ring.nvars)]
+            cands += [_random_kind_element(alg, kind, rng) for kind in ((1, 0), (0, 1))]
+            prefix = ideal_sum(alg.defining, [rng.choice(cands)])
+            for prev in (alg.defining, prefix):
+                for z in cands:
+                    expected = colon_escape(alg, prev, z) is None
+                    assert _filter_step(alg, prev, z).ok == expected, (alg, prev, z)
+                    triples += 1
+                    rejected += not expected
+        assert triples >= 300 and rejected >= 20
+
+    def test_one_kind_ring_rejected(self):
+        # without both kinds Rpp is zero and every module is torsion, so
+        # the series test would pass anything
+        R = bigraded_ring(2, 0, name="X")
+        x1, x2 = R.gens()
+        alg = BigradedAlgebra(R, Ideal(R, [x1 * x2]))
+        with pytest.raises(InputError, match="both bidegrees"):
+            is_filter_regular(alg, [x1])
 
     def test_inhomogeneous_rejected(self, example8):
         ring = example8.ring

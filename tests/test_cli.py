@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 from mixmult.cli import main
 
@@ -139,6 +140,16 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "hilbert", "--file", str(bad), "--ideal", "I")
         assert code == 1
 
+    def test_huge_expansion_is_one_and_quick(self, capsys, tmp_path):
+        big = tmp_path / "big.mix"
+        big.write_text("field F 32003\nring R vars x:(1,0) y:(0,1)\n"
+                       "ideal I in R = (x+y)^100000\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "hilbert", "--file", str(big), "--ideal", "I")
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert "3:21: expansion may reach" in err  # at the caret
+
     def test_genericity_exhaustion_is_three(self, capsys, monkeypatch):
         import mixmult.cli as cli_mod
         from mixmult.errors import GenericityExhausted
@@ -162,6 +173,19 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "gb", "--file",
                              "problems/twisted_cubic.mix", "--ideal", "J")
         assert code == 2
+
+    def test_unexpected_exception_is_four(self, capsys, monkeypatch):
+        import mixmult.cli as cli_mod
+
+        def boom(*a, **k):
+            raise RuntimeError("forced")
+
+        monkeypatch.setitem(cli_mod._HANDLERS, "gb", boom)
+        code, out, err = run_cli(capsys, "gb", "--file",
+                                 "problems/twisted_cubic.mix", "--ideal", "J")
+        assert code == 4 and out == ""
+        assert err.startswith("Traceback")
+        assert err.endswith("\ninternal error: RuntimeError: forced\n")
 
 
 class TestEnvironmentOverrides:

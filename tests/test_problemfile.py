@@ -95,6 +95,20 @@ class TestDiagnostics:
         with pytest.raises(ParseError):
             parse_problem("field Q\nring A vars x:1\nideal I in A = x^9999999")
 
+    def test_product_is_bounded_before_expanding(self):
+        sum60 = "+".join(f"x^{i}*y^{60 - i}" for i in range(60))
+        with pytest.raises(ParseError) as err:
+            parse_problem(f"field F 32003\nring R vars x:(1,0) y:(0,1)\n"
+                          f"ideal I in R = ({sum60})*({sum60})")
+        assert err.value.col == 17 + len(sum60) + 1  # the star
+
+    def test_large_powers_within_the_bound_parse(self):
+        pf = parse_problem("field F 32003\nring R vars x:(1,0) y:(0,1)\n"
+                           "ideal I in R = x^1048576 ; (x+y)^10")
+        big, binomial = pf.ideals["I"].gens
+        assert big.bidegree() == (1048576, 0)
+        assert len(binomial.terms) == 11
+
 
 class TestRoundTrip:
     def test_print_parse_identity(self):

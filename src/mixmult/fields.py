@@ -90,6 +90,9 @@ class FieldSpec:
     def neg(self, a):
         return -a % self.p if self.p is not None else -a
 
+    def pow(self, a, k: int):
+        return pow(a, k, self.p) if self.p is not None else a ** k
+
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("field inverse of zero")

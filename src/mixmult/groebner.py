@@ -650,7 +650,8 @@ def krull_dim(I: Ideal) -> int:
     minimal = [
         s for s in supports if not any(t < s for t in supports)
     ]
-    supports = list(set(minimal))
+    # shortest first, so each branch is on the fewest variables
+    supports = sorted(set(minimal), key=lambda s: (len(s), sorted(s)))
     memo: dict = {}
 
     def best(avail: frozenset) -> int:

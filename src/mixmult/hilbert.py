@@ -1,19 +1,37 @@
 """Bivariate Hilbert series, Hilbert polynomials, and multiplicity extraction.
 
-The series of ring/I is computed from the leading-term monomial ideal by the
-variable-splitting recursion
+The series of ring/I is computed from the leading-term monomial ideal M, whose
+minimal generators are the leading terms of the reduced basis. Its numerator
+over prod_v (1 - t^deg v) comes from a recursion on minimal generators:
 
-    N(M) = N(M + (x)) + t^deg(x) * N(M : x),
+- N(0) = 1 and N((1)) = 0.
+- Product rule: when the supports of the generators fall into two or more
+  connected components in the variable graph, ring/M is a tensor product and
+  N(M) is the product of the components' numerators (Bigatti, "Computation
+  of Hilbert-Poincare series", J. Pure Appl. Algebra 119, 1997). A lone
+  generator m gives the factor 1 - t^deg m, so pairwise coprime generators
+  give a product of such factors.
+- Pivot: otherwise split on the variable x that most generators contain,
 
-with base cases N(0) = 1, N((1)) = 0 and N of pairwise coprime monomials a
-product of (1 - t^deg m) factors. Hilbert data depends only on the ideal, so
-any fixed monomial order works; degrevlex is used throughout.
+      N(M) = N(M + (x)) + t^deg(x) * N(M : x).
+
+  The minimal generators of both sides are updated in place, with no
+  quadratic minimalisation. x replaces exactly the generators it divides,
+  so M + (x) is x next to the generators free of x, on disjoint variables,
+  and N(M + (x)) = (1 - t^deg x) N(free part). The generators g/x of M : x
+  stay minimal among themselves, and only a generator free of x can be
+  divided by one of them.
+
+Each node is memoised on its generator set. Hilbert data depends only on the
+ideal, so any fixed monomial order works; degrevlex is used throughout.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import le
 from typing import Optional
 
 from .errors import InputError, MathInvariantError
@@ -23,13 +41,6 @@ from .rings import Bidegree, Exponent, Poly, Ring, monomials_of_bidegree
 Numerator = dict  # (a, b) -> int, over prod_v (1 - t1^d1 t2^d2)
 
 _numerator_memo: dict = {}
-
-
-def _minimal_monomials(exps: frozenset) -> frozenset:
-    return frozenset(
-        e for e in exps
-        if not any(o != e and all(x <= y for x, y in zip(o, e)) for o in exps)
-    )
 
 
 def _num_sub(a: Numerator, b: Numerator) -> Numerator:
@@ -55,6 +66,19 @@ def _num_add_shifted(a: Numerator, b: Numerator, shift: Bidegree) -> Numerator:
     return out
 
 
+def _num_mul(a: Numerator, b: Numerator) -> Numerator:
+    out: Numerator = {}
+    for (p, q), v in a.items():
+        for (r, s), w in b.items():
+            k = (p + r, q + s)
+            nv = out.get(k, 0) + v * w
+            if nv:
+                out[k] = nv
+            else:
+                out.pop(k, None)
+    return out
+
+
 def _numerator(bidegs: tuple[Bidegree, ...], gens: frozenset) -> Numerator:
     """Series numerator of a monomial ideal given by minimal generators."""
     key = (bidegs, gens)
@@ -73,40 +97,59 @@ def _mono_bideg(bidegs, e: Exponent) -> Bidegree:
     )
 
 
+def _components(gens: frozenset) -> list:
+    """The generators grouped by the connected components of their supports
+    in the variable graph, where one generator joins all of its variables."""
+    parts: list = []  # [variable mask, generators], masks pairwise disjoint
+    bits = [1 << i for i in range(len(next(iter(gens))))]
+    for e in gens:
+        mask = sum(compress(bits, e))
+        joined = [mask, [e]]
+        rest = [joined]
+        for part in parts:
+            if part[0] & mask:
+                joined[0] |= part[0]
+                joined[1] += part[1]
+            else:
+                rest.append(part)
+        parts = rest
+    return [part[1] for part in parts]
+
+
 def _numerator_uncached(bidegs, gens: frozenset) -> Numerator:
     if not gens:
         return {(0, 0): 1}
     if any(not any(e) for e in gens):
         return {}
-    supports = [tuple(i for i, x in enumerate(e) if x) for e in gens]
-    flat = [i for s in supports for i in s]
-    if len(flat) == len(set(flat)):
-        # pairwise coprime generators: product of (1 - t^deg m)
+    parts = _components(gens)
+    if len(parts) > 1 or len(gens) == 1:
+        # generators on disjoint variables: the quotient is a tensor product,
+        # and a lone generator m gives the factor 1 - t^deg m
         out: Numerator = {(0, 0): 1}
-        for e in gens:
-            out = _num_sub(out, {k: v for k, v in (
-                ((_mono_bideg(bidegs, e)[0] + a, _mono_bideg(bidegs, e)[1] + b), v)
-                for (a, b), v in out.items())})
+        for part in parts:
+            factor = ({(0, 0): 1, _mono_bideg(bidegs, part[0]): -1} if len(part) == 1
+                      else _numerator(bidegs, frozenset(part)))
+            out = _num_mul(out, factor)
         return out
-    # pivot: most frequent variable among generators of exponent degree >= 2;
-    # one exists, since two distinct minimal generators sharing a variable
-    # cannot both have degree 1
-    counts: dict[int, int] = {}
-    for e, s in zip(gens, supports):
-        if sum(e) >= 2:
-            for i in s:
-                counts[i] = counts.get(i, 0) + 1
-    pivot = max(counts, key=lambda i: (counts[i], -i))
+    # pivot: the variable that most generators contain
     n = len(bidegs)
-    xexp = tuple(1 if i == pivot else 0 for i in range(n))
-    plus = _minimal_monomials(gens | {xexp})
-    colon = _minimal_monomials(frozenset(
-        tuple(x - 1 if i == pivot and x else x for i, x in enumerate(e))
-        for e in gens
-    ))
-    head = _numerator(bidegs, plus)
+    counts = [len(col) - col.count(0) for col in zip(*gens)]
+    v = max(range(n), key=lambda i: (counts[i], -i))
+    # M + (x_v) is x_v next to the generators free of it
+    free = [e for e in gens if not e[v]]
+    head = _numerator(bidegs, frozenset(free))
+    # M : x_v: the shifted generators stay minimal among themselves, and only
+    # a generator free of x_v can be divided by one of them, namely by one
+    # that no longer contains x_v
+    shifted = [e[:v] + (e[v] - 1,) + e[v + 1:] for e in gens if e[v]]
+    freed = [h for h in shifted if not h[v]]
+    colon = frozenset(shifted + [
+        e for e in free
+        if not any(all(map(le, h, e)) for h in freed)
+    ])
     tail = _numerator(bidegs, colon)
-    return _num_add_shifted(head, tail, bidegs[pivot])
+    # N(M) = (1 - t^d) N(free part) + t^d N(M : x_v), d = deg x_v
+    return _num_add_shifted(head, _num_sub(tail, head), bidegs[v])
 
 
 @dataclass
@@ -149,8 +192,9 @@ def series_of(I: Ideal) -> HilbertSeries2:
     for g in I.gens:
         if g.bidegree() is None:
             raise InputError(f"inhomogeneous generator: {g}")
+    # the leading terms of a reduced basis are the minimal generators
     lead = frozenset(I.leading_exponents())
-    return HilbertSeries2(I.ring, _numerator(I.ring.bidegrees, _minimal_monomials(lead)))
+    return HilbertSeries2(I.ring, _numerator(I.ring.bidegrees, lead))
 
 
 def colon_numerator(I: Ideal, f: Poly) -> Numerator:

@@ -9,6 +9,7 @@ dict from exponent tuples to nonzero field elements; all arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Iterator, Optional, Tuple
 
 from .errors import InputError
@@ -198,16 +199,34 @@ class Poly:
         return Poly(self.ring, acc, _trusted=True)
 
     def __pow__(self, n: int) -> "Poly":
+        """Multinomial expansion, one base term at a time: a state (j, m)
+        holds the coefficient of m among the products of j factors so far,
+        and choosing k more from term c*x^a multiplies it by C(j + k, k) c^k.
+        The cost is linear in the number of compositions of n."""
         if not isinstance(n, int) or n < 0:
             raise InputError("polynomial powers take nonnegative integer exponents")
-        result = self.ring.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        field = self.ring.field
+        terms = list(self.terms.items())
+        last = len(terms) - 1
+        states = {(0, (0,) * self.ring.nvars): field.one}
+        for i, (exp, c) in enumerate(terms):
+            # the last term takes whatever the others left over
+            ks = range(n + 1) if i < last else {n - j for j, _ in states}
+            powers = {k: (tuple(k * a for a in exp), field.pow(c, k)) for k in ks}
+            acc: dict = {}
+            for (j, m), v in states.items():
+                for k in (range(n - j + 1) if i < last else (n - j,)):
+                    step, ck = powers[k]
+                    key = (j + k, tuple(a + b for a, b in zip(m, step)))
+                    s = field.add(acc.get(key, field.zero),
+                                  field.mul(v, field.mul(field.coerce(comb(j + k, k)), ck)))
+                    if s:
+                        acc[key] = s
+                    else:
+                        acc.pop(key, None)
+            states = acc
+        return Poly(self.ring, {m: v for (j, m), v in states.items() if j == n},
+                    _trusted=True)
 
     def scale(self, c) -> "Poly":
         field = self.ring.field

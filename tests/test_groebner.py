@@ -290,6 +290,23 @@ class TestDimension:
         R = kxyz()
         assert krull_dim(Ideal(R, [R.one()])) == -1
 
+    def test_matches_subset_enumeration(self):
+        from itertools import combinations
+
+        rng = random.Random(637)
+        for _ in range(120):
+            n = rng.randint(1, 8)
+            R = Ring("R", tuple(f"v{i}" for i in range(n)), ((1, 0),) * n, F)
+            exps = [tuple(rng.choice((0, 0, 1, 2)) for _ in range(n))
+                    for _ in range(rng.randint(1, 10))]
+            exps = [e for e in exps if any(e)]
+            I = Ideal(R, [Poly(R, {e: 1}) for e in exps])
+            supports = [{i for i, x in enumerate(e) if x} for e in exps]
+            # the largest variable set that contains no generator's support
+            brute = max((k for k in range(n + 1) for S in combinations(range(n), k)
+                         if not any(s <= set(S) for s in supports)), default=-1)
+            assert krull_dim(I) == brute
+
     def test_dim_matches_series_pole_order(self):
         from mixmult import total_multiplicity
 

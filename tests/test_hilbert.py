@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+from operator import le
 
 import pytest
 
-from mixmult import (FieldSpec, Ideal, InputError, MathInvariantError, Ring,
+from mixmult import (FieldSpec, Ideal, InputError, MathInvariantError, Poly, Ring,
                      e_table, hilbert_function, ideal_intersection, krull_dim,
                      polynomial_of, series_of, total_multiplicity)
+from mixmult import hilbert
 from mixmult.hilbert import HilbertPoly2, gbinom
 from mixmult.instances import random_bigraded_algebra
 
@@ -152,6 +154,81 @@ class TestOracleEquivalence:
             for u in range(6):
                 for v in range(6 - u):
                     assert S.coefficient(u, v) == hilbert_function(alg.defining, u, v)
+
+
+def random_monomial_ideal(rng: random.Random) -> Ideal:
+    """A monomial ideal in at most 3+3 variables, drawn from one of three
+    shapes: any generators, pure powers next to one-variable generators, or
+    generators on two disjoint variable blocks."""
+    n1, n2 = rng.randint(1, 3), rng.randint(1, 3)
+    names = tuple(f"x{i}" for i in range(n1)) + tuple(f"y{i}" for i in range(n2))
+    R = Ring("R", names, ((1, 0),) * n1 + ((0, 1),) * n2, F)
+    n = n1 + n2
+    shape = rng.randrange(3)
+    blocks = [list(range(n))]
+    if shape == 2 and n >= 2:
+        cut = rng.randint(1, n - 1)
+        order = rng.sample(range(n), n)
+        blocks = [order[:cut], order[cut:]]
+    gens = []
+    for _ in range(rng.randint(1, 5)):
+        block = rng.choice(blocks)
+        exp = [0] * n
+        if shape == 1:
+            exp[rng.choice(block)] = rng.randint(1, 3)
+        else:
+            for v in rng.sample(block, rng.randint(1, len(block))):
+                exp[v] = rng.randint(1, 2)
+        gens.append(Poly(R, {tuple(exp): 1}))
+    return Ideal(R, gens)
+
+
+class TestMonomialRecursion:
+    def test_series_matches_the_count_up_to_stability(self, monkeypatch):
+        monkeypatch.setattr(hilbert, "_numerator_memo", {})
+        splits = []
+        components = hilbert._components
+
+        def spy(gens):
+            parts = components(gens)
+            if len(parts) > 1 and any(len(p) > 1 for p in parts):
+                splits.append(len(parts))
+            return parts
+
+        monkeypatch.setattr(hilbert, "_components", spy)
+        rng = random.Random(1808)
+        for _ in range(200):
+            I = random_monomial_ideal(rng)
+            S = series_of(I)
+            P = polynomial_of(S)
+            for u in range(P.u_star + 2):
+                for v in range(P.v_star + 2):
+                    value = hilbert_function(I, u, v)
+                    assert S.coefficient(u, v) == value
+                    if u >= P.u_star and v >= P.v_star:
+                        assert P(u, v) == value
+        assert splits  # the product rule for disjoint supports ran
+
+    def test_every_recursion_node_gets_minimal_generators(self, monkeypatch):
+        monkeypatch.setattr(hilbert, "_numerator_memo", {})
+        numerator = hilbert._numerator
+        seen = []
+
+        def spy(bidegs, gens):
+            assert not any(o != e and all(map(le, o, e)) for o in gens for e in gens)
+            seen.append(len(gens))
+            return numerator(bidegs, gens)
+
+        monkeypatch.setattr(hilbert, "_numerator", spy)
+        rng = random.Random(5)
+        for _ in range(60):
+            series_of(random_monomial_ideal(rng))
+        n = 4
+        R = Ring("R", tuple(f"v{i}" for i in range(2 * n)), ((1, 0),) * n + ((0, 1),) * n, F)
+        for _ in range(3):
+            exps = {tuple(rng.randint(0, 2) for _ in range(2 * n)) for _ in range(30)}
+            series_of(Ideal(R, [Poly(R, {e: 1}) for e in exps if any(e)]))
+        assert max(seen) >= 10
 
 
 class TestGradingSwap:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from mixmult import ParseError, parse_problem, print_problem
@@ -108,6 +110,13 @@ class TestDiagnostics:
         big, binomial = pf.ideals["I"].gens
         assert big.bidegree() == (1048576, 0)
         assert len(binomial.terms) == 11
+
+    def test_power_of_a_sum_expands_in_linear_time(self):
+        start = time.perf_counter()
+        pf = parse_problem("field F 32003\nring R vars x:(1,0) y:(0,1)\n"
+                           "ideal I in R = (x+y)^2000")
+        assert time.perf_counter() - start < 0.5
+        assert len(pf.ideals["I"].gens[0].terms) == 2001
 
 
 class TestRoundTrip:

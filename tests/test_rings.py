@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,32 @@ class TestArithmetic:
         reduced = {e: GF.coerce(c) for e, c in prod_q.terms.items()}
         reduced = {e: c for e, c in reduced.items() if c}
         assert reduced == prod_p.terms
+
+
+class TestPowers:
+    @pytest.mark.parametrize("field", [QQ, GF], ids=str)
+    def test_powers_match_repeated_products(self, field):
+        R = Ring("R", ("x", "y", "z"), ((1, 0), (1, 0), (0, 1)), field)
+        rng = random.Random(200)
+        for _ in range(40):
+            terms = {}
+            for _ in range(rng.randint(0, 4)):
+                exp = tuple(rng.randint(0, 2) for _ in range(3))
+                terms[exp] = terms.get(exp, 0) + rng.choice((-3, -1, 1, 2, 5))
+            f = Poly(R, {e: c for e, c in terms.items() if c})
+            product = R.one()
+            for n in range(7):
+                assert f ** n == product
+                product = product * f
+
+    def test_coefficients_that_vanish_mod_p_are_dropped(self):
+        R = Ring("R", ("x", "y"), ((1, 0), (0, 1)), FieldSpec(7))
+        x, y = R.gens()
+        assert (x + y) ** 7 == x ** 7 + y ** 7
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(InputError):
+            ring_q().var(0) ** -1
 
 
 class TestGrading:

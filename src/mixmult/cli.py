@@ -11,10 +11,19 @@ exception: its traceback, then one ``internal error:`` line, on stderr).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 from typing import Optional
+
+# CPython's own SHA-256 module, as ``random`` takes its SHA-512: hashlib loads
+# OpenSSL, about 3.7 MB resident and 4 ms, to hash one input file
+try:
+    from _sha256 import sha256  # CPython 3.11 and earlier
+except ImportError:
+    try:
+        from _sha2 import sha256  # CPython 3.12 and later
+    except ImportError:
+        from hashlib import sha256
 
 from .bigraded import (BigradedAlgebra, degrees_report, e_positivity, e_table_full,
                        e_value_from_prefix)
@@ -60,7 +69,7 @@ def _load_file(path: str) -> tuple[ProblemFile, dict]:
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     pf = parse_problem(raw.decode("utf-8"))
-    digest = hashlib.sha256(raw).hexdigest()
+    digest = sha256(raw).hexdigest()
     return pf, {"file": path, "sha256": digest}
 
 
@@ -259,57 +268,66 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="mixmult",
-                     description="exact bigraded Hilbert polynomials, mixed "
-                                 "multiplicities, and intersection-cycle degrees")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(p, needs_file=True):
+    if needs_file:
+        p.add_argument("--file", required=True, help="problem file")
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--prime", type=int, default=None)
+    p.add_argument("--max-retries", type=int, default=None)
 
-    def common(p, needs_file=True):
-        if needs_file:
-            p.add_argument("--file", required=True, help="problem file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--prime", type=int, default=None)
-        p.add_argument("--max-retries", type=int, default=None)
 
-    p = sub.add_parser("gb", help="reduced degrevlex Groebner basis")
-    common(p)
+def _ideal_args(p):
+    _common(p)
     p.add_argument("--ideal", required=True)
 
-    p = sub.add_parser("hilbert", help="series numerator, polynomial, table")
-    common(p)
-    p.add_argument("--ideal", required=True)
 
-    p = sub.add_parser("bigraded-report", help="degree data of the Hilbert polynomial")
-    common(p)
-    p.add_argument("--ideal", required=True)
-
-    p = sub.add_parser("bigraded-e", help="mixed multiplicities of a bigraded algebra")
-    common(p)
-    p.add_argument("--ideal", required=True)
+def _bigraded_e_args(p):
+    _ideal_args(p)
     p.add_argument("--i", type=int, default=None)
     p.add_argument("--j", type=int, default=None)
     p.add_argument("--verify", action="store_true",
                    help="recompute every top-diagonal cell of the table by the criterion")
 
-    for name, helptext in (
-        ("ideal-mixed", "mixed multiplicities e_i(m|J) via saturation chains"),
-        ("rees-mult", "multiplicity of the Rees algebra"),
-        ("diagonal-degree", "degree of the diagonal embedding"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        common(p)
-        p.add_argument("--ideal", required=True, help="the ideal J")
-        p.add_argument("--ambient", default=None,
-                       help="ideal defining the ambient quotient ring")
 
-    p = sub.add_parser("sv", help="intersection cycle degrees on the ruled join")
-    common(p)
+def _mixed_args(p):
+    _common(p)
+    p.add_argument("--ideal", required=True, help="the ideal J")
+    p.add_argument("--ambient", default=None,
+                   help="ideal defining the ambient quotient ring")
+
+
+def _sv_args(p):
+    _common(p)
     p.add_argument("--x", required=True, help="ideal of the first subscheme")
     p.add_argument("--y", required=True, help="ideal of the second subscheme")
 
-    p = sub.add_parser("selftest", help="run the fixture and property suites")
-    common(p, needs_file=False)
+
+# subcommand: (help, arguments), in the order ``mixmult --help`` lists them
+_SUBCOMMANDS = {
+    "gb": ("reduced degrevlex Groebner basis", _ideal_args),
+    "hilbert": ("series numerator, polynomial, table", _ideal_args),
+    "bigraded-report": ("degree data of the Hilbert polynomial", _ideal_args),
+    "bigraded-e": ("mixed multiplicities of a bigraded algebra", _bigraded_e_args),
+    "ideal-mixed": ("mixed multiplicities e_i(m|J) via saturation chains", _mixed_args),
+    "rees-mult": ("multiplicity of the Rees algebra", _mixed_args),
+    "diagonal-degree": ("degree of the diagonal embedding", _mixed_args),
+    "sv": ("intersection cycle degrees on the ruled join", _sv_args),
+    "selftest": ("run the fixture and property suites",
+                 lambda p: _common(p, needs_file=False)),
+}
+
+
+def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI parser; with ``only``, one that knows just that subcommand,
+    which parses its arguments as the full parser does at a fraction of the
+    set-up cost."""
+    parser = _Parser(prog="mixmult",
+                     description="exact bigraded Hilbert polynomials, mixed "
+                                 "multiplicities, and intersection-cycle degrees")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (helptext, arguments) in _SUBCOMMANDS.items():
+        if only is None or name == only:
+            arguments(sub.add_parser(name, help=helptext))
     return parser
 
 
@@ -327,7 +345,9 @@ _HANDLERS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
         args = parser.parse_args(argv)
         config = load_config(args.seed, args.prime, args.max_retries)

@@ -78,6 +78,11 @@ class FieldSpec:
 
     # -- arithmetic ----------------------------------------------------------
 
+    def normal(self, a):
+        """The field element an unnormalised sum of products stands for:
+        ``a % p`` over F_p, ``a`` itself over Q."""
+        return a % self.p if self.p is not None else a
+
     def add(self, a, b):
         return (a + b) % self.p if self.p is not None else a + b
 

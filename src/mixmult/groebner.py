@@ -7,9 +7,10 @@ and Krull dimension of quotients.
 
 The engine is a Buchberger loop with the coprime and chain criteria and the
 normal selection strategy: S-pairs wait in a heap keyed by their lcm, and
-pairs with equal lcms leave in the order they were made. Monomial-ideal fast
-paths cover the operations that dominate the workloads here and return
-minimal generators in a fixed order.
+pairs with equal lcms leave in the order they were made. Generators that are
+all monomials skip the loop: their reduced basis is their minimal monomials.
+Monomial-ideal fast paths cover the operations that dominate the workloads
+here and return minimal generators in a fixed order.
 
 Inside the loop and in normal forms a monomial in n variables is one int
 (packed exponent vectors: Monagan-Pearce, "Polynomial division using dynamic
@@ -18,9 +19,21 @@ width. The low n fields hold the exponents; the high n hold the partial sums
 the order compares (``_Packing``), so integer order is the monomial order
 and a product is one addition. The top bit of every field is a guard bit,
 clear in every monomial, so a divides b exactly when b - a has no guard bit
-set. Fields start wide enough for twice the input degree; when a guard bit
-trips, the call is redone with fields twice as wide. Term dicts keep
-exponent tuples outside these calls.
+set. Fields start at 8 bits, or wide enough for twice the input degree;
+when a guard bit trips, the call is redone with fields twice as wide. Term
+dicts keep exponent tuples outside these calls.
+
+Reduction (``_reduce_full``) keeps the terms still to treat in a heap and
+delays normalisation, as the same paper does: a coefficient accumulates as
+plain sums of products and is brought into the field once, when its term is
+popped (``FieldSpec.normal``: ``% p`` over F_p, nothing over Q), so one
+loop serves both fields. A divisor memo, one per
+Buchberger call, remembers for each popped monomial its first divisor among
+the basis leading terms, or how many leading terms are known not to divide
+it, so a later search resumes there; the divisor chosen, and with it every
+reduction, is the one a full scan finds. The final tail reduction runs
+against the whole minimal basis with one memo: a term below a leading term
+is never divisible by it.
 
 Saturation never iterates colons. I : J^inf is the intersection of the
 I : g^inf over the generators g of J, and each of those takes one of two
@@ -126,10 +139,11 @@ class _Packing:
 
 def _packed(work: Callable[[_Packing], object], order: MonomialOrder, nvars: int,
             polys: Sequence[dict]):
-    """``work(packing)`` with fields wide enough for twice the degree of
-    ``polys``, redone with fields twice as wide whenever a guard bit trips."""
+    """``work(packing)`` with fields of at least 8 bits, wide enough for twice
+    the degree of ``polys``, redone with fields twice as wide whenever a
+    guard bit trips."""
     degree = max((sum(e) for t in polys for e in t), default=0)
-    width = max(16, degree.bit_length() + 2)
+    width = max(8, degree.bit_length() + 2)
     while True:
         try:
             return work(_Packing(order, nvars, width))
@@ -170,60 +184,76 @@ def _monic(terms: dict, field: FieldSpec) -> dict:
     return {e: field.mul(inv, c) for e, c in terms.items()}
 
 
-def _reduce_full(terms: dict, basis: list[tuple[int, dict]], field: FieldSpec,
-                 guard: int) -> dict:
-    """Fully reduce packed ``terms`` against the monic packed ``basis`` of
-    (leading monomial, terms) pairs; no term of the result is divisible by
-    any basis leading monomial. Terms leave in descending order."""
-    if not terms or not basis:
-        return dict(terms)
-    fadd, fmul, push = field.add, field.mul, heapq.heappush
+def _reducer(h: dict) -> tuple[int, tuple]:
+    """A monic packed polynomial as (leading monomial, tail), the tail being
+    its other (monomial, coefficient) pairs in dict order."""
+    lt = max(h)
+    return lt, tuple(t for t in h.items() if t[0] != lt)
+
+
+def _reduce_full(terms: dict, basis: list[tuple[int, tuple]], field: FieldSpec,
+                 guard: int, memo: dict) -> dict:
+    """Fully reduce packed ``terms`` (a dict, or its items) against
+    ``basis``, a list of monic reducers (see ``_reducer``); no term of the
+    result is divisible by any basis leading monomial. Terms leave in
+    descending order.
+
+    Coefficients accumulate as plain sums and products and are brought into
+    the field (``FieldSpec.normal``) once, when their term is popped, so
+    ``terms`` need not be normalised either. ``memo`` maps a packed monomial
+    to the index of its first divisor in ``basis``, or to ~n when the first
+    n basis elements are known not to divide it; a later search resumes
+    there. It stays valid while ``basis`` only grows at the end, and never
+    changes the divisor chosen."""
+    normal, pop, push = field.normal, heapq.heappop, heapq.heappush
+    lts = [lt for lt, _ in basis]
+    n = len(lts)
     p = dict(terms)
     out: dict = {}
     heap = [-e for e in p]
     heapq.heapify(heap)
     while heap:
-        e = -heapq.heappop(heap)
-        c = p.get(e)
+        e = -pop(heap)
+        c = normal(p.pop(e))
         if not c:
             continue
-        if e & guard:
-            raise _Overflow
-        for lt, g in basis:
-            shift = e - lt
-            if not shift & guard:
-                c = field.neg(c)
-                for ge, gc in g.items():
-                    ne = ge + shift
-                    old = p.get(ne)
-                    if old is None:
-                        p[ne] = fmul(c, gc)
-                        push(heap, -ne)
-                    elif nv := fadd(old, fmul(c, gc)):
-                        p[ne] = nv
-                    else:
-                        del p[ne]
-                break
-        else:
-            out[e] = c
-            del p[e]
+        k = memo.get(e)
+        if k is None or k < 0:
+            if k is None and e & guard:
+                raise _Overflow
+            for k in range(0 if k is None else ~k, n):
+                if not (e - lts[k]) & guard:
+                    memo[e] = k
+                    break
+            else:
+                memo[e] = ~n
+                out[e] = c
+                continue
+        shift = e - lts[k]
+        c = -c
+        for ge, gc in basis[k][1]:
+            ne = ge + shift
+            old = p.get(ne)
+            if old is None:
+                p[ne] = c * gc
+                push(heap, -ne)
+            else:
+                p[ne] = old + c * gc
     return out
 
 
-def _spoly(f: tuple, g: tuple, field: FieldSpec) -> dict:
+def _spoly(f: tuple, g: tuple) -> dict:
     """S-polynomial of two monic polynomials, each given as (leading
-    exponent, packed terms, packed shift from its leading monomial to the lcm)."""
+    exponent, packed tail, packed shift from its leading monomial to the
+    lcm). The leading terms cancel; coefficients are left unnormalised for
+    ``_reduce_full``."""
     _, ft, sf = f
     _, gt, sg = g
-    acc = {e + sf: c for e, c in ft.items()}
-    for e, c in gt.items():
+    acc = {e + sf: c for e, c in ft}
+    for e, c in gt:
         ne = e + sg
         old = acc.get(ne)
-        nv = field.sub(old, c) if old is not None else field.neg(c)
-        if nv:
-            acc[ne] = nv
-        else:
-            acc.pop(ne, None)
+        acc[ne] = -c if old is None else old - c
     return acc
 
 
@@ -237,14 +267,27 @@ def buchberger(gens: Iterable[dict], field: FieldSpec, order: MonomialOrder) -> 
     if not gens:
         return []
     nvars = len(next(iter(gens[0])))
-    return _packed(lambda pk: _buchberger(gens, field, pk), order, nvars, gens)
+    work = _monomial_basis if all(len(g) == 1 for g in gens) else _buchberger
+    return _packed(lambda pk: work(gens, field, pk), order, nvars, gens)
+
+
+def _monomial_basis(gens: list[dict], field: FieldSpec, pk: _Packing) -> list[dict]:
+    """The reduced basis of an ideal of monomials: its minimal generators.
+    Ascending, a monomial is kept when no kept one divides it."""
+    guard = pk.guard
+    kept: list[int] = []
+    for m in sorted({pk.pack(e) for g in gens for e in g}):
+        if all((m - k) & guard for k in kept):
+            kept.append(m)
+    return [{pk.unpack(m): field.one} for m in kept]
 
 
 def _buchberger(gens: list[dict], field: FieldSpec, pk: _Packing) -> list[dict]:
     guard = pk.guard
     unit = [{(0,) * len(pk.weights): field.one}]
-    basis: list[tuple[int, dict]] = []  # (packed leading monomial, packed terms)
+    basis: list[tuple[int, tuple]] = []  # reducers: (packed leading monomial, tail)
     lts: list[Exponent] = []
+    memo: dict = {}  # divisor memo of _reduce_full over the growing basis
     pending: dict[frozenset, int] = {}
     # (packed lcm, creation tick, pair): pops the smallest lcm first, equal
     # lcms in creation order
@@ -257,7 +300,7 @@ def _buchberger(gens: list[dict], field: FieldSpec, pk: _Packing) -> list[dict]:
         if not lt:
             return True
         k = len(basis)
-        basis.append((lt, _monic(h, field)))
+        basis.append(_reducer(_monic(h, field)))
         lts.append(pk.unpack(lt))
         for i in range(k):
             key = frozenset((i, k))
@@ -266,7 +309,7 @@ def _buchberger(gens: list[dict], field: FieldSpec, pk: _Packing) -> list[dict]:
         return False
 
     for g in gens:
-        r = _reduce_full(pk.pack_terms(g), basis, field, guard)
+        r = _reduce_full(pk.pack_terms(g), basis, field, guard, memo)
         if r and push(r):
             return unit
 
@@ -285,21 +328,25 @@ def _buchberger(gens: list[dict], field: FieldSpec, pk: _Packing) -> list[dict]:
                 break
         else:
             s = _spoly((lts[i], basis[i][1], lcm - basis[i][0]),
-                       (lts[j], basis[j][1], lcm - basis[j][0]), field)
-            r = _reduce_full(s, basis, field, guard)
+                       (lts[j], basis[j][1], lcm - basis[j][0]))
+            r = _reduce_full(s, basis, field, guard, memo)
             if r and push(r):
                 return unit
 
     # minimalize: drop any element whose leading term another one divides
     # (leading terms are distinct: each was reduced by the earlier ones)
-    H = [(lt, h) for lt, h in basis
+    H = [(lt, t) for lt, t in basis
          if not any(m != lt and not (lt - m) & guard for m, _ in basis)]
 
-    # tail-reduce each against the others; leading terms are already minimal
-    for i, (lt, h) in enumerate(H):
-        H[i] = (lt, _monic(_reduce_full(h, H[:i] + H[i + 1:], field, guard), field))
+    # tail-reduce each against all of H, one memo for the pass: no leading
+    # term divides a smaller monomial, so an element never reduces its own
+    # tail, and the leading terms stay minimal and monic
+    memo = {}
+    for i, (lt, t) in enumerate(H):
+        H[i] = (lt, tuple(_reduce_full(t, H, field, guard, memo).items()))
 
-    return [pk.unpack_terms(h) for _, h in sorted(H, key=itemgetter(0))]
+    one = field.one
+    return [pk.unpack_terms(dict(((lt, one),) + t)) for lt, t in sorted(H, key=itemgetter(0))]
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +392,8 @@ class Ideal:
         basis = [g.terms for g in self.groebner(order)]
 
         def reduce(pk: _Packing) -> dict:
-            packed = [(max(h), h) for h in map(pk.pack_terms, basis)]
-            r = _reduce_full(pk.pack_terms(f.terms), packed, self.ring.field, pk.guard)
+            packed = [_reducer(pk.pack_terms(h)) for h in basis]
+            r = _reduce_full(pk.pack_terms(f.terms), packed, self.ring.field, pk.guard, {})
             return pk.unpack_terms(r)
 
         r = _packed(reduce, order, self.ring.nvars, basis + [f.terms])

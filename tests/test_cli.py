@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 
-from mixmult.cli import main
+import pytest
+
+from mixmult.cli import _SUBCOMMANDS, build_parser, main
+from mixmult.errors import InputError
 
 
 def run_cli(capsys, *argv):
@@ -26,7 +30,8 @@ class TestCommands:
                        "--ideal", "J")
         assert doc["command"] == "gb"
         assert doc["result"]["size"] == "3"
-        assert len(doc["inputs"]["sha256"]) == 64
+        with open("problems/twisted_cubic.mix", "rb") as fh:
+            assert doc["inputs"]["sha256"] == hashlib.sha256(fh.read()).hexdigest()
 
     def test_hilbert(self, capsys):
         doc = run_json(capsys, "hilbert", "--file", "problems/three_component.mix",
@@ -206,3 +211,45 @@ class TestEnvironmentOverrides:
         code, _, _ = run_cli(capsys, "gb", "--file", "problems/twisted_cubic.mix",
                              "--ideal", "J")
         assert code == 1
+
+
+class TestOneSubcommandParser:
+    """``main`` builds only the subparser its first argument names; that
+    parser must read every argument list as the full parser does."""
+
+    TAILS = (
+        [],
+        ["--file", "f.mix"],
+        ["--file", "f.mix", "--ideal", "I", "--seed", "3", "--prime", "7",
+         "--max-retries", "2"],
+        ["--file", "f.mix", "--ideal", "I", "--i", "1", "--j", "2", "--verify"],
+        ["--file", "f.mix", "--ideal", "J", "--ambient", "A"],
+        ["--file", "f.mix", "--x", "X", "--y", "Y"],
+        ["--seed", "many"],
+        ["--file", "f.mix", "--ideal", "I", "extra"],
+        ["--bogus"],
+    )
+
+    @staticmethod
+    def _outcome(parser, argv):
+        try:
+            return vars(parser.parse_args(argv))
+        except InputError as exc:
+            return ("usage error", str(exc))
+
+    def test_same_namespace_and_usage_errors(self):
+        full = build_parser()
+        for name in _SUBCOMMANDS:
+            one = build_parser(name)
+            for tail in self.TAILS:
+                argv = [name] + tail
+                assert self._outcome(one, argv) == self._outcome(full, argv), argv
+
+    def test_help_is_the_same(self, capsys):
+        for name in _SUBCOMMANDS:
+            texts = []
+            for parser in (build_parser(name), build_parser()):
+                with pytest.raises(SystemExit):
+                    parser.parse_args([name, "--help"])
+                texts.append(capsys.readouterr().out)
+            assert texts[0] == texts[1] and texts[0].startswith(f"usage: mixmult {name}")

@@ -126,6 +126,26 @@ class TestLargeExponents:
         assert I.leading_exponents(order) == ((40000, 0, 0), (0, 0, 1))
         assert I.normal_form(y * z**3 - x**40600, order).is_zero
 
+    def test_eight_bit_start_trips_and_matches_a_wide_start(self, monkeypatch):
+        # inputs of degree 20 start at 8-bit fields; x^140 - y needs wider ones
+        widths = []
+        real = groebner._Packing
+
+        def spy(order, nvars, width):
+            widths.append(width)
+            return real(order, nvars, width)
+
+        monkeypatch.setattr(groebner, "_Packing", spy)
+        R = kxyz()
+        x, y, z = R.gens()
+        gens = [(z - x**20).terms, (z**7 - y).terms]
+        order = MonomialOrder.elimination((2,))
+        basis = groebner.buchberger(gens, R.field, order)
+        assert widths[0] == 8 < widths[-1]
+        wide = groebner._buchberger(gens, R.field, real(order, 3, 32))
+        assert [list(h.items()) for h in basis] == [list(h.items()) for h in wide]
+        assert [str(Poly(R, h)) for h in basis] == ["x^140 + 32002*y", "32002*x^20 + z"]
+
 
 class TestNormalForm:
     def test_member_reduces_to_zero(self):

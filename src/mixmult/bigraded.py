@@ -13,6 +13,11 @@ bidegrees exactly when it is Rpp-torsion, where Rpp is generated by the
 products of one variable of each degree kind, so this is the containment
 (B : z) <= (B : Rpp^infinity).
 
+A certificate carries the ideal B its certified elements have reached. That
+is the handle ``colon_numerator`` built, basis and all, to certify the last
+element (``ideal_sum`` keeps one handle per sum), and the next element and
+the saturations of ``e_positivity`` and the multiplicity start from it.
+
 Every saturation by Rpp uses the product rule. Rpp = R1 * R2 exactly, where
 R1 and R2 are generated by the (1,0)- and the (0,1)-variables, and
 (R1 R2)^n = R1^n R2^n, so
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .config import MAX_RETRIES, certified_search
@@ -53,20 +59,18 @@ class BigradedAlgebra:
         for g in self.defining.gens:
             if g.bidegree() is None:
                 raise InputError(f"defining ideal has inhomogeneous generator {g}")
-        self._sat0: Optional[Ideal] = None
-        self._degrees: Optional[DegreesReport] = None
 
-    @property
+    @cached_property
     def r1_ideal(self) -> Ideal:
         """Ideal generated by the (1,0)-variables."""
         return Ideal(self.ring, [self.ring.var(i) for i in self.ring.first_kind])
 
-    @property
+    @cached_property
     def r2_ideal(self) -> Ideal:
         """Ideal generated by the (0,1)-variables."""
         return Ideal(self.ring, [self.ring.var(i) for i in self.ring.second_kind])
 
-    @property
+    @cached_property
     def rpp_ideal(self) -> Ideal:
         """Ideal generated by all products of one variable of each kind."""
         gens = [
@@ -87,23 +91,20 @@ class BigradedAlgebra:
         self._need_both_kinds()
         return saturation(saturation(I, self.r1_ideal), self.r2_ideal)
 
+    @cached_property
     def sat0(self) -> Ideal:
         """Preimage of 0 : Rpp^infinity in the quotient."""
-        if self._sat0 is None:
-            self._sat0 = self.saturate(self.defining)
-        return self._sat0
+        return self.saturate(self.defining)
 
+    @cached_property
     def degrees(self) -> "DegreesReport":
-        """``degrees_report`` of this algebra, computed once per handle."""
-        if self._degrees is None:
-            self._degrees = degrees_report(self)
-        return self._degrees
+        """``degrees_report`` of this algebra."""
+        return degrees_report(self)
 
-    def series(self):
-        return series_of(self.defining)
-
+    @cached_property
     def polynomial(self) -> HilbertPoly2:
-        return polynomial_of(self.series())
+        """The Hilbert polynomial of the quotient."""
+        return polynomial_of(series_of(self.defining))
 
     def swapped(self) -> "BigradedAlgebra":
         ring2 = swap_ring(self.ring)
@@ -140,11 +141,11 @@ def degrees_report(alg: BigradedAlgebra) -> DegreesReport:
     Cross-checks the three numbers against the binomial-basis polynomial,
     which is computed independently from the series numerator.
     """
-    sat = alg.sat0()
+    sat = alg.sat0
     dim_total = krull_dim(alg.defining)
     dim_mod_r1 = krull_dim(ideal_sum(alg.defining, alg.r1_ideal))
     dim_mod_r2 = krull_dim(ideal_sum(alg.defining, alg.r2_ideal))
-    P = alg.polynomial()
+    P = alg.polynomial
     if sat.is_unit:
         if not P.is_zero:
             raise MathInvariantError("vanishing saturation with nonzero polynomial")
@@ -178,6 +179,10 @@ class FilterStep:
 
 @dataclass
 class FilterRegularCertificate:
+    """Certified steps; ``ideal`` is the defining ideal plus the elements of
+    the steps that passed, the ideal a continuation certifies over."""
+
+    ideal: Ideal
     steps: list[FilterStep] = field(default_factory=list)
     ok: bool = True
     seed: Optional[int] = None
@@ -207,17 +212,16 @@ def is_filter_regular(
     are appended to a copy.
     """
     if cert is None:
-        cert, prev = FilterRegularCertificate(), alg.defining
+        cert = FilterRegularCertificate(alg.defining)
     else:
-        cert = FilterRegularCertificate(steps=list(cert.steps), seed=cert.seed)
-        prev = ideal_sum(alg.defining, cert.elements)
+        cert = FilterRegularCertificate(cert.ideal, list(cert.steps), seed=cert.seed)
     for z in seq:
-        step = _filter_step(alg, prev, z)
+        step = _filter_step(alg, cert.ideal, z)
         cert.steps.append(step)
         if not step.ok:
             cert.ok = False
             break
-        prev = ideal_sum(prev, [z])
+        cert.ideal = ideal_sum(cert.ideal, [z])
     return cert
 
 
@@ -253,24 +257,24 @@ def find_filter_regular(
     for kind in pattern:
         if kind not in ((1, 0), (0, 1)):
             raise InputError(f"pattern entries must be (1,0) or (0,1), got {kind}")
-    cert = FilterRegularCertificate(seed=seed)
-    _extend(alg, cert, alg.defining, pattern, random.Random(seed), max_retries, span,
+    cert = FilterRegularCertificate(alg.defining, seed=seed)
+    _extend(alg, cert, pattern, random.Random(seed), max_retries, span,
             "filter-regular element of bidegree {}")
     return cert
 
 
-def _extend(alg: BigradedAlgebra, cert: FilterRegularCertificate, prev: Ideal,
+def _extend(alg: BigradedAlgebra, cert: FilterRegularCertificate,
             pattern: Sequence[Bidegree], rng: random.Random, max_retries: int,
             span: Optional[int], what: str) -> None:
-    """Append one certified random element per kind in ``pattern`` to ``cert``;
-    ``prev`` is the ideal the certified steps so far have reached."""
+    """Append one certified random element per kind in ``pattern`` to
+    ``cert``, each certified over ``cert.ideal`` as it stands."""
     for kind in pattern:
         z, step = certified_search(
             lambda: _random_kind_element(alg, kind, rng, span),
-            lambda z: _filter_step(alg, prev, z),
+            lambda z: _filter_step(alg, cert.ideal, z),
             max_retries, what.format(kind))
         cert.steps.append(step)
-        prev = ideal_sum(prev, [z])
+        cert.ideal = ideal_sum(cert.ideal, [z])
 
 
 def e_positivity(
@@ -284,7 +288,7 @@ def e_positivity(
 ) -> tuple[bool, int, FilterRegularCertificate]:
     """Positivity test for e_ij: does the saturated quotient by i generic
     (1,0)-forms plus all (1,0)-variables have dimension j + 1?"""
-    report = alg.degrees()
+    report = alg.degrees
     if report.r is None:
         raise InputError("the Hilbert polynomial vanishes; no top diagonal")
     if i < 0 or j < 0 or i + j != report.r:
@@ -298,8 +302,7 @@ def e_positivity(
             raise InputError("supplied sequence is not filter-regular")
     else:
         cert = find_filter_regular(alg, [(1, 0)] * i, seed, max_retries, span)
-    prefix = ideal_sum(alg.defining, cert.elements)
-    sat = alg.saturate(prefix)
+    sat = alg.saturate(cert.ideal)
     witness_dim = krull_dim(ideal_sum(sat, alg.r1_ideal))
     return witness_dim == j + 1, witness_dim, cert
 
@@ -347,14 +350,14 @@ def e_value_from_prefix(
     """e_ij of a positive cell, from the certified (1,0)-prefix of its
     positivity test: extend it by j random (0,1)-elements, drawn from
     ``seed + 1`` and certified one by one, and take the multiplicity."""
-    cert = FilterRegularCertificate(steps=list(cert_x.steps), seed=seed)
-    _extend(alg, cert, ideal_sum(alg.defining, cert_x.elements), [(0, 1)] * j,
-            random.Random(seed + 1), max_retries, span, "filter-regular (0,1)-element")
+    cert = FilterRegularCertificate(cert_x.ideal, list(cert_x.steps), seed=seed)
+    _extend(alg, cert, [(0, 1)] * j, random.Random(seed + 1), max_retries, span,
+            "filter-regular (0,1)-element")
     return _saturated_multiplicity(alg, cert)
 
 
 def _saturated_multiplicity(alg: BigradedAlgebra, cert: FilterRegularCertificate) -> int:
-    bar = alg.saturate(ideal_sum(alg.defining, cert.elements))
+    bar = alg.saturate(cert.ideal)
     dim, e = total_multiplicity(bar)
     if dim != 2:
         raise MathInvariantError(
@@ -375,7 +378,7 @@ def e_table_full(
     With ``verify`` each top-diagonal cell is recomputed through the
     positivity criterion and the multiplicity formula; any mismatch raises.
     """
-    table = e_table(alg.polynomial())
+    table = e_table(alg.polynomial)
     if verify and table.r is not None:
         for idx, (i, j) in enumerate(sorted(table.entries)):
             value = e_value_via_criterion(alg, i, j, seed + 101 * idx, max_retries, span=span)

@@ -66,9 +66,13 @@ def _load_file(path: str) -> tuple[ProblemFile, dict]:
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
+        text = raw.decode("utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    pf = parse_problem(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: byte 0x{raw[exc.start]:02x} "
+                         f"at offset {exc.start}") from None
+    pf = parse_problem(text)
     digest = sha256(raw).hexdigest()
     return pf, {"file": path, "sha256": digest}
 
@@ -138,7 +142,8 @@ def _cmd_hilbert(args, config: RunConfig) -> str:
             "stability": [P.u_star, P.v_star],
         }
         result["table"] = _table_payload(e_table(P))
-    if not I.is_unit:
+    # with variables of other degrees the multiplicity depends on a normalisation
+    if I.ring.is_standard_bigraded and not I.is_unit:
         dim, mult = total_multiplicity(I)
         result["dimension"] = dim
         result["multiplicity"] = mult

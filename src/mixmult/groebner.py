@@ -357,11 +357,12 @@ def _buchberger(gens: list[dict], field: FieldSpec, pk: _Packing) -> list[dict]:
 class Ideal:
     """An ideal given by generators, with a cached reduced Groebner basis.
 
-    Handles are immutable: every derived ideal is a fresh handle, so a cached
-    basis can never go stale.
+    Handles are immutable, so a cached basis can never go stale. A handle
+    also caches its sums (``ideal_sum``: a sum asked for twice is one
+    handle), its saturations and its Krull dimension.
     """
 
-    __slots__ = ("ring", "gens", "_gb", "_dim", "_satcache")
+    __slots__ = ("ring", "gens", "_gb", "_dim", "_satcache", "_sums")
 
     def __init__(self, ring: Ring, gens: Iterable[Poly] = ()):
         self.ring = ring
@@ -375,6 +376,7 @@ class Ideal:
         self._gb: dict = {}
         self._dim = None
         self._satcache: dict = {}
+        self._sums: dict = {}
 
     # -- basis and membership ---------------------------------------------------
 
@@ -418,10 +420,6 @@ class Ideal:
         if self.ring != other.ring:
             raise InputError("ideals live in different rings")
         return set(self.groebner()) == set(other.groebner())
-
-    def key(self):
-        """Canonical hashable identity: the reduced degrevlex basis."""
-        return frozenset(self.groebner())
 
     def leading_exponents(self, order: MonomialOrder = DEGREVLEX) -> tuple[Exponent, ...]:
         basis = [g.terms for g in self.groebner(order)]
@@ -488,8 +486,13 @@ def eliminate(gens: Sequence[Poly], base: Ring) -> Ideal:
 
 
 def ideal_sum(I: Ideal, extra: Union[Ideal, Iterable[Poly]]) -> Ideal:
+    """I + extra, one handle per (I, generator tuple of ``extra``): the same
+    sum asked for again is the handle built first, with what it has cached."""
     gens = extra.gens if isinstance(extra, Ideal) else tuple(extra)
-    return Ideal(I.ring, I.gens + tuple(gens))
+    total = I._sums.get(gens)
+    if total is None:
+        total = I._sums[gens] = Ideal(I.ring, I.gens + gens)
+    return total
 
 
 def ideal_product(I: Ideal, J: Ideal) -> Ideal:
@@ -656,15 +659,16 @@ def saturation(I: Ideal, J: Union[Poly, Ideal]) -> Ideal:
       Math. 87, 1987);
     - otherwise: one tag elimination of I + (1 - t*g) (Rabinowitsch).
 
-    The intersection stops once it equals I, because every I : g^infinity
-    contains I.
+    A part equal to the intersection so far leaves it as it is, and the
+    intersection stops once it equals I, because every I : g^infinity
+    contains I. Results are cached on I by the generators of J, so no basis
+    of J is computed.
     """
     if isinstance(J, Poly):
         J = Ideal(I.ring, [J])
     if J.is_zero:
         raise InputError("saturation by the zero ideal")
-    cache_key = J.key()
-    cached = I._satcache.get(cache_key)
+    cached = I._satcache.get(J.gens)
     if cached is not None:
         return cached
     homogeneous = all(len({sum(e) for e in f.terms}) == 1 for f in I.gens)
@@ -672,12 +676,15 @@ def saturation(I: Ideal, J: Union[Poly, Ideal]) -> Ideal:
     meet = None
     for g in J.gens:
         part = _saturate_by(I, g, homogeneous, memo)
-        meet = part if meet is None else ideal_intersection(meet, part)
+        if meet is None:
+            meet = part
+        elif not part.same_ideal(meet):
+            meet = ideal_intersection(meet, part)
         if meet.same_ideal(I):
             break
     result = Ideal(I.ring, meet.groebner())
     result._gb[DEGREVLEX] = meet.groebner()
-    I._satcache[cache_key] = result
+    I._satcache[J.gens] = result
     return result
 
 

@@ -362,14 +362,18 @@ def e_table(P: HilbertPoly2, r_expected: Optional[int] = None) -> ETable:
 
 
 def total_multiplicity(I: Ideal) -> tuple[int, int]:
-    """(Krull dimension, multiplicity) of ring/I under the total grading.
+    """(Krull dimension, multiplicity) of ring/I under the total grading,
+    for a ring whose variables all have total degree 1.
 
     Specializes the bigraded series at t1 = t2 = t, cancels all (1 - t)
     factors, and evaluates at t = 1. The pole order is checked against the
-    combinatorial Krull dimension.
+    combinatorial Krull dimension. Other weights raise ``InputError``: the
+    multiplicity then depends on a normalisation.
     """
     if I.is_unit:
         raise InputError("the unit ideal has no multiplicity")
+    if not I.ring.is_standard_bigraded:
+        raise InputError("the multiplicity needs every variable of total degree 1")
     S = series_of(I)
     n: dict[int, int] = {}
     for (a, b), c in S.numerator.items():
@@ -377,7 +381,6 @@ def total_multiplicity(I: Ideal) -> tuple[int, int]:
         n[k] = n.get(k, 0) + c
         if not n[k]:
             del n[k]
-    weights = [d1 + d2 for d1, d2 in I.ring.bidegrees]
     cancelled = 0
     # divide by (1 - t) while the numerator vanishes at t = 1
     while n and sum(n.values()) == 0:
@@ -392,14 +395,8 @@ def total_multiplicity(I: Ideal) -> tuple[int, int]:
         cancelled += 1
     if not n:
         raise MathInvariantError("series numerator vanished identically")
-    pole = len(weights) - cancelled
-    value = sum(n.values())
-    denom = 1
-    for w in weights:
-        denom *= w
-    if value % denom:
-        raise MathInvariantError("multiplicity is not integral for these weights")
-    e = value // denom
+    pole = I.ring.nvars - cancelled
+    e = sum(n.values())
     if e <= 0:
         raise MathInvariantError(f"non-positive multiplicity {e}")
     dim = krull_dim(I)

@@ -32,14 +32,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .bigraded import BigradedAlgebra, e_table_full
 from .config import MAX_RETRIES, certified_search
 from .errors import InputError, MathInvariantError
 from .fields import DEFAULT_PRIME
-from .groebner import (Ideal, eliminate, ideal_power, ideal_product, ideal_sum,
-                       in_radical, is_nzd, krull_dim, saturation)
+from .groebner import (Ideal, _lift, _tagged_ring, eliminate, ideal_power, ideal_product,
+                       ideal_sum, in_radical, is_nzd, krull_dim, saturation)
 from .hilbert import ETable, total_multiplicity
 from .rings import Poly, Ring, monomials_of_bidegree
 
@@ -70,18 +71,20 @@ class GradedSetting:
             if not saturation(check, self.maximal_ideal).is_unit:
                 raise InputError("the distinguished ideal is not primary to the "
                                  "maximal graded ideal")
-        self._spread: Optional[int] = None
-        self._s0: Optional[Ideal] = None
 
-    @property
+    @cached_property
     def maximal_ideal(self) -> Ideal:
         return Ideal(self.ring, self.ring.gens())
 
+    @cached_property
     def s0(self) -> Ideal:
         """Preimage of 0 : J^infinity in A."""
-        if self._s0 is None:
-            self._s0 = saturation(self.defining, self.J)
-        return self._s0
+        return saturation(self.defining, self.J)
+
+    @cached_property
+    def spread(self) -> int:
+        """The analytic spread l(J) (``analytic_spread``)."""
+        return analytic_spread(self)
 
     def working_degree(self) -> int:
         degs = [g.total_exp_degree() for g in self.J.gens if not g.is_zero]
@@ -145,24 +148,10 @@ def rees_presentation(setting: GradedSetting) -> tuple[Ring, Ideal]:
         ring.bidegrees + ((1, 0),) * len(tnames),
         ring.field,
     )
-    work_ring = Ring(
-        present_ring.name + "_t",
-        present_ring.variables + ("#s",),
-        present_ring.bidegrees + ((1, 0),),
-        ring.field,
-    )
-    pad_p = len(tnames)
-    lifted = [
-        Poly(work_ring, {e + (0,) * (pad_p + 1): c for e, c in g.terms.items()}, _trusted=True)
-        for g in setting.defining.gens
-    ]
-    t = work_ring.var(work_ring.nvars - 1)
-    for idx, g in enumerate(gens):
-        T = work_ring.var(ring.nvars + idx)
-        g_lift = Poly(
-            work_ring, {e + (0,) * (pad_p + 1): c for e, c in g.terms.items()}, _trusted=True
-        )
-        lifted.append(T - t * g_lift)
+    work = _tagged_ring(present_ring, 1)
+    t = work.var(work.nvars - 1)
+    lifted = [_lift(g, work) for g in setting.defining.gens]
+    lifted += [work.var(ring.nvars + k) - t * _lift(g, work) for k, g in enumerate(gens)]
     return present_ring, eliminate(lifted, present_ring)
 
 
@@ -223,15 +212,12 @@ def analytic_spread(setting: GradedSetting) -> int:
       unlucky point): the Krull dimension of the fiber of the Rees
       presentation, one block-order elimination.
     """
-    if setting._spread is None:
-        gens = setting.J.gens
-        bound = min(len(gens), setting.ring.nvars)
-        if (setting.defining.is_zero and len({g.total_exp_degree() for g in gens}) == 1
-                and _jacobian_rank(gens, setting.ring) == bound):
-            setting._spread = bound
-        else:
-            setting._spread = _spread_by_rees(setting)
-    return setting._spread
+    gens = setting.J.gens
+    bound = min(len(gens), setting.ring.nvars)
+    if (setting.defining.is_zero and len({g.total_exp_degree() for g in gens}) == 1
+            and _jacobian_rank(gens, setting.ring) == bound):
+        return bound
+    return _spread_by_rees(setting)
 
 
 def _spread_by_rees(setting: GradedSetting) -> int:
@@ -287,10 +273,10 @@ def sat_chain(
     span: Optional[int] = None,
 ) -> SatChain:
     """Build S_0, ..., S_upto with per-step non-zerodivisor certificates."""
-    spread = analytic_spread(setting)
+    spread = setting.spread
     if upto > spread:
         raise InputError(f"chain length {upto} exceeds the analytic spread {spread}")
-    s0 = setting.s0()
+    s0 = setting.s0
     if s0.is_unit:
         raise InputError("J is nilpotent modulo the defining ideal")
     chain = SatChain(setting, s0, krull_dim(s0), seed=seed)
@@ -346,7 +332,7 @@ def e_i_values(setting: GradedSetting, chain: SatChain, max_retries: int = MAX_R
     and must reach at least height(J) - 1. The height chain is drawn from the
     chain's seed with the given retry budget and span.
     """
-    spread = analytic_spread(setting)
+    spread = setting.spread
     dims = chain.dims()
     ideals = chain.ideals()
     if len(dims) < spread and dims[-1] == chain.dim0 - (len(dims) - 1):
@@ -383,7 +369,7 @@ def mixed_report(
     span: Optional[int] = None,
 ) -> MixedIdealReport:
     """Chain all the way to s(J) - 1 and extract the report."""
-    spread = analytic_spread(setting)
+    spread = setting.spread
     chain = sat_chain(setting, max(spread - 1, 0), seed, max_retries, span)
     return e_i_values(setting, chain, max_retries, span)
 
@@ -483,7 +469,7 @@ def closed_form_oracles(
             e_ambient = total_multiplicity(setting.defining)[1]
             values = [c ** i * e_ambient for i in range(ht)]
             entry = {"c": c, "values": values}
-            if labels.generically_complete_intersection and analytic_spread(setting) >= ht + 1:
+            if labels.generically_complete_intersection and setting.spread >= ht + 1:
                 e_quot = total_multiplicity(ideal_sum(setting.defining, setting.J))[1]
                 entry["top"] = c ** ht * e_ambient - e_quot
             out["equigenerated"] = entry

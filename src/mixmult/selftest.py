@@ -73,7 +73,7 @@ def suite_degree_formulas(seed: int = 0, count: int = 20) -> SuiteResult:
     for idx, alg in enumerate(algebras):
         try:
             rep = degrees_report(alg)  # raises on any disagreement
-            P = alg.polynomial()
+            P = alg.polynomial
             res.require(rep.p_is_zero == P.is_zero, f"instance {idx}: vanishing flip")
         except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
             res.fail(f"instance {idx}: {exc}")

@@ -145,6 +145,23 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "hilbert", "--file", str(bad), "--ideal", "I")
         assert code == 1
 
+    def test_non_utf8_file_is_one(self, capsys, tmp_path):
+        head = b"field Q\nring A vars x:1\nideal I in A = x"
+        bad = tmp_path / "latin1.mix"
+        bad.write_bytes(head + b"\xff\n")
+        code, out, err = run_cli(capsys, "gb", "--file", str(bad), "--ideal", "I")
+        assert code == 1 and out == ""
+        assert err == f"error: {bad} is not UTF-8 text: byte 0xff at offset {len(head)}\n"
+
+    @pytest.mark.parametrize("text", ["ring R vars x:(2,0) y:(0,1)\nideal I in R = x*y\n",
+                                      "ring R vars x:2 y:2\nideal I in R = x^2\n"])
+    def test_hilbert_on_other_degrees_is_zero_without_a_multiplicity(self, capsys,
+                                                                      tmp_path, text):
+        path = tmp_path / "weighted.mix"
+        path.write_text("field Q\n" + text)
+        doc = run_json(capsys, "hilbert", "--file", str(path), "--ideal", "I")
+        assert set(doc["result"]) == {"numerator"}
+
     def test_huge_expansion_is_one_and_quick(self, capsys, tmp_path):
         big = tmp_path / "big.mix"
         big.write_text("field F 32003\nring R vars x:(1,0) y:(0,1)\n"

@@ -1,0 +1,132 @@
+"""Each derived ideal once per command.
+
+Sums are one handle per generator tuple, and the variable ideals of an
+algebra are one handle each. A filter-regular certificate carries the ideal
+it reached, with its basis. A saturation computes no basis of the ideal it
+saturates by, and intersects no part with an equal one. A setting computes
+its analytic spread once. The last test counts the Buchberger calls of two
+whole commands against ceilings recorded with this design.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+
+from conftest import saturation_by_colon
+
+from mixmult import FieldSpec, Ideal, Ring, find_filter_regular
+from mixmult import groebner, ideal_mixed
+from mixmult.cli import main
+from mixmult.groebner import ideal_sum, saturation
+from mixmult.ideal_mixed import mixed_report
+from mixmult.instances import ideal_fixtures, three_component_example
+
+F = FieldSpec(32003)
+
+
+def _spy_buchberger(monkeypatch) -> list:
+    """Record (order, generator set) of every ``buchberger`` call."""
+    calls = []
+    real = groebner.buchberger
+
+    def spy(gens, field, order):
+        gens = [g for g in gens if g]
+        calls.append((order, frozenset(frozenset(g.items()) for g in gens)))
+        return real(gens, field, order)
+
+    monkeypatch.setattr(groebner, "buchberger", spy)
+    return calls
+
+
+class TestStableHandles:
+    def test_one_handle_per_sum(self):
+        R = Ring("R", ("x", "y", "z"), ((1, 0),) * 3, F)
+        x, y, z = R.gens()
+        I = Ideal(R, [x * y])
+        assert ideal_sum(I, [z]) is ideal_sum(I, [z])
+        assert ideal_sum(I, Ideal(R, [z])) is ideal_sum(I, [z])
+        assert ideal_sum(I, [x, z]) is not ideal_sum(I, [z, x])
+        assert ideal_sum(I, [x]) is not ideal_sum(I, [z])
+
+    def test_variable_ideals_are_one_handle(self):
+        alg = three_component_example()
+        assert alg.r1_ideal is alg.r1_ideal
+        assert alg.r2_ideal is alg.r2_ideal
+        assert alg.rpp_ideal is alg.rpp_ideal
+        assert alg.sat0 is alg.sat0
+        assert alg.polynomial is alg.polynomial
+
+    def test_saturate_computes_no_basis_of_a_variable_ideal(self, monkeypatch):
+        alg = three_component_example()
+        variable_sets = [frozenset(frozenset(g.terms.items()) for g in K.gens)
+                         for K in (alg.r1_ideal, alg.r2_ideal)]
+        calls = _spy_buchberger(monkeypatch)
+        alg.saturate(alg.defining)
+        assert calls
+        assert not [gens for _, gens in calls if gens in variable_sets]
+
+
+class TestCertificateIdeal:
+    def test_carries_the_sum_with_its_basis(self, monkeypatch):
+        alg = three_component_example()
+        cert = find_filter_regular(alg, [(1, 0), (1, 0), (0, 1)], seed=3)
+        assert cert.ok and len(cert.elements) == 3
+        assert cert.ideal.gens == ideal_sum(alg.defining, cert.elements).gens
+        calls = _spy_buchberger(monkeypatch)
+        cert.ideal.groebner()
+        assert calls == []
+
+    def test_empty_pattern_carries_the_defining_ideal(self):
+        alg = three_component_example()
+        assert find_filter_regular(alg, [], seed=0).ideal is alg.defining
+
+
+def test_spread_runs_once_per_setting(monkeypatch):
+    calls = []
+    real = ideal_mixed.analytic_spread
+
+    def spy(setting):
+        calls.append(setting)
+        return real(setting)
+
+    monkeypatch.setattr(ideal_mixed, "analytic_spread", spy)
+    setting = ideal_fixtures()[0].setting
+    mixed_report(setting, 0)
+    assert len(calls) == 1
+    assert setting.s0 is setting.s0
+
+
+def test_equal_parts_are_not_intersected(monkeypatch):
+    # every I : g^inf is (z): the (x, y)-primary component goes, (z) stays
+    R = Ring("R", ("x", "y", "z"), ((1, 0),) * 3, F)
+    x, y, z = R.gens()
+    I = Ideal(R, [z * x * x, z * x * y, z * y * y])
+    J = Ideal(R, [x, y, x + y])
+    meets = []
+    real = groebner.ideal_intersection
+
+    def spy(A, B):
+        meets.append((A, B))
+        return real(A, B)
+
+    monkeypatch.setattr(groebner, "ideal_intersection", spy)
+    sat = saturation(I, J)
+    assert meets == []
+    assert sat.same_ideal(Ideal(R, [z]))
+    assert sat.same_ideal(saturation_by_colon(I, J))
+
+
+def test_commands_compute_few_bases(monkeypatch):
+    """Buchberger calls of two whole commands, and calls repeating an
+    (order, generator set) pair; ceilings recorded with one handle per
+    derived ideal (the design before it: 200 calls, 73 repeats)."""
+    calls = _spy_buchberger(monkeypatch)
+    for argv in (["bigraded-e", "--file", "problems/three_component.mix", "--ideal", "I",
+                  "--verify"],
+                 ["ideal-mixed", "--file", "problems/twisted_cubic.mix", "--ideal", "J"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv + ["--seed", "0"]) == 0
+    repeats = len(calls) - len(set(calls))
+    assert len(calls) <= 130
+    assert repeats <= 19

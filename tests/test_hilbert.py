@@ -134,6 +134,14 @@ class TestTotalMultiplicity:
         with pytest.raises(InputError):
             total_multiplicity(Ideal(R, [R.one()]))
 
+    @pytest.mark.parametrize("bidegrees", [((2, 0), (0, 1)), ((2, 0), (2, 0))])
+    def test_variables_of_other_degrees_rejected(self, bidegrees):
+        # the multiplicity would depend on how the weights are normalised
+        R = Ring("W", ("x", "y"), bidegrees, F)
+        x, y = R.gens()
+        with pytest.raises(InputError, match="total degree 1"):
+            total_multiplicity(Ideal(R, [x * y]))
+
     def test_dimension_always_matches_krull(self):
         rng = random.Random(8)
         for _ in range(15):

@@ -2,6 +2,9 @@
 """Compute the headline numbers of the worked examples and print a summary.
 
 Usage: python scripts/run_examples.py [seed]
+
+The summary goes to stdout, the same bytes for the same seed; the total
+time goes to stderr.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ def main(seed: int = 0) -> None:
                    f"{bezout_check(js, rep, *degrees)})"
         print(f"{label:16s} degrees={rep.degrees} sum={sum(rep.degrees)}{note}")
 
-    print(f"\ntotal time: {time.monotonic() - t0:.1f}s")
+    print(f"total time: {time.monotonic() - t0:.1f}s", file=sys.stderr)
 
 
 if __name__ == "__main__":

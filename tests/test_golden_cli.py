@@ -1,16 +1,19 @@
-"""Golden CLI output: every subcommand but ``selftest`` on every shipped problem,
-plus single ``bigraded-e`` cells.
+"""Golden CLI output: every problem subcommand on every shipped problem, single
+``bigraded-e`` cells, ``selftest``, and the summary of
+``scripts/run_examples.py``.
 
 Each case runs ``mixmult`` in process at ``--seed 0`` from the repository
 root and compares stdout byte for byte with ``tests/golden/<case>.out``. An
 empty golden file records a command that fails; the run must then exit
-nonzero. Regenerate the files with ``PYTHONPATH=src python
-tests/test_golden_cli.py`` only when an output change is intended.
+nonzero. ``run_examples.out`` holds the script's stdout at seed 0. Regenerate
+the files with ``PYTHONPATH=src python tests/test_golden_cli.py`` only when an
+output change is intended.
 """
 
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import re
 from pathlib import Path
@@ -57,6 +60,7 @@ def golden_cases() -> list[tuple[str, list[str]]]:
         cases.append((f"{stem}.bigraded-e.I.cell{i}{j}",
                       ["bigraded-e", "--file", f"problems/{stem}.mix", "--ideal", "I",
                        "--i", str(i), "--j", str(j)]))
+    cases.append(("selftest", ["selftest"]))
     return cases
 
 
@@ -65,6 +69,18 @@ def run_case(argv: list[str]) -> tuple[int, str]:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv + ["--seed", "0"])
     return code, out.getvalue()
+
+
+def run_examples() -> str:
+    """stdout of ``scripts/run_examples.py`` at seed 0."""
+    spec = importlib.util.spec_from_file_location(
+        "run_examples", ROOT / "scripts" / "run_examples.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        script.main(0)
+    return out.getvalue()
 
 
 CASES = golden_cases()
@@ -79,6 +95,10 @@ def test_golden_stdout(name, argv, monkeypatch):
     assert (code == 0) == bool(expected)
 
 
+def test_run_examples_stdout():
+    assert run_examples().encode() == (GOLDEN / "run_examples.out").read_bytes()
+
+
 if __name__ == "__main__":
     import os
 
@@ -86,3 +106,4 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CASES:
         (GOLDEN / f"{name}.out").write_bytes(run_case(argv)[1].encode())
+    (GOLDEN / "run_examples.out").write_bytes(run_examples().encode())

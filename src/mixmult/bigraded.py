@@ -41,7 +41,7 @@ from .fields import DEFAULT_PRIME
 from .groebner import Ideal, ideal_sum, krull_dim, saturation
 from .hilbert import (ETable, HilbertPoly2, HilbertSeries2, colon_numerator,
                       e_table, polynomial_of, series_of, total_multiplicity)
-from .rings import Bidegree, Poly, Ring, swap_ring, transport
+from .rings import Bidegree, Poly, Ring, monomials_of_bidegree, swap_ring, transport
 
 
 @dataclass
@@ -225,20 +225,29 @@ def is_filter_regular(
     return cert
 
 
+def random_combination(forms: Sequence[Poly], degree: int, rng: random.Random,
+                       span: Optional[int] = None) -> Poly:
+    """A random nonzero sum of the lifts of ``forms`` to ``degree`` by every
+    first-kind monomial, each with its own coefficient below ``span``."""
+    ring = forms[0].ring
+    span = span or ring.field.p or DEFAULT_PRIME
+    while True:
+        acc = ring.zero()
+        for g in forms:
+            for exp in monomials_of_bidegree(ring, degree - g.total_exp_degree(), 0):
+                c = rng.randrange(span)
+                if c:
+                    acc = acc + ring.monomial(exp, c) * g
+        if not acc.is_zero:
+            return acc
+
+
 def _random_kind_element(alg: BigradedAlgebra, kind: Bidegree, rng: random.Random,
                          span: Optional[int] = None) -> Poly:
     indices = alg.ring.first_kind if kind == (1, 0) else alg.ring.second_kind
     if not indices:
         raise InputError(f"ring has no variable of bidegree {kind}")
-    span = span or alg.ring.field.p or DEFAULT_PRIME
-    while True:
-        coeffs = [rng.randrange(span) for _ in indices]
-        if any(coeffs):
-            break
-    z = alg.ring.zero()
-    for c, i in zip(coeffs, indices):
-        z = z + alg.ring.var(i).scale(c)
-    return z
+    return random_combination([alg.ring.var(i) for i in indices], 1, rng, span)
 
 
 def find_filter_regular(
@@ -400,9 +409,8 @@ def sum_check(alg: BigradedAlgebra) -> Optional[bool]:
     """
     if alg.defining.is_unit:
         raise InputError("unit defining ideal")
-    if not saturation(alg.defining, alg.r1_ideal).same_ideal(alg.defining):
-        return None
-    if not saturation(alg.defining, alg.r2_ideal).same_ideal(alg.defining):
+    if any(saturation(alg.defining, K) is not alg.defining
+           for K in (alg.r1_ideal, alg.r2_ideal)):
         return None
     d, e = total_multiplicity(alg.defining)
     table = e_table_full(alg)

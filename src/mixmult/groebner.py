@@ -359,7 +359,7 @@ class Ideal:
 
     Handles are immutable, so a cached basis can never go stale. A handle
     also caches its sums (``ideal_sum``: a sum asked for twice is one
-    handle), its saturations and its Krull dimension.
+    handle), its saturations (itself where saturated) and its Krull dimension.
     """
 
     __slots__ = ("ring", "gens", "_gb", "_dim", "_satcache", "_sums")
@@ -419,7 +419,7 @@ class Ideal:
     def same_ideal(self, other: "Ideal") -> bool:
         if self.ring != other.ring:
             raise InputError("ideals live in different rings")
-        return set(self.groebner()) == set(other.groebner())
+        return other is self or set(self.groebner()) == set(other.groebner())
 
     def leading_exponents(self, order: MonomialOrder = DEGREVLEX) -> tuple[Exponent, ...]:
         basis = [g.terms for g in self.groebner(order)]
@@ -487,8 +487,13 @@ def eliminate(gens: Sequence[Poly], base: Ring) -> Ideal:
 
 def ideal_sum(I: Ideal, extra: Union[Ideal, Iterable[Poly]]) -> Ideal:
     """I + extra, one handle per (I, generator tuple of ``extra``): the same
-    sum asked for again is the handle built first, with what it has cached."""
+    sum asked for again is the handle built first, with what it has cached;
+    a sum that adds nothing is the other summand, I or the Ideal ``extra``."""
+    if isinstance(extra, Ideal) and I.is_zero and extra.ring == I.ring:
+        return extra
     gens = extra.gens if isinstance(extra, Ideal) else tuple(extra)
+    if not gens:
+        return I
     total = I._sums.get(gens)
     if total is None:
         total = I._sums[gens] = Ideal(I.ring, I.gens + gens)
@@ -612,13 +617,18 @@ def ideal_quotient(I: Ideal, divisor: Union[Poly, Ideal]) -> Ideal:
 def _bayer_step(gens: list[dict], v: int, field: FieldSpec) -> list[dict]:
     """Generators of (gens) : x_v^inf for homogeneous ``gens``, by Bayer's
     trick: the reduced degrevlex basis with x_v moved last, each element
-    divided by its largest power of x_v."""
+    divided by its largest power of x_v. When x_v divides no generator, or
+    no basis element, this is ``gens`` itself: exactly when (gens) is
+    x_v-saturated, as x_v h' in a reduced basis would put h' in the ideal."""
+    if not any(e[v] for g in gens for e in g):
+        return gens
     moved = [{e[:v] + e[v + 1:] + (e[v],): c for e, c in g.items()} for g in gens]
-    out = []
-    for h in buchberger(moved, field, DEGREVLEX):
-        k = min(e[-1] for e in h)
-        out.append({e[:v] + (e[-1] - k,) + e[v:-1]: c for e, c in h.items()})
-    return out
+    basis = buchberger(moved, field, DEGREVLEX)
+    powers = [min(e[-1] for e in h) for h in basis]
+    if not any(powers):
+        return gens
+    return [{e[:v] + (e[-1] - k,) + e[v:-1]: c for e, c in h.items()}
+            for h, k in zip(basis, powers)]
 
 
 def _rabinowitsch(I: Ideal, g: Poly) -> list[Poly]:
@@ -646,23 +656,21 @@ def _saturate_by(I: Ideal, g: Poly, homogeneous: bool, memo: dict) -> Ideal:
             gens = memo.get(prefix)
             if gens is None:
                 gens = memo[prefix] = _bayer_step(prev, v, I.ring.field)
+    if gens is memo[()]:
+        return I
     return Ideal(I.ring, [Poly(I.ring, h, _trusted=True) for h in gens])
 
 
 def saturation(I: Ideal, J: Union[Poly, Ideal]) -> Ideal:
     """I : J^infinity, the intersection of I : g^infinity over the
-    generators g of J. Each I : g^infinity takes one of two routes:
-
-    - g a monomial and I homogeneous in the standard grading (each
-      generator has one exponent sum, which degrevlex compares first):
-      Bayer's trick for each variable of g in turn (Bayer-Stillman, Invent.
-      Math. 87, 1987);
-    - otherwise: one tag elimination of I + (1 - t*g) (Rabinowitsch).
+    generators g of J, each by Bayer's trick or by Rabinowitsch's
+    elimination (the two routes of the module docstring).
 
     A part equal to the intersection so far leaves it as it is, and the
     intersection stops once it equals I, because every I : g^infinity
-    contains I. Results are cached on I by the generators of J, so no basis
-    of J is computed.
+    contains I. The result is then I itself: ``saturation(I, J) is I``
+    holds exactly when I : J^infinity = I. Results are cached on I by the
+    generators of J, so no basis of J is computed.
     """
     if isinstance(J, Poly):
         J = Ideal(I.ring, [J])
@@ -676,16 +684,15 @@ def saturation(I: Ideal, J: Union[Poly, Ideal]) -> Ideal:
     meet = None
     for g in J.gens:
         part = _saturate_by(I, g, homogeneous, memo)
-        if meet is None:
+        if meet is None or part is I:
             meet = part
         elif not part.same_ideal(meet):
             meet = ideal_intersection(meet, part)
         if meet.same_ideal(I):
+            meet = I
             break
-    result = Ideal(I.ring, meet.groebner())
-    result._gb[DEGREVLEX] = meet.groebner()
-    I._satcache[J.gens] = result
-    return result
+    I._satcache[J.gens] = meet
+    return meet
 
 
 def krull_dim(I: Ideal) -> int:

@@ -35,14 +35,14 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .bigraded import BigradedAlgebra, e_table_full
+from .bigraded import BigradedAlgebra, e_table_full, random_combination
 from .config import MAX_RETRIES, certified_search
 from .errors import InputError, MathInvariantError
 from .fields import DEFAULT_PRIME
 from .groebner import (Ideal, _lift, _tagged_ring, eliminate, ideal_power, ideal_product,
                        ideal_sum, in_radical, is_nzd, krull_dim, saturation)
 from .hilbert import ETable, total_multiplicity
-from .rings import Poly, Ring, monomials_of_bidegree
+from .rings import Poly, Ring
 
 
 @dataclass
@@ -66,6 +66,8 @@ class GradedSetting:
         for g in self.defining.gens + self.J.gens:
             if g.bidegree() is None:
                 raise InputError(f"inhomogeneous generator {g}")
+        if self.defining.is_unit:
+            raise InputError("the ambient ideal is the unit ideal, so A is the zero ring")
         if self.primary is not None:
             check = ideal_sum(self.defining, self.primary)
             if not saturation(check, self.maximal_ideal).is_unit:
@@ -95,24 +97,8 @@ class GradedSetting:
 
 def generic_element(setting: GradedSetting, rng: random.Random,
                     span: Optional[int] = None) -> Poly:
-    """A random element of J in the single working degree.
-
-    Every generator is lifted to the working degree by all monomial
-    multipliers, each lift weighted by an independent random coefficient.
-    """
-    d = setting.working_degree()
-    ring = setting.ring
-    span = span or ring.field.p or DEFAULT_PRIME
-    while True:
-        acc = ring.zero()
-        for g in setting.J.gens:
-            gap = d - g.total_exp_degree()
-            for exp in monomials_of_bidegree(ring, gap, 0):
-                c = rng.randrange(span)
-                if c:
-                    acc = acc + ring.monomial(exp, c) * g
-        if not acc.is_zero:
-            return acc
+    """A random nonzero element of J in the single working degree."""
+    return random_combination(setting.J.gens, setting.working_degree(), rng, span)
 
 
 # ---------------------------------------------------------------------------
@@ -386,9 +372,7 @@ def _minimal_primes_avoid(B: Ideal, C: Ideal) -> bool:
     C: it is contained in the radical of B iff every minimal prime survives.
     """
     sat = saturation(B, C)
-    if sat.same_ideal(B):
-        return True
-    return all(in_radical(g, B) for g in sat.groebner())
+    return sat is B or all(in_radical(g, B) for g in sat.groebner())
 
 
 def height_of(

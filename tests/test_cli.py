@@ -153,6 +153,16 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == f"error: {bad} is not UTF-8 text: byte 0xff at offset {len(head)}\n"
 
+    @pytest.mark.parametrize("command", ["ideal-mixed", "rees-mult", "diagonal-degree"])
+    def test_unit_ambient_ideal_is_one(self, capsys, tmp_path, command):
+        path = tmp_path / "unit.mix"
+        path.write_text("field F 32003\nring P vars a:1 b:1 c:1\n"
+                        "ideal J in P = a^2 ; a*b\nideal U in P = 1\n")
+        code, out, err = run_cli(capsys, command, "--file", str(path), "--ideal", "J",
+                                 "--ambient", "U")
+        assert code == 1 and out == ""
+        assert err == "error: the ambient ideal is the unit ideal, so A is the zero ring\n"
+
     @pytest.mark.parametrize("text", ["ring R vars x:(2,0) y:(0,1)\nideal I in R = x*y\n",
                                       "ring R vars x:2 y:2\nideal I in R = x^2\n"])
     def test_hilbert_on_other_degrees_is_zero_without_a_multiplicity(self, capsys,

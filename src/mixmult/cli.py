@@ -307,18 +307,22 @@ def _sv_args(p):
     p.add_argument("--y", required=True, help="ideal of the second subscheme")
 
 
-# subcommand: (help, arguments), in the order ``mixmult --help`` lists them
+# subcommand: (help, arguments, handler), in the order ``mixmult --help``
+# lists them
 _SUBCOMMANDS = {
-    "gb": ("reduced degrevlex Groebner basis", _ideal_args),
-    "hilbert": ("series numerator, polynomial, table", _ideal_args),
-    "bigraded-report": ("degree data of the Hilbert polynomial", _ideal_args),
-    "bigraded-e": ("mixed multiplicities of a bigraded algebra", _bigraded_e_args),
-    "ideal-mixed": ("mixed multiplicities e_i(m|J) via saturation chains", _mixed_args),
-    "rees-mult": ("multiplicity of the Rees algebra", _mixed_args),
-    "diagonal-degree": ("degree of the diagonal embedding", _mixed_args),
-    "sv": ("intersection cycle degrees on the ruled join", _sv_args),
+    "gb": ("reduced degrevlex Groebner basis", _ideal_args, _cmd_gb),
+    "hilbert": ("series numerator, polynomial, table", _ideal_args, _cmd_hilbert),
+    "bigraded-report": ("degree data of the Hilbert polynomial", _ideal_args,
+                        _cmd_bigraded_report),
+    "bigraded-e": ("mixed multiplicities of a bigraded algebra", _bigraded_e_args,
+                   _cmd_bigraded_e),
+    "ideal-mixed": ("mixed multiplicities e_i(m|J) via saturation chains", _mixed_args,
+                    _cmd_mixed),
+    "rees-mult": ("multiplicity of the Rees algebra", _mixed_args, _cmd_mixed),
+    "diagonal-degree": ("degree of the diagonal embedding", _mixed_args, _cmd_mixed),
+    "sv": ("intersection cycle degrees on the ruled join", _sv_args, _cmd_sv),
     "selftest": ("run the fixture and property suites",
-                 lambda p: _common(p, needs_file=False)),
+                 lambda p: _common(p, needs_file=False), _cmd_selftest),
 }
 
 
@@ -330,23 +334,10 @@ def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
                      description="exact bigraded Hilbert polynomials, mixed "
                                  "multiplicities, and intersection-cycle degrees")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (helptext, arguments) in _SUBCOMMANDS.items():
+    for name, (helptext, arguments, _) in _SUBCOMMANDS.items():
         if only is None or name == only:
             arguments(sub.add_parser(name, help=helptext))
     return parser
-
-
-_HANDLERS = {
-    "gb": _cmd_gb,
-    "hilbert": _cmd_hilbert,
-    "bigraded-report": _cmd_bigraded_report,
-    "bigraded-e": _cmd_bigraded_e,
-    "ideal-mixed": _cmd_mixed,
-    "rees-mult": _cmd_mixed,
-    "diagonal-degree": _cmd_mixed,
-    "sv": _cmd_sv,
-    "selftest": _cmd_selftest,
-}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -356,7 +347,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         config = load_config(args.seed, args.prime, args.max_retries)
-        print(_HANDLERS[args.command](args, config))
+        print(_SUBCOMMANDS[args.command][2](args, config))
         return 0
     except _SelftestFailed as exc:
         print(exc.doc)

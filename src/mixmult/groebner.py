@@ -10,7 +10,7 @@ normal selection strategy: S-pairs wait in a heap keyed by their lcm, and
 pairs with equal lcms leave in the order they were made. Generators that are
 all monomials skip the loop: their reduced basis is their minimal monomials.
 Monomial-ideal fast paths cover the operations that dominate the workloads
-here and return minimal generators in a fixed order.
+here and return handles preset with the basis that path finds.
 
 Inside the loop and in normal forms a monomial in n variables is one int
 (packed exponent vectors: Monagan-Pearce, "Polynomial division using dynamic
@@ -79,15 +79,11 @@ class MonomialOrder:
     block: tuple[int, ...] = ()
 
     @staticmethod
-    def degrevlex() -> "MonomialOrder":
-        return MonomialOrder(())
-
-    @staticmethod
     def elimination(block: Sequence[int]) -> "MonomialOrder":
         return MonomialOrder(tuple(sorted(block)))
 
 
-DEGREVLEX = MonomialOrder.degrevlex()
+DEGREVLEX = MonomialOrder()
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +256,8 @@ def _spoly(f: tuple, g: tuple) -> dict:
 def buchberger(gens: Iterable[dict], field: FieldSpec, order: MonomialOrder) -> list[dict]:
     """Reduced Groebner basis of the ideal generated by ``gens`` (term dicts).
 
-    Returns monic generators sorted by ascending leading monomial; [] for the
+    Returns monic generators sorted by ascending leading monomial, each dict
+    listing its leading monomial first (``Ideal`` relies on this); [] for the
     zero ideal and [{0: 1}] for the unit ideal.
     """
     gens = [g for g in gens if g]
@@ -357,8 +354,9 @@ def _buchberger(gens: list[dict], field: FieldSpec, pk: _Packing) -> list[dict]:
 class Ideal:
     """An ideal given by generators, with a cached reduced Groebner basis.
 
-    Handles are immutable, so a cached basis can never go stale. A handle
-    also caches its sums (``ideal_sum``: a sum asked for twice is one
+    The basis is the degrevlex one ``buchberger`` returns, read as it lists
+    it. Handles are immutable, so a cached basis can never go stale. A
+    handle also caches its sums (``ideal_sum``: a sum asked for twice is one
     handle), its saturations (itself where saturated) and its Krull dimension.
     """
 
@@ -373,32 +371,30 @@ class Ideal:
             if not g.is_zero:
                 cleaned.append(g)
         self.gens = tuple(cleaned)
-        self._gb: dict = {}
+        self._gb = None
         self._dim = None
         self._satcache: dict = {}
         self._sums: dict = {}
 
     # -- basis and membership ---------------------------------------------------
 
-    def groebner(self, order: MonomialOrder = DEGREVLEX) -> tuple[Poly, ...]:
-        cached = self._gb.get(order)
-        if cached is None:
-            basis = buchberger([g.terms for g in self.gens], self.ring.field, order)
-            cached = tuple(Poly(self.ring, h, _trusted=True) for h in basis)
-            self._gb[order] = cached
-        return cached
+    def groebner(self) -> tuple[Poly, ...]:
+        if self._gb is None:
+            basis = buchberger([g.terms for g in self.gens], self.ring.field, DEGREVLEX)
+            self._gb = tuple(Poly(self.ring, h, _trusted=True) for h in basis)
+        return self._gb
 
-    def normal_form(self, f: Poly, order: MonomialOrder = DEGREVLEX) -> Poly:
+    def normal_form(self, f: Poly) -> Poly:
         if f.ring != self.ring:
             raise InputError("polynomial from a different ring")
-        basis = [g.terms for g in self.groebner(order)]
+        basis = [g.terms for g in self.groebner()]
 
         def reduce(pk: _Packing) -> dict:
             packed = [_reducer(pk.pack_terms(h)) for h in basis]
             r = _reduce_full(pk.pack_terms(f.terms), packed, self.ring.field, pk.guard, {})
             return pk.unpack_terms(r)
 
-        r = _packed(reduce, order, self.ring.nvars, basis + [f.terms])
+        r = _packed(reduce, DEGREVLEX, self.ring.nvars, basis + [f.terms])
         return Poly(self.ring, r, _trusted=True)
 
     def contains(self, f: Poly) -> bool:
@@ -419,13 +415,11 @@ class Ideal:
     def same_ideal(self, other: "Ideal") -> bool:
         if self.ring != other.ring:
             raise InputError("ideals live in different rings")
-        return other is self or set(self.groebner()) == set(other.groebner())
+        # reduced bases are unique, and both are sorted by leading monomial
+        return other is self or self.groebner() == other.groebner()
 
-    def leading_exponents(self, order: MonomialOrder = DEGREVLEX) -> tuple[Exponent, ...]:
-        basis = [g.terms for g in self.groebner(order)]
-        return _packed(
-            lambda pk: tuple(pk.unpack(max(map(pk.pack, h))) for h in basis),
-            order, self.ring.nvars, basis)
+    def leading_exponents(self) -> tuple[Exponent, ...]:
+        return tuple(next(iter(g.terms)) for g in self.groebner())
 
     @property
     def is_monomial(self) -> bool:
@@ -456,28 +450,30 @@ def _lift(poly: Poly, ext: Ring) -> Poly:
     return Poly(ext, terms, _trusted=True)
 
 
+def _preset(ring: Ring, basis: list[dict]) -> Ideal:
+    """The ideal generated by ``basis``, a reduced degrevlex basis in the
+    form ``buchberger`` returns, with it preset as the handle's basis."""
+    result = Ideal(ring, [Poly(ring, h, _trusted=True) for h in basis])
+    result._gb = result.gens
+    return result
+
+
 def eliminate(gens: Sequence[Poly], base: Ring) -> Ideal:
     """The ideal of ``gens`` meet k[base], for ``gens`` in a ring that
     extends ``base`` by trailing variables.
 
     One Groebner basis in the block order that eliminates the trailing
-    variables; its elements free of them are the reduced degrevlex basis of
-    the result (the block order restricts to degrevlex there), so the
-    result's basis is preset rather than computed again.
+    variables, which ranks any monomial with one above all without: the
+    elements whose leading monomial is free of them are, in order, the
+    reduced degrevlex basis of the result, preset rather than computed again.
     """
     if not gens:
         return Ideal(base)
-    ext = gens[0].ring
-    block = tuple(range(base.nvars, ext.nvars))
+    n, ext = base.nvars, gens[0].ring
+    block = tuple(range(n, ext.nvars))
     basis = buchberger([g.terms for g in gens], ext.field, MonomialOrder.elimination(block))
-    kept = tuple(
-        Poly(base, {e[: base.nvars]: c for e, c in h.items()}, _trusted=True)
-        for h in basis
-        if not any(e[i] for e in h for i in block)
-    )
-    result = Ideal(base, kept)
-    result._gb[DEGREVLEX] = kept
-    return result
+    return _preset(base, [{e[:n]: c for e, c in h.items()}
+                          for h in basis if not any(next(iter(h))[n:])])
 
 
 # ---------------------------------------------------------------------------
@@ -522,13 +518,9 @@ def ideal_power(I: Ideal, n: int) -> Ideal:
 
 
 def _monomial_ideal(ring: Ring, exps: Iterable[Exponent]) -> Ideal:
-    """The ideal of the monomials ``exps``, by its minimal generators sorted
-    by (degree, exponent), so later bases never depend on set order."""
-    kept: list[Exponent] = []
-    for e in sorted(set(exps), key=lambda e: (sum(e), e)):
-        if not any(_divides(k, e) for k in kept):
-            kept.append(e)
-    return Ideal(ring, [ring.monomial(e) for e in kept])
+    """The ideal of the monomials ``exps``, generated and preset by its
+    reduced basis: its minimal monomials, ascending, from ``buchberger``."""
+    return _preset(ring, buchberger([{e: ring.field.one} for e in exps], ring.field, DEGREVLEX))
 
 
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:

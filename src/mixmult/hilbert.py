@@ -365,38 +365,27 @@ def total_multiplicity(I: Ideal) -> tuple[int, int]:
     """(Krull dimension, multiplicity) of ring/I under the total grading,
     for a ring whose variables all have total degree 1.
 
-    Specializes the bigraded series at t1 = t2 = t, cancels all (1 - t)
-    factors, and evaluates at t = 1. The pole order is checked against the
-    combinatorial Krull dimension. Other weights raise ``InputError``: the
-    multiplicity then depends on a normalisation.
+    Specializes the bigraded series at t1 = t2 = t, numerator Q = (1 - t)^k R
+    with R(1) != 0: the Taylor coefficients sum_j q_j C(j, m) of Q at t = 1
+    vanish for m < k and equal (-1)^k R(1) at m = k. The pole order n - k is
+    checked against the combinatorial Krull dimension. Other weights raise
+    ``InputError``: the multiplicity then depends on a normalisation.
     """
     if I.is_unit:
         raise InputError("the unit ideal has no multiplicity")
     if not I.ring.is_standard_bigraded:
         raise InputError("the multiplicity needs every variable of total degree 1")
-    S = series_of(I)
-    n: dict[int, int] = {}
-    for (a, b), c in S.numerator.items():
-        k = a + b
-        n[k] = n.get(k, 0) + c
-        if not n[k]:
-            del n[k]
-    cancelled = 0
-    # divide by (1 - t) while the numerator vanishes at t = 1
-    while n and sum(n.values()) == 0:
-        deg = max(n)
-        out: dict[int, int] = {}
-        acc = 0
-        for k in range(deg):  # quotient coefficients are partial sums
-            acc += n.get(k, 0)
-            if acc:
-                out[k] = acc
-        n = out
-        cancelled += 1
-    if not n:
+    q: dict[int, int] = {}
+    for (a, b), c in series_of(I).numerator.items():
+        q[a + b] = q.get(a + b, 0) + c
+    for k in range(max(q, default=-1) + 1):
+        taylor = sum(c * math.comb(j, k) for j, c in q.items())
+        if taylor:
+            break
+    else:
         raise MathInvariantError("series numerator vanished identically")
-    pole = I.ring.nvars - cancelled
-    e = sum(n.values())
+    pole = I.ring.nvars - k
+    e = (-1) ** k * taylor
     if e <= 0:
         raise MathInvariantError(f"non-positive multiplicity {e}")
     dim = krull_dim(I)

@@ -83,7 +83,6 @@ class ProblemFile:
     field_spec: FieldSpec
     rings: dict[str, Ring] = field(default_factory=dict)
     ideals: dict[str, Ideal] = field(default_factory=dict)
-    ideal_rings: dict[str, str] = field(default_factory=dict)
 
 
 class _Parser:
@@ -213,7 +212,6 @@ class _Parser:
             self.next()
             polys.append(self._expression(ring))
         pf.ideals[name.value] = Ideal(ring, [p for p in polys if not p.is_zero])
-        pf.ideal_rings[name.value] = rname.value
 
     # -- expressions ----------------------------------------------------------
 
@@ -305,5 +303,5 @@ def print_problem(pf: ProblemFile) -> str:
         lines.append(f"ring {name} vars {vs}")
     for name, ideal in pf.ideals.items():
         body = " ; ".join(str(g) for g in ideal.gens) if ideal.gens else "0"
-        lines.append(f"ideal {name} in {pf.ideal_rings[name]} = {body}")
+        lines.append(f"ideal {name} in {ideal.ring.name} = {body}")
     return "\n".join(lines) + "\n"

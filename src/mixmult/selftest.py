@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass, field
 
 from .bigraded import (degrees_report, e_positivity, e_table_full,
-                       e_value_via_criterion, sum_check)
+                       e_value_from_prefix, e_value_via_criterion, sum_check)
 from .groebner import Ideal, ideal_sum, krull_dim, saturation
 from .hilbert import hilbert_function, polynomial_of, series_of
 from .ideal_mixed import mixed_report, reduction_invariance_check
@@ -123,12 +123,12 @@ def suite_positivity_criterion(seed: int = 0) -> SuiteResult:
             continue
         for cell_idx, (i, j) in enumerate(sorted(table.entries)):
             entry = table.entries[(i, j)]
-            positive, wdim, _ = e_positivity(alg, i, j, seed + 13 * cell_idx)
+            positive, wdim, cert = e_positivity(alg, i, j, seed + 13 * cell_idx)
             res.require(positive == (entry > 0),
                         f"instance {idx} cell {(i, j)}: criterion {positive} "
                         f"vs entry {entry}")
             if positive:
-                value = e_value_via_criterion(alg, i, j, seed + 13 * cell_idx)
+                value = e_value_from_prefix(alg, cert, j, seed + 13 * cell_idx)
                 res.require(value == entry,
                             f"instance {idx} cell {(i, j)}: value {value} != {entry}")
     return res

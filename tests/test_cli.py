@@ -189,7 +189,7 @@ class TestExitCodes:
         def boom(*a, **k):
             raise GenericityExhausted("forced")
 
-        monkeypatch.setitem(cli_mod._HANDLERS, "gb", boom)
+        monkeypatch.setitem(cli_mod._SUBCOMMANDS, "gb", cli_mod._SUBCOMMANDS["gb"][:2] + (boom,))
         code, _, err = run_cli(capsys, "gb", "--file",
                                "problems/twisted_cubic.mix", "--ideal", "J")
         assert code == 3
@@ -201,7 +201,7 @@ class TestExitCodes:
         def boom(*a, **k):
             raise MathInvariantError("forced")
 
-        monkeypatch.setitem(cli_mod._HANDLERS, "gb", boom)
+        monkeypatch.setitem(cli_mod._SUBCOMMANDS, "gb", cli_mod._SUBCOMMANDS["gb"][:2] + (boom,))
         code, _, _ = run_cli(capsys, "gb", "--file",
                              "problems/twisted_cubic.mix", "--ideal", "J")
         assert code == 2
@@ -212,7 +212,7 @@ class TestExitCodes:
         def boom(*a, **k):
             raise RuntimeError("forced")
 
-        monkeypatch.setitem(cli_mod._HANDLERS, "gb", boom)
+        monkeypatch.setitem(cli_mod._SUBCOMMANDS, "gb", cli_mod._SUBCOMMANDS["gb"][:2] + (boom,))
         code, out, err = run_cli(capsys, "gb", "--file",
                                  "problems/twisted_cubic.mix", "--ideal", "J")
         assert code == 4 and out == ""

@@ -20,7 +20,7 @@ from conftest import saturation_by_colon
 from mixmult import FieldSpec, Ideal, Ring, find_filter_regular
 from mixmult import groebner, ideal_mixed
 from mixmult.cli import main
-from mixmult.groebner import ideal_sum, saturation
+from mixmult.groebner import ideal_intersection, ideal_quotient, ideal_sum, saturation
 from mixmult.ideal_mixed import mixed_report
 from mixmult.instances import ideal_fixtures, three_component_example
 
@@ -133,6 +133,41 @@ class TestIdentityContract:
         assert ideal_sum(I, []) is I
         assert ideal_sum(I, Ideal(R)) is I
         assert ideal_sum(I, J) is not I
+
+
+class TestPresetBasis:
+    """A handle built from kernel output carries that output as its basis:
+    asking for it computes nothing, and it is the basis a fresh handle on
+    the same generators computes."""
+
+    def _check(self, monkeypatch, K):
+        fresh = Ideal(K.ring, K.gens).groebner()
+        calls = _spy_buchberger(monkeypatch)
+        assert K.groebner() == fresh
+        assert calls == []
+
+    def _ring(self):
+        R = Ring("R", ("x", "y", "z"), ((1, 0),) * 3, F)
+        return (R, *R.gens())
+
+    def test_monomial_intersection(self, monkeypatch):
+        R, x, y, z = self._ring()
+        meet = ideal_intersection(Ideal(R, [x * x, y * z]), Ideal(R, [x * y, z**3, x * z]))
+        assert {str(g) for g in meet.gens} == {"x^2*y", "x^2*z", "x*y*z", "y*z^3"}
+        self._check(monkeypatch, meet)
+
+    def test_monomial_quotient(self, monkeypatch):
+        R, x, y, z = self._ring()
+        colon = ideal_quotient(Ideal(R, [x * x * y, y * z, x * z * z]), x * z)
+        assert {str(g) for g in colon.gens} == {"y", "z"}
+        self._check(monkeypatch, colon)
+
+    def test_elimination(self, monkeypatch):
+        # the intersection of ideals that are not monomial is one elimination
+        R, x, y, z = self._ring()
+        meet = ideal_intersection(Ideal(R, [x + y]), Ideal(R, [y * z - x * x]))
+        assert not meet.is_monomial
+        self._check(monkeypatch, meet)
 
 
 def test_spread_runs_once_per_setting(monkeypatch):

@@ -12,6 +12,7 @@ from mixmult import (DEGREVLEX, FieldSpec, Ideal, InputError, MonomialOrder, Pol
                      krull_dim, saturation)
 from mixmult import groebner
 from mixmult.instances import random_ideal_pair
+from test_packing import reference_sortkey
 
 F = FieldSpec(32003)
 QQ = FieldSpec()
@@ -23,6 +24,24 @@ def kxyz(field=F):
 
 def kxyzw(field=F):
     return Ring("R4", ("x", "y", "z", "w"), ((1, 0),) * 4, field)
+
+
+def basis_in(I: Ideal, order) -> list[Poly]:
+    """The reduced basis of I in ``order``, straight from the kernel."""
+    return [Poly(I.ring, h) for h in groebner.buchberger([g.terms for g in I.gens],
+                                                       I.ring.field, order)]
+
+
+def normal_form_in(basis: list[Poly], f: Poly, order) -> Poly:
+    """f reduced by ``basis`` in ``order``, as the kernel reduces it."""
+    polys = [g.terms for g in basis]
+
+    def reduce(pk):
+        packed = [groebner._reducer(pk.pack_terms(h)) for h in polys]
+        r = groebner._reduce_full(pk.pack_terms(f.terms), packed, f.ring.field, pk.guard, {})
+        return pk.unpack_terms(r)
+
+    return Poly(f.ring, groebner._packed(reduce, order, f.ring.nvars, polys + [f.terms]))
 
 
 class TestBasis:
@@ -53,14 +72,14 @@ class TestBasis:
             I, _ = random_ideal_pair(rng)
             ring = I.ring
             for order in orders:
-                gb = I.groebner(order)
-                lts = I.leading_exponents(order)
+                gb = basis_in(I, order)
+                lts = [next(iter(g.terms)) for g in gb]
                 for a in range(len(gb)):
                     for b in range(a + 1, len(gb)):
                         lcm = tuple(map(max, lts[a], lts[b]))
                         s = (ring.monomial([m - e for m, e in zip(lcm, lts[a])]) * gb[a]
                              - ring.monomial([m - e for m, e in zip(lcm, lts[b])]) * gb[b])
-                        assert I.normal_form(s, order).is_zero
+                        assert normal_form_in(gb, s, order).is_zero
 
     def test_reduced_basis_is_unique_under_generator_shuffle(self):
         rng = random.Random(19)
@@ -88,6 +107,60 @@ class TestBasis:
                     continue
                 f = Poly(ring, terms)
                 assert I.contains(f) == homogeneous_membership_oracle(f, I)
+
+
+class TestOutputContract:
+    """``buchberger`` returns monic elements sorted ascending by leading
+    monomial, each listing its leading monomial first.
+    ``Ideal.leading_exponents``, ``same_ideal`` and ``eliminate`` rely on it."""
+
+    ORDERS = (DEGREVLEX, MonomialOrder.elimination((0,)), MonomialOrder.elimination((1, 3)))
+
+    def check(self, gens, field, order):
+        basis = groebner.buchberger(gens, field, order)
+        leads = []
+        for h in basis:
+            lead = min(h, key=lambda e: reference_sortkey(order.block, e))
+            assert next(iter(h)) == lead and h[lead] == field.one
+            leads.append(lead)
+        keys = [reference_sortkey(order.block, e) for e in leads]
+        assert keys == sorted(set(keys), reverse=True)  # strictly ascending in the order
+        return basis
+
+    def test_random_ideals(self):
+        rng = random.Random(23)
+        for _ in range(8):
+            for I in random_ideal_pair(rng):
+                for order in self.ORDERS:
+                    self.check([g.terms for g in I.gens], I.ring.field, order)
+
+        def exp():
+            return tuple(rng.randrange(3) for _ in range(4))
+
+        for field in (F, QQ):
+            for _ in range(8):
+                gens = [{exp(): field.coerce(rng.randrange(1, 50))
+                         for _ in range(rng.randint(1, 4))}
+                        for _ in range(rng.randint(1, 3))]
+                for order in self.ORDERS:
+                    self.check(gens, field, order)
+
+    def test_monomial_inputs(self):
+        rng = random.Random(29)
+        for _ in range(20):
+            gens = [{tuple(rng.randrange(4) for _ in range(4)): F.one}
+                    for _ in range(rng.randint(1, 8))]
+            for order in self.ORDERS:
+                basis = self.check(gens, F, order)
+                assert all(len(h) == 1 for h in basis)
+
+    def test_unit_ideal(self):
+        R = kxyzw()
+        x, y, z, w = R.gens()
+        for gens in ([x, x + R.one()], [x * y, R.one()], [Poly(R, {(0, 0, 0, 0): 5})]):
+            for order in self.ORDERS:
+                basis = self.check([g.terms for g in gens], F, order)
+                assert basis == [{(0, 0, 0, 0): F.one}]
 
 
 class TestLargeExponents:
@@ -121,10 +194,11 @@ class TestLargeExponents:
         x, y, z = R.gens()
         I = Ideal(R, [z - x**200, z**200 - y])
         order = MonomialOrder.elimination((2,))
-        assert [str(g) for g in I.groebner(order)] == ["x^40000 + 32002*y", "32002*x^200 + z"]
+        gb = basis_in(I, order)
+        assert [str(g) for g in gb] == ["x^40000 + 32002*y", "32002*x^200 + z"]
         assert widths[0] < widths[-1]
-        assert I.leading_exponents(order) == ((40000, 0, 0), (0, 0, 1))
-        assert I.normal_form(y * z**3 - x**40600, order).is_zero
+        assert tuple(next(iter(g.terms)) for g in gb) == ((40000, 0, 0), (0, 0, 1))
+        assert normal_form_in(gb, y * z**3 - x**40600, order).is_zero
 
     def test_eight_bit_start_trips_and_matches_a_wide_start(self, monkeypatch):
         # inputs of degree 20 start at 8-bit fields; x^140 - y needs wider ones

@@ -12,7 +12,7 @@ from __future__ import annotations
 import sys
 import time
 
-from mixmult import (FieldSpec, Ideal, Ring, bezout_check, degrees_report,
+from mixmult import (FieldSpec, Ideal, Ring, RunConfig, bezout_check, degrees_report,
                      e_table_full, e_value_via_criterion, make_join,
                      mixed_report, rees_and_diagonal, rees_bigraded_crosscheck,
                      sv_degrees)
@@ -22,6 +22,7 @@ from mixmult.instances import (ideal_fixtures, three_component_example,
 
 def main(seed: int = 0) -> None:
     t0 = time.monotonic()
+    config = RunConfig(seed=seed)
 
     print("== bigraded algebras ==")
     alg = three_component_example()
@@ -40,15 +41,14 @@ def main(seed: int = 0) -> None:
 
     print("\n== ideal mixed multiplicities ==")
     for fx in ideal_fixtures():
-        rep = mixed_report(fx.setting, seed)
+        rep = mixed_report(fx.setting, config)
         rees, diag = rees_and_diagonal(fx.setting, rep)
         line = (f"{fx.name:16s} e={rep.e} rho={rep.rho} s(J)={rep.spread} "
                 f"ht(J)={rep.height} rees={rees}")
         if diag is not None:
             line += f" diagonal-degree={diag}"
         print(line)
-        degs = {g.total_exp_degree() for g in fx.setting.J.gens}
-        if fx.setting.defining.is_zero and len(degs) == 1:
+        if fx.setting.defining.is_zero and fx.setting.equigenerated:
             cross = rees_bigraded_crosscheck(fx.setting)
             print(f"{'':16s} regraded-Rees diagonal={cross.diagonal()}")
 
@@ -66,7 +66,7 @@ def main(seed: int = 0) -> None:
     ]
     for label, ix, iy, degrees in cases:
         js = make_join(ix, iy)
-        rep = sv_degrees(js, seed)
+        rep = sv_degrees(js, config)
         note = ""
         if degrees:
             note = f" (bezout {degrees[0]}*{degrees[1]}: " \

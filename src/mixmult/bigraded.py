@@ -31,13 +31,12 @@ without elimination (see ``groebner``).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .config import MAX_RETRIES, certified_search
+from .config import RunConfig, certified_search
 from .errors import InputError, MathInvariantError
-from .fields import DEFAULT_PRIME
 from .groebner import Ideal, ideal_sum, krull_dim, saturation
 from .hilbert import (ETable, HilbertPoly2, HilbertSeries2, colon_numerator,
                       e_table, polynomial_of, series_of, total_multiplicity)
@@ -226,11 +225,12 @@ def is_filter_regular(
 
 
 def random_combination(forms: Sequence[Poly], degree: int, rng: random.Random,
-                       span: Optional[int] = None) -> Poly:
+                       config: RunConfig) -> Poly:
     """A random nonzero sum of the lifts of ``forms`` to ``degree`` by every
-    first-kind monomial, each with its own coefficient below ``span``."""
+    first-kind monomial, each with its own coefficient below the span of
+    ``config``."""
     ring = forms[0].ring
-    span = span or ring.field.p or DEFAULT_PRIME
+    span = config.span(ring.field)
     while True:
         acc = ring.zero()
         for g in forms:
@@ -243,45 +243,43 @@ def random_combination(forms: Sequence[Poly], degree: int, rng: random.Random,
 
 
 def _random_kind_element(alg: BigradedAlgebra, kind: Bidegree, rng: random.Random,
-                         span: Optional[int] = None) -> Poly:
+                         config: RunConfig) -> Poly:
     indices = alg.ring.first_kind if kind == (1, 0) else alg.ring.second_kind
     if not indices:
         raise InputError(f"ring has no variable of bidegree {kind}")
-    return random_combination([alg.ring.var(i) for i in indices], 1, rng, span)
+    return random_combination([alg.ring.var(i) for i in indices], 1, rng, config)
 
 
 def find_filter_regular(
     alg: BigradedAlgebra,
     pattern: Sequence[Bidegree],
-    seed: int = 0,
-    max_retries: int = MAX_RETRIES,
-    span: Optional[int] = None,
+    config: RunConfig = RunConfig(),
 ) -> FilterRegularCertificate:
     """Search random linear forms of the requested kinds, verifying each step.
 
     Every element is drawn as a random combination of the variables of its
     kind and certified before being kept; failures retry with fresh
-    randomness up to ``max_retries`` per position.
+    randomness up to ``config.max_retries`` per position.
     """
     for kind in pattern:
         if kind not in ((1, 0), (0, 1)):
             raise InputError(f"pattern entries must be (1,0) or (0,1), got {kind}")
-    cert = FilterRegularCertificate(alg.defining, seed=seed)
-    _extend(alg, cert, pattern, random.Random(seed), max_retries, span,
-            "filter-regular element of bidegree {}")
+    cert = FilterRegularCertificate(alg.defining, seed=config.seed)
+    _extend(alg, cert, pattern, config, "filter-regular element of bidegree {}")
     return cert
 
 
 def _extend(alg: BigradedAlgebra, cert: FilterRegularCertificate,
-            pattern: Sequence[Bidegree], rng: random.Random, max_retries: int,
-            span: Optional[int], what: str) -> None:
+            pattern: Sequence[Bidegree], config: RunConfig, what: str) -> None:
     """Append one certified random element per kind in ``pattern`` to
-    ``cert``, each certified over ``cert.ideal`` as it stands."""
+    ``cert``, each drawn from ``config.seed`` and certified over
+    ``cert.ideal`` as it stands."""
+    rng = random.Random(config.seed)
     for kind in pattern:
         z, step = certified_search(
-            lambda: _random_kind_element(alg, kind, rng, span),
+            lambda: _random_kind_element(alg, kind, rng, config),
             lambda z: _filter_step(alg, cert.ideal, z),
-            max_retries, what.format(kind))
+            config.max_retries, what.format(kind))
         cert.steps.append(step)
         cert.ideal = ideal_sum(cert.ideal, [z])
 
@@ -290,10 +288,8 @@ def e_positivity(
     alg: BigradedAlgebra,
     i: int,
     j: int,
-    seed: int = 0,
-    max_retries: int = MAX_RETRIES,
+    config: RunConfig = RunConfig(),
     sequence: Optional[Sequence[Poly]] = None,
-    span: Optional[int] = None,
 ) -> tuple[bool, int, FilterRegularCertificate]:
     """Positivity test for e_ij: does the saturated quotient by i generic
     (1,0)-forms plus all (1,0)-variables have dimension j + 1?"""
@@ -310,7 +306,7 @@ def e_positivity(
         if not cert.ok:
             raise InputError("supplied sequence is not filter-regular")
     else:
-        cert = find_filter_regular(alg, [(1, 0)] * i, seed, max_retries, span)
+        cert = find_filter_regular(alg, [(1, 0)] * i, config)
     sat = alg.saturate(cert.ideal)
     witness_dim = krull_dim(ideal_sum(sat, alg.r1_ideal))
     return witness_dim == j + 1, witness_dim, cert
@@ -320,10 +316,8 @@ def e_value_via_criterion(
     alg: BigradedAlgebra,
     i: int,
     j: int,
-    seed: int = 0,
-    max_retries: int = MAX_RETRIES,
+    config: RunConfig = RunConfig(),
     sequence: Optional[Sequence[Poly]] = None,
-    span: Optional[int] = None,
 ) -> int:
     """e_ij as the multiplicity of R/(x_1..x_i, y_1..y_j) : Rpp^infinity.
 
@@ -331,8 +325,8 @@ def e_value_via_criterion(
     saturated quotient must have dimension exactly 2.
     """
     if sequence is None:
-        positive, _, cert_x = e_positivity(alg, i, j, seed, max_retries, span=span)
-        return e_value_from_prefix(alg, cert_x, j, seed, max_retries, span) if positive else 0
+        positive, _, cert_x = e_positivity(alg, i, j, config)
+        return e_value_from_prefix(alg, cert_x, j, config) if positive else 0
     seq = list(sequence)
     if len(seq) != i + j:
         raise InputError(f"sequence must have {i + j} elements")
@@ -341,7 +335,7 @@ def e_value_via_criterion(
         z.bidegree() != (0, 1) for z in ys
     ):
         raise InputError("sequence must list (1,0)-elements then (0,1)-elements")
-    positive, _, cert_x = e_positivity(alg, i, j, seed, max_retries, sequence=xs)
+    positive, _, cert_x = e_positivity(alg, i, j, config, sequence=xs)
     cert = is_filter_regular(alg, ys, cert_x)
     if not cert.ok:
         raise InputError("supplied sequence is not filter-regular")
@@ -352,15 +346,13 @@ def e_value_from_prefix(
     alg: BigradedAlgebra,
     cert_x: FilterRegularCertificate,
     j: int,
-    seed: int = 0,
-    max_retries: int = MAX_RETRIES,
-    span: Optional[int] = None,
+    config: RunConfig = RunConfig(),
 ) -> int:
     """e_ij of a positive cell, from the certified (1,0)-prefix of its
     positivity test: extend it by j random (0,1)-elements, drawn from
-    ``seed + 1`` and certified one by one, and take the multiplicity."""
-    cert = FilterRegularCertificate(cert_x.ideal, list(cert_x.steps), seed=seed)
-    _extend(alg, cert, [(0, 1)] * j, random.Random(seed + 1), max_retries, span,
+    ``config.seed + 1`` and certified one by one, and take the multiplicity."""
+    cert = FilterRegularCertificate(cert_x.ideal, list(cert_x.steps), seed=config.seed)
+    _extend(alg, cert, [(0, 1)] * j, replace(config, seed=config.seed + 1),
             "filter-regular (0,1)-element")
     return _saturated_multiplicity(alg, cert)
 
@@ -378,19 +370,19 @@ def _saturated_multiplicity(alg: BigradedAlgebra, cert: FilterRegularCertificate
 def e_table_full(
     alg: BigradedAlgebra,
     verify: bool = False,
-    seed: int = 0,
-    max_retries: int = MAX_RETRIES,
-    span: Optional[int] = None,
+    config: RunConfig = RunConfig(),
 ) -> ETable:
     """Full mixed-multiplicity table from the series route.
 
     With ``verify`` each top-diagonal cell is recomputed through the
-    positivity criterion and the multiplicity formula; any mismatch raises.
+    positivity criterion and the multiplicity formula, the cell at index
+    ``idx`` from seed ``config.seed + 101 * idx``; any mismatch raises.
     """
     table = e_table(alg.polynomial)
     if verify and table.r is not None:
         for idx, (i, j) in enumerate(sorted(table.entries)):
-            value = e_value_via_criterion(alg, i, j, seed + 101 * idx, max_retries, span=span)
+            value = e_value_via_criterion(alg, i, j,
+                                          replace(config, seed=config.seed + 101 * idx))
             if value != table.entries[(i, j)]:
                 raise MathInvariantError(
                     f"criterion value {value} at {(i, j)} disagrees with "

@@ -83,11 +83,6 @@ def _pick_ideal(pf: ProblemFile, name: str) -> Ideal:
     return pf.ideals[name]
 
 
-def _span(pf: ProblemFile, config: RunConfig) -> Optional[int]:
-    # over the rationals, random coefficients are drawn below the configured prime
-    return config.prime if pf.field_spec.p is None else None
-
-
 def _graded_setting(pf: ProblemFile, args) -> tuple[GradedSetting, dict]:
     J = _pick_ideal(pf, args.ideal)
     ring = J.ring
@@ -172,15 +167,12 @@ def _cmd_bigraded_e(args, config: RunConfig) -> str:
     I = _pick_ideal(pf, args.ideal)
     inputs["ideal"] = args.ideal
     alg = BigradedAlgebra(I.ring, I)
-    span = _span(pf, config)
     certificates: dict = {}
     if (args.i is None) != (args.j is None):
         raise InputError("--i and --j must be given together")
     if args.i is not None:
-        positive, wdim, cert = e_positivity(alg, args.i, args.j, config.seed,
-                                            config.max_retries, span=span)
-        value = e_value_from_prefix(alg, cert, args.j, config.seed, config.max_retries,
-                                    span) if positive else 0
+        positive, wdim, cert = e_positivity(alg, args.i, args.j, config)
+        value = e_value_from_prefix(alg, cert, args.j, config) if positive else 0
         table = e_table_full(alg)
         if table.entries.get((args.i, args.j), 0) != value:
             raise MathInvariantError("criterion and table disagree")
@@ -192,8 +184,7 @@ def _cmd_bigraded_e(args, config: RunConfig) -> str:
             "ok": cert.ok,
         }
     else:
-        table = e_table_full(alg, verify=args.verify, seed=config.seed,
-                             max_retries=config.max_retries, span=span)
+        table = e_table_full(alg, verify=args.verify, config=config)
         result = {"table": _table_payload(table), "verified": args.verify}
     return _emit("bigraded-e", inputs, config, result, certificates)
 
@@ -203,7 +194,7 @@ def _cmd_mixed(args, config: RunConfig) -> str:
     pf, inputs = _load_file(args.file)
     setting, names = _graded_setting(pf, args)
     inputs.update(names)
-    rep = mixed_report(setting, config.seed, config.max_retries, _span(pf, config))
+    rep = mixed_report(setting, config)
     certificates = None
     if args.command == "ideal-mixed":
         result = {
@@ -231,8 +222,7 @@ def _cmd_sv(args, config: RunConfig) -> str:
     inputs["x"] = args.x
     inputs["y"] = args.y
     js = make_join(I_X, I_Y)
-    span = _span(pf, config)
-    rep = sv_degrees(js, config.seed, config.max_retries, span)
+    rep = sv_degrees(js, config)
     if not bezout_check(js, rep):
         raise MathInvariantError("telescoping identity failed")
     result = {
@@ -246,7 +236,7 @@ def _cmd_sv(args, config: RunConfig) -> str:
 def _cmd_selftest(args, config: RunConfig) -> str:
     from .selftest import run_selftest  # with instances, only this command needs it
 
-    results = run_selftest(config.seed)
+    results = run_selftest(config)
     failures = sum(r.failures for r in results)
     result = {
         "passed": sum(r.checks - r.failures for r in results),

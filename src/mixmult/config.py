@@ -3,8 +3,10 @@
 Flags override the MIXMULT_SEED / MIXMULT_PRIME / MIXMULT_MAX_RETRIES
 environment variables, which override the defaults. The seed feeds Python's
 Mersenne-Twister generator (``random.Random``) and fully determines every
-random choice in a run. Every random choice that must be certified goes
-through ``certified_search``, the one loop that spends the retry budget.
+random choice in a run. Every certified search takes one ``RunConfig``; a
+search that passes a derived seed on makes it with ``dataclasses.replace``.
+Every random choice that must be certified goes through ``certified_search``,
+the one loop that spends the retry budget.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, TypeVar
 
 from .errors import GenericityExhausted, InputError
-from .fields import DEFAULT_PRIME, is_prime
+from .fields import DEFAULT_PRIME, FieldSpec, is_prime
 
 _U64 = 1 << 64
 MAX_RETRIES = 16
@@ -24,35 +26,35 @@ _C = TypeVar("_C")
 
 
 def certified_search(draw: Callable[[], _T], certify: Callable[[_T], Optional[_C]],
-                     max_retries: int, what: str) -> tuple[_T, _C]:
+                     budget: int, what: str) -> tuple[_T, _C]:
     """Draw candidates until one is certified; return it with its certificate.
 
     ``certify`` returns a false value to reject a candidate. Each attempt
     calls ``draw`` and then ``certify``, so the random stream is consumed in
-    a fixed order. After ``max_retries`` rejections the search raises
+    a fixed order. After ``budget`` rejections the search raises
     ``GenericityExhausted``.
     """
-    for _ in range(max_retries):
+    for _ in range(budget):
         candidate = draw()
         certificate = certify(candidate)
         if certificate:
             return candidate, certificate
-    raise GenericityExhausted(f"no {what} found in {max_retries} attempts")
+    raise GenericityExhausted(f"no {what} found in {budget} attempts")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
+    """The settings every certified search runs under. ``load_config``
+    checks them on user input; a derived seed may leave the 64-bit range."""
+
     seed: int = 0
     prime: int = DEFAULT_PRIME
     max_retries: int = MAX_RETRIES
 
-    def __post_init__(self):
-        if not 0 <= self.seed < _U64:
-            raise InputError("seed must fit in 64 unsigned bits")
-        if not is_prime(self.prime):
-            raise InputError(f"configured prime {self.prime} is not prime")
-        if self.max_retries < 1:
-            raise InputError("max_retries must be positive")
+    def span(self, field: FieldSpec) -> int:
+        """Random coefficients are drawn below this: the characteristic of
+        a prime field, or the configured prime over the rationals."""
+        return field.p or self.prime
 
 
 def _env_int(name: str) -> Optional[int]:
@@ -77,8 +79,15 @@ def load_config(
         prime = _env_int("MIXMULT_PRIME")
     if max_retries is None:
         max_retries = _env_int("MIXMULT_MAX_RETRIES")
-    return RunConfig(
+    config = RunConfig(
         seed=0 if seed is None else seed,
         prime=DEFAULT_PRIME if prime is None else prime,
         max_retries=MAX_RETRIES if max_retries is None else max_retries,
     )
+    if not 0 <= config.seed < _U64:
+        raise InputError("seed must fit in 64 unsigned bits")
+    if not is_prime(config.prime):
+        raise InputError(f"configured prime {config.prime} is not prime")
+    if config.max_retries < 1:
+        raise InputError("max_retries must be positive")
+    return config

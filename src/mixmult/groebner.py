@@ -577,11 +577,10 @@ def poly_exact_div(f: Poly, g: Poly) -> Poly:
 def ideal_quotient(I: Ideal, divisor: Union[Poly, Ideal]) -> Ideal:
     """Colon ideal I : g or I : J (the latter as the intersection over gens)."""
     if isinstance(divisor, Ideal):
-        nonzero = [g for g in divisor.gens if not g.is_zero]
-        if not nonzero:
+        if not divisor.gens:
             raise InputError("colon by the zero ideal")
         result = None
-        for g in nonzero:
+        for g in divisor.gens:
             q = ideal_quotient(I, g)
             result = q if result is None else ideal_intersection(result, q)
             if result.is_zero:

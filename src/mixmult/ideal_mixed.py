@@ -8,8 +8,9 @@ of J and saturate again,
 
 and read e_i off as the multiplicity of A/S_i whenever the dimension drops by
 exactly one per step; a larger drop forces that and all later values to zero.
-Each a_k is a random degree-lifted combination of the generators of J and is
-certified to be a non-zerodivisor modulo S_{k-1} before being accepted.
+Each a_k is a random combination of the generators of J, which must share
+one degree, and is certified to be a non-zerodivisor modulo S_{k-1} before
+being accepted.
 
 The chain and its positivity window [ht J - 1, l(J)) rest on three
 certificates, none of which needs an elimination:
@@ -36,7 +37,7 @@ from functools import cached_property
 from typing import Optional
 
 from .bigraded import BigradedAlgebra, e_table_full, random_combination
-from .config import MAX_RETRIES, certified_search
+from .config import RunConfig, certified_search
 from .errors import InputError, MathInvariantError
 from .fields import DEFAULT_PRIME
 from .groebner import (Ideal, _lift, _tagged_ring, eliminate, ideal_power, ideal_product,
@@ -88,17 +89,26 @@ class GradedSetting:
         """The analytic spread l(J) (``analytic_spread``)."""
         return analytic_spread(self)
 
+    @cached_property
+    def generator_degrees(self) -> tuple[int, ...]:
+        """The distinct degrees of the generators of J, ascending."""
+        return tuple(sorted({g.total_exp_degree() for g in self.J.gens}))
+
+    @property
+    def equigenerated(self) -> bool:
+        return len(self.generator_degrees) == 1
+
     def working_degree(self) -> int:
-        degs = [g.total_exp_degree() for g in self.J.gens if not g.is_zero]
-        if not degs:
+        """The largest generator degree, where generic elements are drawn."""
+        if not self.generator_degrees:
             raise InputError("J is the zero ideal")
-        return max(degs)
+        return self.generator_degrees[-1]
 
 
 def generic_element(setting: GradedSetting, rng: random.Random,
-                    span: Optional[int] = None) -> Poly:
+                    config: RunConfig) -> Poly:
     """A random nonzero element of J in the single working degree."""
-    return random_combination(setting.J.gens, setting.working_degree(), rng, span)
+    return random_combination(setting.J.gens, setting.working_degree(), rng, config)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +127,7 @@ def rees_presentation(setting: GradedSetting) -> tuple[Ring, Ideal]:
     chosen fresh against the ambient variables.
     """
     ring = setting.ring
-    gens = [g for g in setting.J.gens if not g.is_zero]
+    gens = setting.J.gens
     if not gens:
         raise InputError("J is the zero ideal")
     taken = set(ring.variables)
@@ -200,7 +210,7 @@ def analytic_spread(setting: GradedSetting) -> int:
     """
     gens = setting.J.gens
     bound = min(len(gens), setting.ring.nvars)
-    if (setting.defining.is_zero and len({g.total_exp_degree() for g in gens}) == 1
+    if (setting.defining.is_zero and setting.equigenerated
             and _jacobian_rank(gens, setting.ring) == bound):
         return bound
     return _spread_by_rees(setting)
@@ -242,7 +252,7 @@ class SatChain:
     s0: Ideal
     dim0: int
     steps: list[ChainStep] = field(default_factory=list)
-    seed: int = 0
+    config: RunConfig = RunConfig()
 
     def ideals(self) -> list[Ideal]:
         return [self.s0] + [s.ideal for s in self.steps]
@@ -251,27 +261,30 @@ class SatChain:
         return [self.dim0] + [s.dim for s in self.steps]
 
 
-def sat_chain(
-    setting: GradedSetting,
-    upto: int,
-    seed: int = 0,
-    max_retries: int = MAX_RETRIES,
-    span: Optional[int] = None,
-) -> SatChain:
-    """Build S_0, ..., S_upto with per-step non-zerodivisor certificates."""
+def sat_chain(setting: GradedSetting, upto: int, config: RunConfig = RunConfig()) -> SatChain:
+    """Build S_0, ..., S_upto with per-step non-zerodivisor certificates.
+
+    J must be generated in one degree: lifted to a common degree, the
+    elements would be generic in the truncation of J there, whose mixed
+    multiplicities are not those of J.
+    """
+    if len(setting.generator_degrees) > 1:
+        raise InputError("the chain needs J generated in one degree; its generators "
+                         "have degrees "
+                         + ", ".join(str(d) for d in setting.generator_degrees))
     spread = setting.spread
     if upto > spread:
         raise InputError(f"chain length {upto} exceeds the analytic spread {spread}")
     s0 = setting.s0
     if s0.is_unit:
         raise InputError("J is nilpotent modulo the defining ideal")
-    chain = SatChain(setting, s0, krull_dim(s0), seed=seed)
-    rng = random.Random(seed)
+    chain = SatChain(setting, s0, krull_dim(s0), config=config)
+    rng = random.Random(config.seed)
     prev = s0
     for _ in range(upto):
-        a, _ = certified_search(lambda: generic_element(setting, rng, span),
+        a, _ = certified_search(lambda: generic_element(setting, rng, config),
                                 lambda a: is_nzd(a, prev),
-                                max_retries, "non-zerodivisor element of J")
+                                config.max_retries, "non-zerodivisor element of J")
         nxt = saturation(ideal_sum(prev, [a]), setting.J)
         chain.steps.append(ChainStep(a, nxt, krull_dim(nxt)))
         prev = nxt
@@ -287,7 +300,7 @@ def samuel_multiplicity(setting: GradedSetting, quotient: Ideal) -> int:
     dim, e = total_multiplicity(quotient)
     if setting.primary is None:
         return e
-    degs = {g.total_exp_degree() for g in setting.primary.gens if not g.is_zero}
+    degs = {g.total_exp_degree() for g in setting.primary.gens}
     if len(degs) != 1:
         raise InputError(
             "unsupported distinguished ideal: generators must share one degree"
@@ -309,14 +322,13 @@ class MixedIdealReport:
     seed: int
 
 
-def e_i_values(setting: GradedSetting, chain: SatChain, max_retries: int = MAX_RETRIES,
-               span: Optional[int] = None) -> MixedIdealReport:
+def e_i_values(setting: GradedSetting, chain: SatChain) -> MixedIdealReport:
     """Extract the e_i from a chain and enforce the rigidity window.
 
     e_i is the Samuel multiplicity of A/S_i exactly when the dimension has
     dropped by one per step; the positivity set must be an initial interval
-    and must reach at least height(J) - 1. The height chain is drawn from the
-    chain's seed with the given retry budget and span.
+    and must reach at least height(J) - 1. The height chain runs under the
+    chain's configuration.
     """
     spread = setting.spread
     dims = chain.dims()
@@ -342,22 +354,19 @@ def e_i_values(setting: GradedSetting, chain: SatChain, max_retries: int = MAX_R
         )
     # dims beyond the first failure must keep failing: implied by the interval
     # check above whenever the chain was computed far enough
-    ht = height_of(setting, chain.seed, max_retries, span)
+    ht = height_of(setting, chain.config)
     if not (ht - 1 <= rho < spread):
         raise MathInvariantError(
             f"rho = {rho} escapes [height-1, spread) = [{ht - 1}, {spread})"
         )
-    return MixedIdealReport(chain.dim0, spread, ht, e, rho, dims, chain.seed)
+    return MixedIdealReport(chain.dim0, spread, ht, e, rho, dims, chain.config.seed)
 
 
-def mixed_report(
-    setting: GradedSetting, seed: int = 0, max_retries: int = MAX_RETRIES,
-    span: Optional[int] = None,
-) -> MixedIdealReport:
+def mixed_report(setting: GradedSetting, config: RunConfig = RunConfig()) -> MixedIdealReport:
     """Chain all the way to s(J) - 1 and extract the report."""
     spread = setting.spread
-    chain = sat_chain(setting, max(spread - 1, 0), seed, max_retries, span)
-    return e_i_values(setting, chain, max_retries, span)
+    chain = sat_chain(setting, max(spread - 1, 0), config)
+    return e_i_values(setting, chain)
 
 
 # ---------------------------------------------------------------------------
@@ -375,44 +384,40 @@ def _minimal_primes_avoid(B: Ideal, C: Ideal) -> bool:
     return sat is B or all(in_radical(g, B) for g in sat.groebner())
 
 
-def height_of(
-    setting: GradedSetting, seed: int = 0, max_retries: int = MAX_RETRIES,
-    span: Optional[int] = None,
-) -> int:
+def height_of(setting: GradedSetting, config: RunConfig = RunConfig()) -> int:
     """Height of J in A, without primary decomposition. Two routes:
 
     - A a polynomial ring: ht J = dim A - dim A/J, because every prime P of
       the affine domain A has ht P + dim A/P = dim A. One degrevlex basis,
       deterministic, and no random draw.
     - any other A, where the two can differ (say A not equidimensional):
-      the certified chain of ``_height_by_chain``, drawn from ``seed`` with
-      the given retry budget and span.
+      the certified chain of ``_height_by_chain``, run under ``config``.
     """
     total = ideal_sum(setting.defining, setting.J)
     if total.is_unit:
         raise InputError("J is the unit ideal modulo the defining ideal")
     if setting.defining.is_zero:
         return setting.ring.nvars - krull_dim(total)
-    return _height_by_chain(setting, seed, max_retries, span)
+    return _height_by_chain(setting, config)
 
 
-def _height_by_chain(setting: GradedSetting, seed: int, max_retries: int,
-                     span: Optional[int]) -> int:
+def _height_by_chain(setting: GradedSetting, config: RunConfig) -> int:
     """Extends a chain of generic elements of J while every minimal prime of
     the partial ideal avoids J; each accepted element is certified to avoid
     all minimal primes of the previous step. The count at the first failure
     is the height, by the generalized principal ideal theorem plus the
     avoidance certificates."""
-    rng = random.Random(seed ^ 0x9E3779B9)
+    rng = random.Random(config.seed ^ 0x9E3779B9)
     B = setting.defining
     k = 0
     cap = setting.ring.nvars + 1
     while k <= cap:
         if not _minimal_primes_avoid(B, setting.J):
             return k
-        a, _ = certified_search(lambda: generic_element(setting, rng, span),
+        a, _ = certified_search(lambda: generic_element(setting, rng, config),
                                 lambda a: _minimal_primes_avoid(B, Ideal(setting.ring, [a])),
-                                max_retries, "element of J avoiding the minimal primes")
+                                config.max_retries,
+                                "element of J avoiding the minimal primes")
         B = ideal_sum(B, [a])
         k += 1
     raise MathInvariantError("height chain exceeded the ambient dimension")
@@ -434,7 +439,7 @@ class InstanceLabels:
 
 
 def closed_form_oracles(
-    setting: GradedSetting, labels: InstanceLabels, seed: int = 0
+    setting: GradedSetting, labels: InstanceLabels, config: RunConfig = RunConfig()
 ) -> dict:
     """Formula values available under the labelled hypotheses.
 
@@ -444,12 +449,11 @@ def closed_form_oracles(
     product formula). Only formulas whose hypotheses hold are included.
     """
     out: dict = {}
-    ht = height_of(setting, seed)
+    ht = height_of(setting, config)
     ambient_polynomial = setting.defining.is_zero
     if not ideal_sum(setting.defining, setting.J).is_unit:
-        degs = {g.total_exp_degree() for g in setting.J.gens if not g.is_zero}
-        if len(degs) == 1:
-            c = degs.pop()
+        if setting.equigenerated:
+            c = setting.generator_degrees[0]
             e_ambient = total_multiplicity(setting.defining)[1]
             values = [c ** i * e_ambient for i in range(ht)]
             entry = {"c": c, "values": values}
@@ -484,8 +488,7 @@ def rees_and_diagonal(
     polynomial ring, the degree of the diagonal embedding."""
     rees = sum(report.e)
     diag = None
-    degs = {g.total_exp_degree() for g in setting.J.gens if not g.is_zero}
-    if setting.defining.is_zero and len(degs) == 1:
+    if setting.defining.is_zero and setting.equigenerated:
         import math
 
         n = setting.ring.nvars - 1
@@ -503,8 +506,7 @@ def rees_bigraded_crosscheck(setting: GradedSetting) -> ETable:
     """
     if not setting.defining.is_zero:
         raise InputError("cross-check needs a polynomial ambient ring")
-    degs = {g.total_exp_degree() for g in setting.J.gens if not g.is_zero}
-    if len(degs) != 1:
+    if not setting.equigenerated:
         raise InputError("cross-check needs an equigenerated ideal")
     pring, pres = rees_presentation(setting)
     nx = setting.ring.nvars
@@ -542,13 +544,13 @@ def is_reduction_of(J: Ideal, Jp: Ideal, bound: int = 10) -> int:
 def reduction_invariance_check(
     setting: GradedSetting,
     other: GradedSetting,
-    seed: int = 0,
+    config: RunConfig = RunConfig(),
     bound: int = 10,
 ) -> bool:
     """Verify J' is a reduction of J and compare the full e-vectors."""
     if setting.ring != other.ring or not setting.defining.same_ideal(other.defining):
         raise InputError("settings must share ambient data")
     is_reduction_of(setting.J, other.J, bound)
-    r1 = mixed_report(setting, seed)
-    r2 = mixed_report(other, seed)
+    r1 = mixed_report(setting, config)
+    r2 = mixed_report(other, config)
     return r1.e == r2.e

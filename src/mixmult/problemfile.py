@@ -211,7 +211,7 @@ class _Parser:
         while self.peek().kind == ";":
             self.next()
             polys.append(self._expression(ring))
-        pf.ideals[name.value] = Ideal(ring, [p for p in polys if not p.is_zero])
+        pf.ideals[name.value] = Ideal(ring, polys)
 
     # -- expressions ----------------------------------------------------------
 

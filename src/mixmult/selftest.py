@@ -7,10 +7,11 @@ aggregates the results into one JSON document and a process exit code.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .bigraded import (degrees_report, e_positivity, e_table_full,
                        e_value_from_prefix, e_value_via_criterion, sum_check)
+from .config import RunConfig
 from .groebner import Ideal, ideal_sum, krull_dim, saturation
 from .hilbert import hilbert_function, polynomial_of, series_of
 from .ideal_mixed import mixed_report, reduction_invariance_check
@@ -43,10 +44,11 @@ class SuiteResult:
             self.fail(message)
 
 
-def suite_hilbert_oracle(seed: int = 0, count: int = 50, window: int = 8) -> SuiteResult:
+def suite_hilbert_oracle(config: RunConfig, count: int = 50,
+                         window: int = 8) -> SuiteResult:
     """(a) Series-derived and brute-force Hilbert functions agree."""
     res = SuiteResult("hilbert-oracle")
-    rng = random.Random(seed)
+    rng = random.Random(config.seed)
     for k in range(count):
         alg = random_bigraded_algebra(rng)
         S = series_of(alg.defining)
@@ -63,10 +65,10 @@ def suite_hilbert_oracle(seed: int = 0, count: int = 50, window: int = 8) -> Sui
     return res
 
 
-def suite_degree_formulas(seed: int = 0, count: int = 20) -> SuiteResult:
+def suite_degree_formulas(config: RunConfig, count: int = 20) -> SuiteResult:
     """(b) Saturation-dimension degree formulas match the polynomial."""
     res = SuiteResult("degree-formulas")
-    rng = random.Random(seed + 1)
+    rng = random.Random(config.seed + 1)
     algebras = [three_component_example(), trivial_plane(),
                 two_component_vanishing()] + [r.algebra for r in rigidity_instances()]
     algebras += [random_bigraded_algebra(rng) for _ in range(count)]
@@ -80,7 +82,7 @@ def suite_degree_formulas(seed: int = 0, count: int = 20) -> SuiteResult:
     return res
 
 
-def suite_partial_degree_saturations(seed: int = 0, count: int = 20) -> SuiteResult:
+def suite_partial_degree_saturations(config: RunConfig, count: int = 20) -> SuiteResult:
     """(c) Saturating by the mixed products or by one kind of variables gives
     the same quotient dimensions.
 
@@ -89,7 +91,7 @@ def suite_partial_degree_saturations(seed: int = 0, count: int = 20) -> SuiteRes
     instances are skipped and replaced.
     """
     res = SuiteResult("partial-degree-saturations")
-    rng = random.Random(seed + 2)
+    rng = random.Random(config.seed + 2)
     algebras = [three_component_example(), trivial_plane()]
     budget = 10 * count
     while len(algebras) < count and budget:
@@ -111,7 +113,7 @@ def suite_partial_degree_saturations(seed: int = 0, count: int = 20) -> SuiteRes
     return res
 
 
-def suite_positivity_criterion(seed: int = 0) -> SuiteResult:
+def suite_positivity_criterion(config: RunConfig) -> SuiteResult:
     """(d) The positivity criterion agrees with the table on every
     top-diagonal cell of every fixture, and values match when positive."""
     res = SuiteResult("positivity-criterion")
@@ -123,22 +125,23 @@ def suite_positivity_criterion(seed: int = 0) -> SuiteResult:
             continue
         for cell_idx, (i, j) in enumerate(sorted(table.entries)):
             entry = table.entries[(i, j)]
-            positive, wdim, cert = e_positivity(alg, i, j, seed + 13 * cell_idx)
+            cell_config = replace(config, seed=config.seed + 13 * cell_idx)
+            positive, wdim, cert = e_positivity(alg, i, j, cell_config)
             res.require(positive == (entry > 0),
                         f"instance {idx} cell {(i, j)}: criterion {positive} "
                         f"vs entry {entry}")
             if positive:
-                value = e_value_from_prefix(alg, cert, j, seed + 13 * cell_idx)
+                value = e_value_from_prefix(alg, cert, j, cell_config)
                 res.require(value == entry,
                             f"instance {idx} cell {(i, j)}: value {value} != {entry}")
     return res
 
 
-def suite_multiplicity_sum(seed: int = 0, count: int = 12) -> SuiteResult:
+def suite_multiplicity_sum(config: RunConfig, count: int = 12) -> SuiteResult:
     """(e) Total multiplicity equals the diagonal sum whenever the
     conservative height precondition is established."""
     res = SuiteResult("multiplicity-sum")
-    rng = random.Random(seed + 3)
+    rng = random.Random(config.seed + 3)
     algebras = [three_component_example(), trivial_plane()]
     algebras += [r.algebra for r in rigidity_instances()]
     algebras += [random_bigraded_algebra(rng) for _ in range(count)]
@@ -155,10 +158,10 @@ def suite_multiplicity_sum(seed: int = 0, count: int = 12) -> SuiteResult:
     return res
 
 
-def suite_saturation_laws(seed: int = 0, count: int = 50) -> SuiteResult:
+def suite_saturation_laws(config: RunConfig, count: int = 50) -> SuiteResult:
     """(f) Saturation contains the ideal and is idempotent."""
     res = SuiteResult("saturation-laws")
-    rng = random.Random(seed + 4)
+    rng = random.Random(config.seed + 4)
     for k in range(count):
         I, J = random_ideal_pair(rng)
         if all(g.is_zero for g in J.gens):
@@ -169,10 +172,10 @@ def suite_saturation_laws(seed: int = 0, count: int = 50) -> SuiteResult:
     return res
 
 
-def suite_grading_swap(seed: int = 0, count: int = 8) -> SuiteResult:
+def suite_grading_swap(config: RunConfig, count: int = 8) -> SuiteResult:
     """(g) Exchanging the gradings transposes series, polynomial, and table."""
     res = SuiteResult("grading-swap")
-    rng = random.Random(seed + 5)
+    rng = random.Random(config.seed + 5)
     algebras = [three_component_example(), trivial_plane()]
     algebras += [random_bigraded_algebra(rng) for _ in range(count)]
     for idx, alg in enumerate(algebras):
@@ -195,19 +198,19 @@ def suite_grading_swap(seed: int = 0, count: int = 8) -> SuiteResult:
     return res
 
 
-def suite_reduction_invariance(seed: int = 0) -> SuiteResult:
+def suite_reduction_invariance(config: RunConfig) -> SuiteResult:
     """(h) Replacing an ideal by a designed reduction leaves the e-vector."""
     res = SuiteResult("reduction-invariance")
     for idx, (full, reduced) in enumerate(reduction_pairs()):
         try:
-            res.require(reduction_invariance_check(full, reduced, seed),
+            res.require(reduction_invariance_check(full, reduced, config),
                         f"pair {idx}: e-vectors differ")
         except Exception as exc:  # noqa: BLE001
             res.fail(f"pair {idx}: {exc}")
     return res
 
 
-def suite_rigidity(seed: int = 0) -> SuiteResult:
+def suite_rigidity(config: RunConfig) -> SuiteResult:
     """(i) Positivity windows: full window positive on the labelled instances,
     and the interval assertions never fire across the ideal fixtures."""
     res = SuiteResult("rigidity")
@@ -220,7 +223,7 @@ def suite_rigidity(seed: int = 0) -> SuiteResult:
                         f"{inst.label}: e_({i},{rep.r - i}) = {diag[i]} not positive")
     for fx in ideal_fixtures():
         try:
-            rep = mixed_report(fx.setting, seed)
+            rep = mixed_report(fx.setting, config)
             res.ok()
             if fx.labels.first_chain_condition:
                 res.require(all(v > 0 for v in rep.e),
@@ -233,7 +236,7 @@ def suite_rigidity(seed: int = 0) -> SuiteResult:
     return res
 
 
-def suite_fixtures(seed: int = 0) -> SuiteResult:
+def suite_fixtures(config: RunConfig) -> SuiteResult:
     """Headline regression values for the worked examples."""
     res = SuiteResult("fixtures")
 
@@ -255,7 +258,7 @@ def suite_fixtures(seed: int = 0) -> SuiteResult:
                 "vanishing example dims")
 
     for fx in ideal_fixtures():
-        rep = mixed_report(fx.setting, seed)
+        rep = mixed_report(fx.setting, config)
         if fx.expected_e is not None:
             res.require(rep.e == fx.expected_e, f"{fx.name} e-vector {rep.e}")
         if fx.expected_spread is not None:
@@ -270,16 +273,16 @@ def suite_fixtures(seed: int = 0) -> SuiteResult:
     px = graded_ring(("x0", "x1", "x2"), field_, name="PX")
     py = graded_ring(("y0", "y1", "y2"), field_, name="PY")
     lines = make_join(Ideal(px, [px.var("x2")]), Ideal(py, [py.var("y0")]))
-    rl = sv_degrees(lines, seed)
+    rl = sv_degrees(lines, config)
     res.require(sum(rl.degrees) == 1 and bezout_check(lines, rl, 1, 1),
                 "two lines")
     qx = px.var("x0") * px.var("x2") - px.var("x1") ** 2
     qy = py.var("y0") * py.var("y1") - py.var("y2") ** 2
     conics = make_join(Ideal(px, [qx]), Ideal(py, [qy]))
-    rc = sv_degrees(conics, seed)
+    rc = sv_degrees(conics, config)
     res.require(sum(rc.degrees) == 4 and bezout_check(conics, rc, 2, 2),
                 "two conics")
-    rc2 = sv_degrees(conics, seed + 77)
+    rc2 = sv_degrees(conics, replace(config, seed=config.seed + 77))
     res.require(rc.degrees == rc2.degrees, "conics dual-seed agreement")
     return res
 
@@ -298,5 +301,5 @@ ALL_SUITES = (
 )
 
 
-def run_selftest(seed: int = 0) -> list[SuiteResult]:
-    return [suite(seed) for suite in ALL_SUITES]
+def run_selftest(config: RunConfig) -> list[SuiteResult]:
+    return [suite(config) for suite in ALL_SUITES]

@@ -14,10 +14,10 @@ negative degree it raises ``GenericityExhausted`` (exit 3 in the CLI).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from .config import MAX_RETRIES, certified_search
+from .config import RunConfig, certified_search
 from .errors import InputError
 from .groebner import Ideal
 from .ideal_mixed import GradedSetting, mixed_report
@@ -73,19 +73,18 @@ class SVReport:
     seeds: list[int]
 
 
-def sv_degrees(js: JoinSetting, seed: int = 0, max_retries: int = MAX_RETRIES,
-               span: Optional[int] = None) -> SVReport:
+def sv_degrees(js: JoinSetting, config: RunConfig = RunConfig()) -> SVReport:
     """deg v_i = e_{i-1} - e_i for i = 1..n+1, from the saturation chain.
 
     A negative difference signals bad randomness: the chain is redrawn once
-    from ``seed + 0x5DEECE66D``, and ``seeds`` lists the seeds tried.
+    from ``config.seed + 0x5DEECE66D``, and ``seeds`` lists the seeds tried.
     """
-    candidates = (seed, seed + 0x5DEECE66D)
+    candidates = (config.seed, config.seed + 0x5DEECE66D)
     seeds: list[int] = []
 
     def draw() -> list[int]:
         seeds.append(candidates[len(seeds)])
-        rep = mixed_report(js.setting, seeds[-1], max_retries, span)
+        rep = mixed_report(js.setting, replace(config, seed=seeds[-1]))
         return rep.e + [0] * (js.n + 2 - len(rep.e))
 
     def certify(e_full: list[int]) -> Optional[list[int]]:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import time
 
-from mixmult import (FieldSpec, Ideal, Ring, bezout_check, degrees_report,
+from mixmult import (FieldSpec, Ideal, Ring, RunConfig, bezout_check, degrees_report,
                      e_table_full, e_value_via_criterion, make_join,
                      mixed_report, rees_and_diagonal, rees_bigraded_crosscheck,
                      sv_degrees, order_of, closed_form_oracles)
@@ -50,9 +50,9 @@ def test_criterion_2_vanishing_example():
 def test_criterion_3_pair_of_planes():
     start = time.monotonic()
     fx = nonrigid_pair_of_planes()
-    rep = mixed_report(fx.setting, seed=7)
+    rep = mixed_report(fx.setting, RunConfig(seed=7))
     ok = rep.spread == 2 and rep.e == [1, 0] and rep.rho == 0
-    chain = sat_chain(fx.setting, 1, seed=7)
+    chain = sat_chain(fx.setting, 1, RunConfig(seed=7))
     ok = ok and chain.dims() == [3, 1]
     elapsed = time.monotonic() - start
     report(3, "graded counterexample with vanishing top value",
@@ -62,7 +62,7 @@ def test_criterion_3_pair_of_planes():
 def test_criterion_4_twisted_cubic():
     start = time.monotonic()
     fx = twisted_cubic()
-    rep = mixed_report(fx.setting, seed=11)
+    rep = mixed_report(fx.setting, RunConfig(seed=11))
     ok = rep.e == [1, 2, 1]
     table = rees_bigraded_crosscheck(fx.setting)
     ok = ok and table.diagonal() == [1, 2, 1, 0]
@@ -78,7 +78,7 @@ def test_criterion_4_twisted_cubic():
 def test_criterion_5_three_points():
     start = time.monotonic()
     fx = three_coordinate_points()
-    rep = mixed_report(fx.setting, seed=2)
+    rep = mixed_report(fx.setting, RunConfig(seed=2))
     ok = rep.e == [1, 2, 1]
     ok = ok and rep.e[1] == order_of(fx.setting) == 2
     oracle = closed_form_oracles(fx.setting, fx.labels)
@@ -95,7 +95,7 @@ def test_criterion_6_intersection_cycles():
     px = Ring("PX", ("x0", "x1", "x2"), ((1, 0),) * 3, F)
     py = Ring("PY", ("y0", "y1", "y2"), ((1, 0),) * 3, F)
     lines = make_join(Ideal(px, [px.var("x2")]), Ideal(py, [py.var("y0")]))
-    rl = sv_degrees(lines, seed=1)
+    rl = sv_degrees(lines, RunConfig(seed=1))
     ok = sum(rl.degrees) == 1 and all(d >= 0 for d in rl.degrees)
     ok = ok and bezout_check(lines, rl, 1, 1)
     t_lines = time.monotonic() - start
@@ -104,10 +104,10 @@ def test_criterion_6_intersection_cycles():
         Ideal(px, [px.var("x0") * px.var("x2") - px.var("x1") ** 2]),
         Ideal(py, [py.var("y0") * py.var("y1") - py.var("y2") ** 2]),
     )
-    rc = sv_degrees(conics, seed=1)
+    rc = sv_degrees(conics, RunConfig(seed=1))
     ok = ok and sum(rc.degrees) == 4 and all(d >= 0 for d in rc.degrees)
     ok = ok and bezout_check(conics, rc, 2, 2)
-    ok = ok and sv_degrees(conics, seed=4242).degrees == rc.degrees
+    ok = ok and sv_degrees(conics, RunConfig(seed=4242)).degrees == rc.degrees
     t_conics = time.monotonic() - start2
     report(6, "intersection cycle degrees with dual seeds",
            ok and t_lines < 120 and t_conics < 120, t_lines + t_conics)
@@ -115,7 +115,7 @@ def test_criterion_6_intersection_cycles():
 
 def test_criterion_7_selftest_suites():
     start = time.monotonic()
-    results = run_selftest(seed=0)
+    results = run_selftest(RunConfig(seed=0))
     elapsed = time.monotonic() - start
     failures = {r.name: r.failures for r in results if r.failures}
     for r in results:

@@ -7,8 +7,8 @@ import random
 import pytest
 from conftest import colon_escape
 
-from mixmult import (FieldSpec, Ideal, InputError, degrees_report, e_positivity,
-                     e_table_full, e_value_via_criterion, find_filter_regular,
+from mixmult import (FieldSpec, Ideal, InputError, RunConfig, degrees_report,
+                     e_positivity, e_table_full, e_value_via_criterion, find_filter_regular,
                      is_filter_regular, sum_check)
 from mixmult.bigraded import BigradedAlgebra, _filter_step, _random_kind_element
 from mixmult.groebner import ideal_sum, saturation
@@ -78,7 +78,7 @@ class TestFilterRegular:
             alg = random_bigraded_algebra(rng)
             ring = alg.ring
             cands = [ring.var(i) for i in range(ring.nvars)]
-            cands += [_random_kind_element(alg, kind, rng) for kind in ((1, 0), (0, 1))]
+            cands += [_random_kind_element(alg, kind, rng, RunConfig()) for kind in ((1, 0), (0, 1))]
             prefix = ideal_sum(alg.defining, [rng.choice(cands)])
             for prev in (alg.defining, prefix):
                 for z in cands:
@@ -103,40 +103,41 @@ class TestFilterRegular:
             is_filter_regular(example8, [ring.var("x1") + ring.one()])
 
     def test_search_finds_verified_sequence(self, example8):
-        cert = find_filter_regular(example8, [(1, 0), (1, 0), (0, 1), (0, 1)], seed=4)
+        cert = find_filter_regular(example8, [(1, 0), (1, 0), (0, 1), (0, 1)],
+                                   RunConfig(seed=4))
         assert cert.ok and len(cert.steps) == 4
         assert all(s.ok for s in cert.steps)
         assert is_filter_regular(example8, cert.elements).ok
 
     def test_empty_pattern(self, example8):
-        cert = find_filter_regular(example8, [], seed=0)
+        cert = find_filter_regular(example8, [], RunConfig(seed=0))
         assert cert.ok and cert.elements == []
 
     def test_bad_pattern_rejected(self, example8):
         with pytest.raises(InputError):
-            find_filter_regular(example8, [(1, 1)], seed=0)
+            find_filter_regular(example8, [(1, 1)], RunConfig(seed=0))
 
 
 class TestPositivity:
     def test_cell_13_negative(self, example8):
-        positive, wdim, _ = e_positivity(example8, 1, 3, seed=5)
+        positive, wdim, _ = e_positivity(example8, 1, 3, RunConfig(seed=5))
         assert not positive and wdim == 3
 
     def test_cell_31_negative_by_symmetry(self, example8):
-        positive, _, _ = e_positivity(example8, 3, 1, seed=5)
+        positive, _, _ = e_positivity(example8, 3, 1, RunConfig(seed=5))
         assert not positive
 
     def test_cell_22_positive(self, example8):
-        positive, wdim, _ = e_positivity(example8, 2, 2, seed=5)
+        positive, wdim, _ = e_positivity(example8, 2, 2, RunConfig(seed=5))
         assert positive and wdim == 3
 
     def test_off_diagonal_rejected(self, example8):
         with pytest.raises(InputError):
-            e_positivity(example8, 1, 1, seed=0)
+            e_positivity(example8, 1, 1, RunConfig(seed=0))
 
     def test_vanishing_polynomial_rejected(self):
         with pytest.raises(InputError):
-            e_positivity(two_component_vanishing(2), 0, 0, seed=0)
+            e_positivity(two_component_vanishing(2), 0, 0, RunConfig(seed=0))
 
 
 class TestValues:
@@ -146,11 +147,11 @@ class TestValues:
         assert e_value_via_criterion(example8, 2, 2, sequence=seq) == 1
 
     def test_random_sequence_value(self, example8):
-        assert e_value_via_criterion(example8, 2, 2, seed=9) == 1
+        assert e_value_via_criterion(example8, 2, 2, RunConfig(seed=9)) == 1
 
     def test_zero_cells(self, example8):
-        assert e_value_via_criterion(example8, 4, 0, seed=9) == 0
-        assert e_value_via_criterion(example8, 1, 3, seed=9) == 0
+        assert e_value_via_criterion(example8, 4, 0, RunConfig(seed=9)) == 0
+        assert e_value_via_criterion(example8, 1, 3, RunConfig(seed=9)) == 0
 
     def test_trivial_cell(self):
         assert e_value_via_criterion(trivial_plane(), 0, 0) == 1
@@ -159,7 +160,7 @@ class TestValues:
         assert e_table_full(example8).diagonal() == [0, 0, 1, 0, 0]
 
     def test_table_verified(self, example8):
-        table = e_table_full(example8, verify=True, seed=3)
+        table = e_table_full(example8, verify=True, config=RunConfig(seed=3))
         assert table.diagonal() == [0, 0, 1, 0, 0]
 
 
@@ -197,7 +198,7 @@ class TestSliceConsistency:
     def _assert_shift_laws(alg, seed):
         # a verified (1,0)-element drops the first partial degree by exactly
         # one, bounds the total degree, and shifts the high coefficients
-        cert = find_filter_regular(alg, [(1, 0)], seed=seed)
+        cert = find_filter_regular(alg, [(1, 0)], RunConfig(seed=seed))
         z = cert.elements[0]
         quotient = BigradedAlgebra(alg.ring, ideal_sum(alg.defining, [z]))
         P_big = polynomial_of(series_of(alg.defining))
@@ -246,6 +247,6 @@ class TestSliceConsistency:
                 for i in example8.ring.first_kind
             )
 
-        cert = find_filter_regular(example8, [(1, 0)] * count, seed=31)
+        cert = find_filter_regular(example8, [(1, 0)] * count, RunConfig(seed=31))
         assert is_reduction(cert.elements)
         assert not is_reduction(cert.elements[: count - 1])

@@ -19,7 +19,7 @@ import pytest
 import mixmult.ideal_mixed as ideal_mixed
 from mixmult import (FieldSpec, GradedSetting, Ideal, InputError, Poly, height_of,
                      ideal_quotient, is_nzd)
-from mixmult.config import MAX_RETRIES
+from mixmult.config import RunConfig
 from mixmult.ideal_mixed import _height_by_chain, _spread_by_rees, analytic_spread
 from mixmult.instances import (graded_ring, ideal_fixtures, random_bigraded_algebra,
                                random_ideal_pair, reduction_pairs)
@@ -218,9 +218,9 @@ class TestHeight:
         settings = list(_polynomial_settings())
         assert len(settings) >= 10
         for seed, setting in enumerate(settings):
-            ht = height_of(setting, seed)
+            ht = height_of(setting, RunConfig(seed=seed))
             assert not searches  # deterministic: no draw at all
-            assert ht == _height_by_chain(setting, seed, MAX_RETRIES, None), setting.J.gens
+            assert ht == _height_by_chain(setting, RunConfig(seed=seed)), setting.J.gens
             searches.clear()
 
     def test_non_domain_keeps_the_chain(self, monkeypatch):

@@ -10,10 +10,12 @@ from types import SimpleNamespace
 
 import pytest
 
+import mixmult.bigraded as bigraded
 import mixmult.ideal_mixed as ideal_mixed
+import mixmult.selftest as selftest
 import mixmult.sv_cycles as sv_cycles
 from mixmult.cli import main
-from mixmult.config import certified_search
+from mixmult.config import RunConfig, certified_search
 from mixmult.errors import GenericityExhausted
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -84,8 +86,8 @@ class TestExhaustionThroughTheCli:
     def test_sv_tries_two_seeds_then_exits_three(self, capsys, monkeypatch):
         seeds = []
 
-        def negative_report(setting, seed, max_retries, span):
-            seeds.append(seed)
+        def negative_report(setting, config):
+            seeds.append(config.seed)
             return SimpleNamespace(e=[1, 5])  # e_0 - e_1 < 0
 
         monkeypatch.setattr(sv_cycles, "mixed_report", negative_report)
@@ -97,21 +99,31 @@ class TestExhaustionThroughTheCli:
 
 
 class TestBudgetReachesEverySearch:
-    def test_ideal_mixed_searches_get_the_configured_budget(self, capsys, tmp_path,
-                                                            monkeypatch):
+    """Over Q with ``--max-retries 5 --prime 101``, every search that spends
+    the retry budget sees 5, and every coefficient is drawn below 101. (The
+    redraw of ``sv`` has its own budget of two seeds.)"""
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
         budgets, spans = [], []
 
-        def spy(draw, certify, max_retries, what):
-            budgets.append((what, max_retries))
-            return certified_search(draw, certify, max_retries, what)
+        def spy(draw, certify, budget, what):
+            budgets.append((what, budget))
+            return certified_search(draw, certify, budget, what)
 
-        def spy_element(setting, rng, span=None):
-            spans.append(span)
-            return generic_element(setting, rng, span)
+        def spy_span(config, field):
+            spans.append(span(config, field))
+            return spans[-1]
 
-        generic_element = ideal_mixed.generic_element
-        monkeypatch.setattr(ideal_mixed, "certified_search", spy)
-        monkeypatch.setattr(ideal_mixed, "generic_element", spy_element)
+        span = RunConfig.span
+        for module in (bigraded, ideal_mixed):
+            monkeypatch.setattr(module, "certified_search", spy)
+        monkeypatch.setattr(RunConfig, "span", spy_span)
+        return budgets, spans
+
+    def test_ideal_mixed_searches_get_the_configured_budget(self, capsys, tmp_path,
+                                                            spies):
+        budgets, spans = spies
         # a non-domain ambient ring: a polynomial one reads the height off
         # the Krull dimension and runs no height search
         path = rewrite_field(tmp_path, "pair_of_planes", "Q")
@@ -123,6 +135,49 @@ class TestBudgetReachesEverySearch:
             "non-zerodivisor element of J", "element of J avoiding the minimal primes"}
         assert {budget for _, budget in budgets} == {5}
         assert spans and set(spans) == {101}
+
+    def test_bigraded_verify_searches_get_the_configured_budget(self, capsys, tmp_path,
+                                                                spies):
+        budgets, spans = spies
+        path = rewrite_field(tmp_path, "three_component", "Q")
+        code, out, err = run_cli(capsys, "bigraded-e", "--file", path, "--ideal", "I",
+                                 "--verify", "--max-retries", "5", "--prime", "101")
+        assert code == 0, err
+        assert json.loads(out)["result"]["table"]["diagonal"] == ["0", "0", "1", "0", "0"]
+        assert {what for what, _ in budgets} == {
+            "filter-regular element of bidegree (1, 0)", "filter-regular (0,1)-element"}
+        assert {budget for _, budget in budgets} == {5}
+        assert spans and set(spans) == {101}
+
+    def test_sv_searches_get_the_configured_budget(self, capsys, tmp_path, spies):
+        budgets, spans = spies
+        path = rewrite_field(tmp_path, "two_conics", "Q")
+        code, out, err = run_cli(capsys, "sv", "--file", path, "--x", "X", "--y", "Y",
+                                 "--max-retries", "5", "--prime", "101")
+        assert code == 0, err
+        assert json.loads(out)["result"]["sum"] == "4"
+        assert {what for what, _ in budgets} == {
+            "non-zerodivisor element of J", "element of J avoiding the minimal primes"}
+        assert {budget for _, budget in budgets} == {5}
+        assert spans and set(spans) == {101}
+
+
+def test_selftest_runs_under_its_configuration(capsys, monkeypatch):
+    budgets = []
+
+    def spy(draw, certify, budget, what):
+        budgets.append(budget)
+        return certified_search(draw, certify, budget, what)
+
+    for module in (bigraded, ideal_mixed):
+        monkeypatch.setattr(module, "certified_search", spy)
+    # the suites that run certified searches, not the random property suites
+    monkeypatch.setattr(selftest, "ALL_SUITES",
+                        (selftest.suite_fixtures, selftest.suite_positivity_criterion))
+    code, out, err = run_cli(capsys, "selftest", "--max-retries", "1", "--prime", "101")
+    assert code == 0, err
+    assert budgets and set(budgets) == {1}
+    assert json.loads(out)["config"]["max_retries"] == "1"
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 5: a too-large dimension drop over "

@@ -17,7 +17,7 @@ import io
 
 from conftest import saturation_by_colon
 
-from mixmult import FieldSpec, Ideal, Ring, find_filter_regular
+from mixmult import FieldSpec, Ideal, Ring, RunConfig, find_filter_regular
 from mixmult import groebner, ideal_mixed
 from mixmult.cli import main
 from mixmult.groebner import ideal_intersection, ideal_quotient, ideal_sum, saturation
@@ -72,7 +72,7 @@ class TestStableHandles:
 class TestCertificateIdeal:
     def test_carries_the_sum_with_its_basis(self, monkeypatch):
         alg = three_component_example()
-        cert = find_filter_regular(alg, [(1, 0), (1, 0), (0, 1)], seed=3)
+        cert = find_filter_regular(alg, [(1, 0), (1, 0), (0, 1)], RunConfig(seed=3))
         assert cert.ok and len(cert.elements) == 3
         assert cert.ideal.gens == ideal_sum(alg.defining, cert.elements).gens
         calls = _spy_buchberger(monkeypatch)
@@ -81,7 +81,7 @@ class TestCertificateIdeal:
 
     def test_empty_pattern_carries_the_defining_ideal(self):
         alg = three_component_example()
-        assert find_filter_regular(alg, [], seed=0).ideal is alg.defining
+        assert find_filter_regular(alg, [], RunConfig(seed=0)).ideal is alg.defining
 
 
 class TestIdentityContract:
@@ -180,7 +180,7 @@ def test_spread_runs_once_per_setting(monkeypatch):
 
     monkeypatch.setattr(ideal_mixed, "analytic_spread", spy)
     setting = ideal_fixtures()[0].setting
-    mixed_report(setting, 0)
+    mixed_report(setting, RunConfig(seed=0))
     assert len(calls) == 1
     assert setting.s0 is setting.s0
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from mixmult import (FieldSpec, GradedSetting, Ideal, InputError, InstanceLabels,
-                     Ring, analytic_spread, closed_form_oracles, height_of,
+                     Ring, RunConfig, analytic_spread, closed_form_oracles, height_of,
                      ideal_power, is_reduction_of, mixed_report, order_of,
                      rees_and_diagonal, rees_bigraded_crosscheck,
                      reduction_invariance_check, sat_chain)
@@ -68,7 +68,7 @@ class TestHeight:
 
 class TestChain:
     def test_pair_of_planes_witness(self, planes):
-        chain = sat_chain(planes.setting, 1, seed=7)
+        chain = sat_chain(planes.setting, 1, RunConfig(seed=7))
         assert chain.dims() == [3, 1]
         # the surviving component is the plane (x2, x3, a1)
         s1 = chain.steps[0].ideal
@@ -77,21 +77,21 @@ class TestChain:
 
     def test_maximal_ideal_chain(self):
         setting = maximal_ideal_plane().setting
-        chain = sat_chain(setting, 1, seed=3)
+        chain = sat_chain(setting, 1, RunConfig(seed=3))
         assert chain.dims() == [2, 1]
         assert chain.s0.is_zero
 
     def test_twisted_cubic_dims(self, cubic):
-        chain = sat_chain(cubic.setting, 2, seed=11)
+        chain = sat_chain(cubic.setting, 2, RunConfig(seed=11))
         assert chain.dims() == [4, 3, 2]
 
     def test_chain_capped_by_spread(self, points):
         with pytest.raises(InputError):
-            sat_chain(points.setting, 4, seed=0)
+            sat_chain(points.setting, 4, RunConfig(seed=0))
 
     def test_determinism(self, cubic):
-        a = sat_chain(cubic.setting, 2, seed=5)
-        b = sat_chain(cubic.setting, 2, seed=5)
+        a = sat_chain(cubic.setting, 2, RunConfig(seed=5))
+        b = sat_chain(cubic.setting, 2, RunConfig(seed=5))
         assert [s.element for s in a.steps] == [s.element for s in b.steps]
         assert a.dims() == b.dims()
 
@@ -99,23 +99,23 @@ class TestChain:
         # a chain with no dimension drop yet cannot justify trailing zeros
         from mixmult import e_i_values
 
-        short = sat_chain(cubic.setting, 1, seed=5)
+        short = sat_chain(cubic.setting, 1, RunConfig(seed=5))
         with pytest.raises(InputError):
             e_i_values(cubic.setting, short)
 
 
 class TestReports:
     def test_pair_of_planes(self, planes):
-        rep = mixed_report(planes.setting, seed=7)
+        rep = mixed_report(planes.setting, RunConfig(seed=7))
         assert rep.e == [1, 0] and rep.rho == 0
         assert rep.spread == 2 and rep.height == 1 and rep.dim_a == 3
 
     def test_twisted_cubic(self, cubic):
-        rep = mixed_report(cubic.setting, seed=11)
+        rep = mixed_report(cubic.setting, RunConfig(seed=11))
         assert rep.e == [1, 2, 1]
 
     def test_three_points(self, points):
-        rep = mixed_report(points.setting, seed=2)
+        rep = mixed_report(points.setting, RunConfig(seed=2))
         assert rep.e == [1, 2, 1]
 
     def test_positivity_window_independent_of_primary_ideal(self, planes):
@@ -124,7 +124,7 @@ class TestReports:
         m2 = ideal_power(Ideal(ring, ring.gens()), 2)
         other = GradedSetting(ring, planes.setting.defining, planes.setting.J,
                               primary=m2)
-        rep = mixed_report(other, seed=7)
+        rep = mixed_report(other, RunConfig(seed=7))
         assert rep.rho == 0
         assert [v > 0 for v in rep.e] == [True, False]
 
@@ -133,8 +133,8 @@ class TestReports:
         ring = cubic.setting.ring
         m2 = ideal_power(Ideal(ring, ring.gens()), 2)
         other = GradedSetting(ring, Ideal(ring), cubic.setting.J, primary=m2)
-        rep2 = mixed_report(other, seed=11)
-        rep1 = mixed_report(cubic.setting, seed=11)
+        rep2 = mixed_report(other, RunConfig(seed=11))
+        rep1 = mixed_report(cubic.setting, RunConfig(seed=11))
         dims = [rep1.dim_a - i for i in range(len(rep1.e))]
         assert rep2.e == [v * 2 ** d for v, d in zip(rep1.e, dims)]
 
@@ -152,7 +152,7 @@ class TestOrder:
         assert order_of(GradedSetting(R, Ideal(R), J)) == 3
 
     def test_matches_second_entry(self, points):
-        rep = mixed_report(points.setting, seed=2)
+        rep = mixed_report(points.setting, RunConfig(seed=2))
         assert rep.e[1] == order_of(points.setting) == 2
 
 
@@ -178,17 +178,17 @@ class TestClosedForms:
 
 class TestReesNumbers:
     def test_twisted_cubic(self, cubic):
-        rep = mixed_report(cubic.setting, seed=11)
+        rep = mixed_report(cubic.setting, RunConfig(seed=11))
         rees, diag = rees_and_diagonal(cubic.setting, rep)
         assert rees == 4 and diag == 10
 
     def test_three_points(self, points):
-        rep = mixed_report(points.setting, seed=2)
+        rep = mixed_report(points.setting, RunConfig(seed=2))
         rees, diag = rees_and_diagonal(points.setting, rep)
         assert rees == 4 and diag == 6
 
     def test_pair_of_planes_no_diagonal(self, planes):
-        rep = mixed_report(planes.setting, seed=7)
+        rep = mixed_report(planes.setting, RunConfig(seed=7))
         rees, diag = rees_and_diagonal(planes.setting, rep)
         assert rees == 1 and diag is None
 
@@ -197,7 +197,7 @@ class TestBigradedCrosscheck:
     def test_maximal_ideal_smallest(self):
         setting = maximal_ideal_plane().setting
         table = rees_bigraded_crosscheck(setting)
-        rep = mixed_report(setting, seed=3)
+        rep = mixed_report(setting, RunConfig(seed=3))
         expected = rep.e + [0] * (table.r + 1 - len(rep.e))
         assert table.diagonal() == expected
 
@@ -206,13 +206,13 @@ class TestBigradedCrosscheck:
         x, y = R.gens()
         setting = GradedSetting(R, Ideal(R), Ideal(R, [x * x, y * y]))
         table = rees_bigraded_crosscheck(setting)
-        rep = mixed_report(setting, seed=9)
+        rep = mixed_report(setting, RunConfig(seed=9))
         expected = rep.e + [0] * (table.r + 1 - len(rep.e))
         assert table.diagonal() == expected
 
     def test_twisted_cubic(self, cubic):
         table = rees_bigraded_crosscheck(cubic.setting)
-        rep = mixed_report(cubic.setting, seed=11)
+        rep = mixed_report(cubic.setting, RunConfig(seed=11))
         expected = rep.e + [0] * (table.r + 1 - len(rep.e))
         assert table.diagonal() == expected
         assert table.r == rep.dim_a - 1
@@ -239,7 +239,7 @@ class TestBigradedCrosscheck:
         ]
         for idx, setting in enumerate(settings):
             table = rees_bigraded_crosscheck(setting)
-            rep = mixed_report(setting, seed=17 + idx)
+            rep = mixed_report(setting, RunConfig(seed=17 + idx))
             expected = rep.e + [0] * (table.r + 1 - len(rep.e))
             assert table.diagonal() == expected, idx
             assert table.r == rep.dim_a - 1, idx
@@ -262,13 +262,13 @@ class TestReductions:
 
     def test_invariance_on_designed_pairs(self):
         for full, reduced in reduction_pairs():
-            assert reduction_invariance_check(full, reduced, seed=5)
+            assert reduction_invariance_check(full, reduced, RunConfig(seed=5))
 
 
 class TestFixtureRegistry:
     def test_every_fixture_reports_expected_values(self):
         for fx in ideal_fixtures():
-            rep = mixed_report(fx.setting, seed=13)
+            rep = mixed_report(fx.setting, RunConfig(seed=13))
             assert rep.e == fx.expected_e, fx.name
             assert rep.spread == fx.expected_spread, fx.name
             assert rep.height == fx.expected_height, fx.name
@@ -278,5 +278,5 @@ class TestFixtureRegistry:
     def test_first_chain_condition_instances_fill_the_window(self):
         for fx in ideal_fixtures():
             if fx.labels.first_chain_condition:
-                rep = mixed_report(fx.setting, seed=13)
+                rep = mixed_report(fx.setting, RunConfig(seed=13))
                 assert all(v > 0 for v in rep.e), fx.name

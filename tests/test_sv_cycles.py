@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from mixmult import (FieldSpec, Ideal, InputError, Ring, bezout_check,
+from mixmult import (FieldSpec, Ideal, InputError, Ring, RunConfig, bezout_check,
                      make_join, sv_degrees)
 
 F = FieldSpec(32003)
@@ -57,27 +57,27 @@ class TestJoins:
 class TestDegrees:
     def test_two_lines(self):
         js = make_join(line_x(), line_y())
-        rep = sv_degrees(js, seed=1)
+        rep = sv_degrees(js, RunConfig(seed=1))
         assert sum(rep.degrees) == 1
         assert all(d >= 0 for d in rep.degrees)
         assert bezout_check(js, rep, 1, 1)
 
     def test_two_conics(self):
         js = make_join(conic_x(), conic_y())
-        rep = sv_degrees(js, seed=1)
+        rep = sv_degrees(js, RunConfig(seed=1))
         assert sum(rep.degrees) == 4
         assert bezout_check(js, rep, 2, 2)
 
     def test_line_self_intersection(self):
         js = make_join(line_x(), Ideal(PY, [PY.var("y2")]))
-        rep = sv_degrees(js, seed=1)
+        rep = sv_degrees(js, RunConfig(seed=1))
         assert sum(rep.degrees) == 1
         # the distinguished cycle is the line itself, one dimension down
         assert rep.degrees == [0, 1, 0]
 
     def test_line_against_conic(self):
         js = make_join(line_x(), conic_y())
-        rep = sv_degrees(js, seed=1)
+        rep = sv_degrees(js, RunConfig(seed=1))
         assert sum(rep.degrees) == 2
         assert bezout_check(js, rep, 1, 2)
 
@@ -85,10 +85,10 @@ class TestDegrees:
         for ix, iy in ((line_x(), line_y()), (conic_x(), conic_y()),
                        (line_x(), conic_y())):
             js = make_join(ix, iy)
-            rep = sv_degrees(js, seed=4)
+            rep = sv_degrees(js, RunConfig(seed=4))
             assert sum(rep.degrees) == rep.e_list[0]
             assert rep.e_list[-1] == 0
 
     def test_seed_independence(self):
         js = make_join(conic_x(), conic_y())
-        assert sv_degrees(js, seed=0).degrees == sv_degrees(js, seed=31337).degrees
+        assert sv_degrees(js, RunConfig(seed=0)).degrees == sv_degrees(js, RunConfig(seed=31337)).degrees

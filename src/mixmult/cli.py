@@ -266,9 +266,16 @@ class _Parser(argparse.ArgumentParser):
 def _common(p, needs_file=True):
     if needs_file:
         p.add_argument("--file", required=True, help="problem file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--prime", type=int, default=None)
-    p.add_argument("--max-retries", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"seed of every random draw (default {RunConfig.seed}, "
+                        "or MIXMULT_SEED)")
+    p.add_argument("--prime", type=int, default=None,
+                   help="bounds random draws over Q only; over F p they lie in "
+                        "the field, and every shipped selftest instance is over "
+                        f"F 32003 (default {RunConfig.prime}, or MIXMULT_PRIME)")
+    p.add_argument("--max-retries", type=int, default=None,
+                   help="attempts per certified search before exit 3 (default "
+                        f"{RunConfig.max_retries}, or MIXMULT_MAX_RETRIES)")
 
 
 def _ideal_args(p):

@@ -48,6 +48,10 @@ routes:
 - anything else, an inhomogeneous I included: Rabinowitsch's
   I : g^inf = (I + (1 - t*g)) meet k[x], one tag elimination.
 
+A generator after the first takes neither route when g times the
+intersection so far lies in I (a batch of normal forms modulo I): the
+intersection already lies in I : g, so in I : g^inf, and stays as it is.
+
 Intersections are tag eliminations too; ``eliminate`` is the one primitive.
 """
 
@@ -384,24 +388,40 @@ class Ideal:
             self._gb = tuple(Poly(self.ring, h, _trusted=True) for h in basis)
         return self._gb
 
-    def normal_form(self, f: Poly) -> Poly:
-        if f.ring != self.ring:
-            raise InputError("polynomial from a different ring")
+    def _normal_forms(self, polys: Sequence[Poly]) -> list[dict]:
+        """Normal forms of ``polys`` in turn, as term dicts, up to and
+        including the first nonzero one. The batch is reduced under one
+        packing of the basis with one divisor memo, which stays valid because
+        the basis never changes; a guard bit tripped by any member redoes the
+        whole batch with wider fields."""
+        for f in polys:
+            if f.ring != self.ring:
+                raise InputError("polynomial from a different ring")
         basis = [g.terms for g in self.groebner()]
+        terms = [f.terms for f in polys]
+        field = self.ring.field
 
-        def reduce(pk: _Packing) -> dict:
+        def reduce(pk: _Packing) -> list[dict]:
             packed = [_reducer(pk.pack_terms(h)) for h in basis]
-            r = _reduce_full(pk.pack_terms(f.terms), packed, self.ring.field, pk.guard, {})
-            return pk.unpack_terms(r)
+            memo: dict = {}
+            out = []
+            for t in terms:
+                out.append(pk.unpack_terms(
+                    _reduce_full(pk.pack_terms(t), packed, field, pk.guard, memo)))
+                if out[-1]:
+                    break
+            return out
 
-        r = _packed(reduce, DEGREVLEX, self.ring.nvars, basis + [f.terms])
-        return Poly(self.ring, r, _trusted=True)
+        return _packed(reduce, DEGREVLEX, self.ring.nvars, basis + terms)
+
+    def normal_form(self, f: Poly) -> Poly:
+        return Poly(self.ring, self._normal_forms([f])[0], _trusted=True)
 
     def contains(self, f: Poly) -> bool:
-        return self.normal_form(f).is_zero
+        return not self._normal_forms([f])[0]
 
     def contains_ideal(self, other: "Ideal") -> bool:
-        return all(self.contains(g) for g in other.gens)
+        return not any(self._normal_forms(other.gens))
 
     @property
     def is_zero(self) -> bool:
@@ -657,11 +677,16 @@ def saturation(I: Ideal, J: Union[Poly, Ideal]) -> Ideal:
     generators g of J, each by Bayer's trick or by Rabinowitsch's
     elimination (the two routes of the module docstring).
 
-    A part equal to the intersection so far leaves it as it is, and the
-    intersection stops once it equals I, because every I : g^infinity
-    contains I. The result is then I itself: ``saturation(I, J) is I``
-    holds exactly when I : J^infinity = I. Results are cached on I by the
-    generators of J, so no basis of J is computed.
+    A generator g after the first is skipped, with no elimination, when
+    g * meet lies in I for the intersection ``meet`` so far: then meet lies
+    in I : g, inside I : g^infinity, so intersecting cannot change meet. The
+    test is exact, one batch of normal forms against the basis of I that
+    the loop's exit test computes anyway. A part equal to the intersection
+    so far leaves it as it is, and the intersection stops once it equals I,
+    because every I : g^infinity contains I. The result is then I itself:
+    ``saturation(I, J) is I`` holds exactly when I : J^infinity = I.
+    Results are cached on I by the generators of J, so no basis of J is
+    computed.
     """
     if isinstance(J, Poly):
         J = Ideal(I.ring, [J])
@@ -674,6 +699,8 @@ def saturation(I: Ideal, J: Union[Poly, Ideal]) -> Ideal:
     memo: dict = {}
     meet = None
     for g in J.gens:
+        if meet is not None and I.contains_ideal(Ideal(I.ring, [g * k for k in meet.gens])):
+            continue  # meet <= I : g <= I : g^inf, so the intersection stays meet
         part = _saturate_by(I, g, homogeneous, memo)
         if meet is None or part is I:
             meet = part

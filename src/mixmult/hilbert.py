@@ -289,12 +289,20 @@ def polynomial_of(S: HilbertSeries2) -> HilbertPoly2:
         return HilbertPoly2({}, None, -1, -1,
                             u_star + (1 if n1 == 0 else 0),
                             v_star + (1 if n2 == 0 else 0))
+    # a_ij = sum of c * binom(n1-1-a, n1-1-i) * binom(n2-1-b, n2-1-j) over
+    # the terms c t1^a t2^b: one binomial table per kind of variable,
+    # contracted first over b (for each a), then over a
+    vs = {b: [gbinom(n2 - 1 - b, n2 - 1 - j) for j in range(n2)] for b in {b for _, b in num}}
+    rows: dict = {}
+    for (a, b), c in num.items():
+        row = rows.setdefault(a, [0] * n2)
+        for j, x in enumerate(vs[b]):
+            row[j] += c * x
+    us = {a: [gbinom(n1 - 1 - a, n1 - 1 - i) for i in range(n1)] for a in rows}
     coeffs: dict = {}
     for i in range(n1):
         for j in range(n2):
-            a_ij = 0
-            for (a, b), c in num.items():
-                a_ij += c * gbinom(n1 - 1 - a, n1 - 1 - i) * gbinom(n2 - 1 - b, n2 - 1 - j)
+            a_ij = sum(us[a][i] * row[j] for a, row in rows.items())
             if a_ij:
                 coeffs[(i, j)] = a_ij
     if not coeffs:

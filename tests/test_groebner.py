@@ -241,7 +241,45 @@ class TestNormalForm:
             assert I.normal_form(once) == once
 
 
-class TestColon:
+class TestContainsIdeal:
+    """``contains_ideal`` reduces its generators as one batch, under one
+    packing and one divisor memo, and stops at the first non-member."""
+
+    def test_agrees_with_one_membership_test_per_generator(self):
+        rng = random.Random(25)
+        outcomes = set()
+        for _ in range(20):
+            I, J = random_ideal_pair(rng)
+            products = Ideal(I.ring, [f * g for f in I.gens for g in J.gens])
+            mixed = Ideal(I.ring, products.gens + J.gens)
+            for other in (J, products, mixed, Ideal(I.ring)):
+                expected = all(I.contains(g) for g in other.gens)
+                assert I.contains_ideal(other) == expected
+                outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    def test_tripped_guard_bit_redoes_the_whole_batch(self, monkeypatch):
+        # the first packing is too narrow for the later, higher members: the
+        # batch is redone at the wider width, its early members included
+        widths = []
+        real = groebner._Packing
+
+        def spy(order, nvars, width):
+            widths.append(width)
+            return real(order, nvars, width if len(widths) > 1 else 9)
+
+        R = kxyz()
+        x, y, z = R.gens()
+        I = Ideal(R, [x * y, z**2])
+        I.groebner()
+        members = [x * y * z, x**40000 * y, y * z**40001]
+        monkeypatch.setattr(groebner, "_Packing", spy)
+        assert I.contains_ideal(Ideal(R, members))
+        assert widths[0] < widths[-1] and len(widths) == 2
+        assert not I.contains_ideal(Ideal(R, members + [x**40000 * z, y**3]))
+        monkeypatch.undo()
+        forms = I._normal_forms(members + [x**40000 * z, y**3])
+        assert [Poly(R, t) for t in forms] == [R.zero()] * 3 + [x**40000 * z]
     def test_monomial_colon(self):
         R = kxyz()
         x, y, _ = R.gens()

@@ -11,7 +11,7 @@ from mixmult import (FieldSpec, Ideal, InputError, MathInvariantError, Poly, Rin
                      e_table, hilbert_function, ideal_intersection, krull_dim,
                      polynomial_of, series_of, total_multiplicity)
 from mixmult import hilbert
-from mixmult.hilbert import HilbertPoly2, gbinom
+from mixmult.hilbert import HilbertPoly2, HilbertSeries2, gbinom
 from mixmult.instances import random_bigraded_algebra
 
 F = FieldSpec(32003)
@@ -87,6 +87,33 @@ class TestPolynomial:
             for u in range(P.u_star, P.u_star + 4):
                 for v in range(P.v_star, P.v_star + 4):
                     assert P(u, v) == hilbert_function(alg.defining, u, v)
+
+    @staticmethod
+    def _coeffs_by_triple_loop(S: HilbertSeries2) -> dict:
+        """Every coefficient as its own sum over the numerator terms, two
+        binomials per term: the oracle for the tables of ``polynomial_of``."""
+        n1, n2 = S.n1, S.n2
+        coeffs = {}
+        for i in range(n1):
+            for j in range(n2):
+                a_ij = 0
+                for (a, b), c in S.numerator.items():
+                    a_ij += c * gbinom(n1 - 1 - a, n1 - 1 - i) * gbinom(n2 - 1 - b, n2 - 1 - j)
+                if a_ij:
+                    coeffs[(i, j)] = a_ij
+        return coeffs
+
+    def test_binomial_tables_match_the_triple_loop(self):
+        rng = random.Random(20261019)
+        for _ in range(60):
+            n1, n2 = rng.randint(1, 5), rng.randint(1, 5)
+            names = tuple(f"x{i}" for i in range(n1)) + tuple(f"y{j}" for j in range(n2))
+            R = Ring("R", names, ((1, 0),) * n1 + ((0, 1),) * n2, F)
+            num = {(rng.randint(0, 8), rng.randint(0, 8)): rng.choice((-1, 1)) * rng.randint(1, 20)
+                   for _ in range(rng.randint(1, 12))}
+            S = HilbertSeries2(R, num)
+            expected = self._coeffs_by_triple_loop(S)
+            assert list(polynomial_of(S).coeffs.items()) == list(expected.items()), num
 
 
 class TestETable:

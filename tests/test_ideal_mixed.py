@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from mixmult import (FieldSpec, GradedSetting, Ideal, InputError, InstanceLabels,
@@ -280,3 +282,29 @@ class TestFixtureRegistry:
             if fx.labels.first_chain_condition:
                 rep = mixed_report(fx.setting, RunConfig(seed=13))
                 assert all(v > 0 for v in rep.e), fx.name
+
+
+def test_rational_normal_quintic(capsys, tmp_path):
+    """A scale member: the 2x2 minors of the Hankel matrix on x0..x5, whose
+    saturation chain runs ten Rabinowitsch-route generators per step. The
+    values are those recorded before saturation skipped any generator."""
+    from itertools import combinations
+
+    from mixmult.cli import main
+
+    names = [f"x{i}" for i in range(6)]
+    minors = [f"{names[i]}*{names[j + 1]} - {names[i + 1]}*{names[j]}"
+              for i, j in combinations(range(5), 2)]
+    path = tmp_path / "quintic.mix"
+    path.write_text("field F 32003\nring P vars " + " ".join(f"{x}:1" for x in names)
+                    + "\nideal J in P = " + " ; ".join(minors) + "\n")
+    code = main(["ideal-mixed", "--file", str(path), "--ideal", "J", "--seed", "0"])
+    out = capsys.readouterr()
+    assert code == 0, out.err
+    result = json.loads(out.out)["result"]
+    e = [int(v) for v in result["e"]]
+    ht = int(result["height"])
+    assert e == [1, 2, 4, 8, 11, 10]
+    assert (ht, int(result["spread"]), int(result["rho"])) == (4, 6, 5)
+    # the closed form of an ideal generated by quadrics: e_i = 2^i below the height
+    assert e[:ht] == [2**i for i in range(ht)]

@@ -16,25 +16,26 @@ from conftest import saturation_by_colon
 
 from mixmult import Ideal, groebner, saturation
 from mixmult.groebner import _lift, _tagged_ring, eliminate
-from mixmult.instances import random_bigraded_algebra, random_ideal_pair
+from mixmult.instances import graded_ring, random_bigraded_algebra, random_ideal_pair
 
 
 @pytest.fixture
 def routes(monkeypatch):
-    """Counts of Bayer steps and Rabinowitsch eliminations while a test runs."""
-    seen = {"bayer": 0, "rabinowitsch": 0}
-    real_bayer, real_rabinowitsch = groebner._bayer_step, groebner._rabinowitsch
+    """Counts of Bayer steps, Rabinowitsch eliminations and intersections
+    while a test runs."""
+    seen = {"bayer": 0, "rabinowitsch": 0, "intersection": 0}
+    real = {"bayer": groebner._bayer_step, "rabinowitsch": groebner._rabinowitsch,
+            "intersection": groebner.ideal_intersection}
 
-    def bayer(*args):
-        seen["bayer"] += 1
-        return real_bayer(*args)
+    def spy(route):
+        def counted(*args):
+            seen[route] += 1
+            return real[route](*args)
+        return counted
 
-    def rabinowitsch(*args):
-        seen["rabinowitsch"] += 1
-        return real_rabinowitsch(*args)
-
-    monkeypatch.setattr(groebner, "_bayer_step", bayer)
-    monkeypatch.setattr(groebner, "_rabinowitsch", rabinowitsch)
+    monkeypatch.setattr(groebner, "_bayer_step", spy("bayer"))
+    monkeypatch.setattr(groebner, "_rabinowitsch", spy("rabinowitsch"))
+    monkeypatch.setattr(groebner, "ideal_intersection", spy("intersection"))
     return seen
 
 
@@ -93,6 +94,29 @@ def test_inhomogeneous_i_falls_back_to_rabinowitsch(routes):
         J = Ideal(I.ring, _random_monomials(rng, I.ring, 2))
         _check(I, J)
     assert routes["rabinowitsch"] and not routes["bayer"]
+
+
+def test_generator_settled_by_membership_is_skipped(routes):
+    # I = (z) meet (x, y): I : (x+y)^inf = (z), and (x-y)*z lies in I, so the
+    # second generator needs no elimination and no intersection
+    ring = graded_ring(("x", "y", "z"))
+    x, y, z = ring.gens()
+    I, J = Ideal(ring, [x * z, y * z]), Ideal(ring, [x + y, x - y])
+    sat = saturation(I, J)
+    assert routes == {"bayer": 0, "rabinowitsch": 1, "intersection": 0}
+    assert sat.same_ideal(Ideal(ring, [z]))
+    assert sat.same_ideal(saturation_by_colon(I, J))
+
+
+def test_generator_outside_the_colon_is_not_skipped(routes):
+    # I : x^inf = (y), and y*y is not in I = (x*y): both parts and their
+    # intersection run, and the intersection is I again
+    ring = graded_ring(("x", "y", "z"))
+    x, y, _ = ring.gens()
+    I, J = Ideal(ring, [x * y]), Ideal(ring, [x, y])
+    assert saturation(I, J) is I
+    assert routes == {"bayer": 2, "rabinowitsch": 0, "intersection": 1}
+    assert I.same_ideal(saturation_by_colon(I, J))
 
 
 def test_constant_generator_gives_i(routes):

@@ -280,6 +280,9 @@ class TestContainsIdeal:
         monkeypatch.undo()
         forms = I._normal_forms(members + [x**40000 * z, y**3])
         assert [Poly(R, t) for t in forms] == [R.zero()] * 3 + [x**40000 * z]
+
+
+class TestColon:
     def test_monomial_colon(self):
         R = kxyz()
         x, y, _ = R.gens()

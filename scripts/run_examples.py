@@ -66,7 +66,7 @@ def main(seed: int = 0) -> None:
     ]
     for label, ix, iy, degrees in cases:
         js = make_join(ix, iy)
-        rep = sv_degrees(js, config)
+        rep = sv_degrees(js)
         note = ""
         if degrees:
             note = f" (bezout {degrees[0]}*{degrees[1]}: " \

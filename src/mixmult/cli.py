@@ -5,13 +5,15 @@ rees-mult, diagonal-degree, sv, selftest. Every integer in the output is
 serialized as decimal text so arbitrarily large values survive any JSON
 consumer. Exit codes: 0 success, 1 usage or parse error, 2 mathematical
 assertion failure, 3 genericity exhausted, 4 internal error (any other
-exception: its traceback, then one ``internal error:`` line, on stderr).
+exception: its traceback, then one ``internal error:`` line, on stderr). A
+closed stdout exits 1 and prints nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -222,7 +224,7 @@ def _cmd_sv(args, config: RunConfig) -> str:
     inputs["x"] = args.x
     inputs["y"] = args.y
     js = make_join(I_X, I_Y)
-    rep = sv_degrees(js, config)
+    rep = sv_degrees(js)
     if not bezout_check(js, rep):
         raise MathInvariantError("telescoping identity failed")
     result = {
@@ -230,7 +232,7 @@ def _cmd_sv(args, config: RunConfig) -> str:
         "e": rep.e_list,
         "sum": sum(rep.degrees),
     }
-    return _emit("sv", inputs, config, result, {"seeds": rep.seeds})
+    return _emit("sv", inputs, config, result)
 
 
 def _cmd_selftest(args, config: RunConfig) -> str:
@@ -345,7 +347,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
         config = load_config(args.seed, args.prime, args.max_retries)
         print(_SUBCOMMANDS[args.command][2](args, config))
+        sys.stdout.flush()
         return 0
+    except BrokenPipeError:
+        # the reader went away: say nothing, and let the exit flush hit devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _SelftestFailed as exc:
         print(exc.doc)
         print("selftest reported failures", file=sys.stderr)

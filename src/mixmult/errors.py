@@ -31,6 +31,5 @@ class GenericityExhausted(MixmultError):
 
     Raised by ``config.certified_search``, the one draw-then-certify loop,
     when every attempt is rejected: the field is too small, the budget too
-    low, or there is a bug. ``sv`` reaches it when both of its seeds give a
-    negative cycle degree.
+    low, or there is a bug.
     """

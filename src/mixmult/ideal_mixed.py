@@ -497,15 +497,15 @@ def rees_and_diagonal(
 
 
 def rees_bigraded_crosscheck(setting: GradedSetting) -> ETable:
-    """Independent route: regrade the Rees presentation and run the bigraded
-    pipeline; the top diagonal must reproduce the chain values.
+    """e_i(m|J) with no random draw: regrade the Rees presentation and run the
+    bigraded pipeline; the top diagonal is e_0, e_1, ... (zero from l(J) on).
 
-    Needs a polynomial ambient ring and J generated in a single degree c, so
-    that assigning the T variables bidegree (1,0) and the x variables (0,1)
-    makes the presentation bihomogeneous.
+    Needs I = m and J generated in one degree c: with T in bidegree (1,0) and
+    x in (0,1), m^v J^u / m^(v+1) J^u = (J^u)_(uc+v), so R(m|J) is A[Jt]
+    regraded, for any standard graded A.
     """
-    if not setting.defining.is_zero:
-        raise InputError("cross-check needs a polynomial ambient ring")
+    if setting.primary is not None and not setting.primary.same_ideal(setting.maximal_ideal):
+        raise InputError("cross-check needs the maximal ideal as distinguished ideal")
     if not setting.equigenerated:
         raise InputError("cross-check needs an equigenerated ideal")
     pring, pres = rees_presentation(setting)

@@ -269,21 +269,24 @@ def suite_fixtures(config: RunConfig) -> SuiteResult:
     # intersection cycle degrees in the plane
     from .fields import DEFAULT_PRIME, FieldSpec
 
-    field_ = FieldSpec(DEFAULT_PRIME)
-    px = graded_ring(("x0", "x1", "x2"), field_, name="PX")
-    py = graded_ring(("y0", "y1", "y2"), field_, name="PY")
+    def conics_over(field_: FieldSpec):
+        px = graded_ring(("x0", "x1", "x2"), field_, name="PX")
+        py = graded_ring(("y0", "y1", "y2"), field_, name="PY")
+        qx = px.var("x0") * px.var("x2") - px.var("x1") ** 2
+        qy = py.var("y0") * py.var("y1") - py.var("y2") ** 2
+        return px, py, make_join(Ideal(px, [qx]), Ideal(py, [qy]))
+
+    px, py, conics = conics_over(FieldSpec(DEFAULT_PRIME))
     lines = make_join(Ideal(px, [px.var("x2")]), Ideal(py, [py.var("y0")]))
-    rl = sv_degrees(lines, config)
+    rl = sv_degrees(lines)
     res.require(sum(rl.degrees) == 1 and bezout_check(lines, rl, 1, 1),
                 "two lines")
-    qx = px.var("x0") * px.var("x2") - px.var("x1") ** 2
-    qy = py.var("y0") * py.var("y1") - py.var("y2") ** 2
-    conics = make_join(Ideal(px, [qx]), Ideal(py, [qy]))
-    rc = sv_degrees(conics, config)
+    rc = sv_degrees(conics)
     res.require(sum(rc.degrees) == 4 and bezout_check(conics, rc, 2, 2),
                 "two conics")
-    rc2 = sv_degrees(conics, replace(config, seed=config.seed + 77))
-    res.require(rc.degrees == rc2.degrees, "conics dual-seed agreement")
+    # no random draw, so even a field of three elements gives the answer
+    res.require(sum(sv_degrees(conics_over(FieldSpec(3))[2]).degrees) == 4,
+                "two conics over F 3")
     return res
 
 

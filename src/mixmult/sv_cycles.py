@@ -5,22 +5,19 @@ A = k[x_0..x_n, y_0..y_n]/(I_X, I_Y) and the diagonal ideal is
 J = (x_0 - y_0, ..., x_n - y_n). The degree of the i-th intersection cycle is
 the difference e_{i-1}(m|J) - e_i(m|J), so the degrees telescope to e_0.
 
-The generic hyperplanes of the classical construction live over a purely
-transcendental extension; here random scalars stand in for the
-transcendentals. A negative cycle degree can only come from unlucky scalars,
-so ``sv_degrees`` retries it once with a second seed; when both seeds give a
-negative degree it raises ``GenericityExhausted`` (exit 3 in the CLI).
+The e_i come off the diagonal of the regraded Rees algebra A[Jt]
+(``rees_bigraded_crosscheck``) with no random draw, so a negative cycle degree
+is a bug: ``sv_degrees`` raises ``MathInvariantError`` (exit 2 in the CLI).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
-from .config import RunConfig, certified_search
-from .errors import InputError
+from .errors import InputError, MathInvariantError
 from .groebner import Ideal
-from .ideal_mixed import GradedSetting, mixed_report
+from .ideal_mixed import GradedSetting, rees_bigraded_crosscheck
 from .rings import Poly, Ring
 
 
@@ -70,30 +67,22 @@ class SVReport:
 
     degrees: list[int]
     e_list: list[int]  # e_0 .. e_{n+1}, zero beyond the analytic spread
-    seeds: list[int]
+    seeds: list[int]  # always empty: no seed is drawn
 
 
-def sv_degrees(js: JoinSetting, config: RunConfig = RunConfig()) -> SVReport:
-    """deg v_i = e_{i-1} - e_i for i = 1..n+1, from the saturation chain.
-
-    A negative difference signals bad randomness: the chain is redrawn once
-    from ``config.seed + 0x5DEECE66D``, and ``seeds`` lists the seeds tried.
-    """
-    candidates = (config.seed, config.seed + 0x5DEECE66D)
-    seeds: list[int] = []
-
-    def draw() -> list[int]:
-        seeds.append(candidates[len(seeds)])
-        rep = mixed_report(js.setting, replace(config, seed=seeds[-1]))
-        return rep.e + [0] * (js.n + 2 - len(rep.e))
-
-    def certify(e_full: list[int]) -> Optional[list[int]]:
-        degs = [e_full[i - 1] - e_full[i] for i in range(1, js.n + 2)]
-        return degs if min(degs) >= 0 else None
-
-    e_full, degs = certified_search(draw, certify, len(candidates),
-                                    "seed giving nonnegative cycle degrees")
-    return SVReport(degs, e_full, seeds)
+def sv_degrees(js: JoinSetting) -> SVReport:
+    """deg v_i = e_{i-1} - e_i for i = 1..n+1, off the Rees diagonal padded or
+    cut to e_0..e_{n+1}. A cut entry is zero: e_i = 0 for i >= l(J), and the
+    n+1 diagonal forms give l(J) <= n+1."""
+    size = js.n + 2
+    e_full = rees_bigraded_crosscheck(js.setting).diagonal()
+    if any(e_full[size:]):
+        raise MathInvariantError(f"nonzero e_i beyond i = {size - 1}: {e_full}")
+    e_full = (e_full + [0] * size)[:size]
+    degs = [e_full[i - 1] - e_full[i] for i in range(1, size)]
+    if min(degs) < 0:
+        raise MathInvariantError(f"negative cycle degree in {degs}")
+    return SVReport(degs, e_full, [])
 
 
 def bezout_check(

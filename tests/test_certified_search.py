@@ -6,8 +6,6 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from types import SimpleNamespace
-
 import pytest
 
 import mixmult.bigraded as bigraded
@@ -17,6 +15,7 @@ import mixmult.sv_cycles as sv_cycles
 from mixmult.cli import main
 from mixmult.config import RunConfig, certified_search
 from mixmult.errors import GenericityExhausted
+from mixmult.hilbert import ETable
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -83,25 +82,19 @@ class TestExhaustionThroughTheCli:
         assert code == 3 and out == ""
         assert err == f"genericity exhausted: {message}\n"
 
-    def test_sv_tries_two_seeds_then_exits_three(self, capsys, monkeypatch):
-        seeds = []
-
-        def negative_report(setting, config):
-            seeds.append(config.seed)
-            return SimpleNamespace(e=[1, 5])  # e_0 - e_1 < 0
-
-        monkeypatch.setattr(sv_cycles, "mixed_report", negative_report)
+    def test_sv_negative_rees_difference_exits_two(self, capsys, monkeypatch):
+        # nothing is drawn, so a negative degree is a bug (2), not bad luck (3)
+        monkeypatch.setattr(sv_cycles, "rees_bigraded_crosscheck",
+                            lambda setting: ETable(3, {(0, 3): 1, (1, 2): 5}))
         code, out, err = run_cli(capsys, "sv", "--file", str(PROBLEMS / "two_lines.mix"),
                                  "--x", "X", "--y", "Y", "--seed", "7")
-        assert seeds == [7, 7 + 0x5DEECE66D]
-        assert code == 3 and out == ""
-        assert "no seed giving nonnegative cycle degrees found in 2 attempts" in err
+        assert code == 2 and out == ""
+        assert err == "mathematical assertion failed: negative cycle degree in [-4, 5, 0]\n"
 
 
 class TestBudgetReachesEverySearch:
     """Over Q with ``--max-retries 5 --prime 101``, every search that spends
-    the retry budget sees 5, and every coefficient is drawn below 101. (The
-    redraw of ``sv`` has its own budget of two seeds.)"""
+    the retry budget sees 5, and every coefficient is drawn below 101."""
 
     @pytest.fixture
     def spies(self, monkeypatch):
@@ -149,17 +142,14 @@ class TestBudgetReachesEverySearch:
         assert {budget for _, budget in budgets} == {5}
         assert spans and set(spans) == {101}
 
-    def test_sv_searches_get_the_configured_budget(self, capsys, tmp_path, spies):
+    def test_sv_over_q_spends_no_budget_and_draws_nothing(self, capsys, tmp_path, spies):
         budgets, spans = spies
         path = rewrite_field(tmp_path, "two_conics", "Q")
         code, out, err = run_cli(capsys, "sv", "--file", path, "--x", "X", "--y", "Y",
                                  "--max-retries", "5", "--prime", "101")
         assert code == 0, err
         assert json.loads(out)["result"]["sum"] == "4"
-        assert {what for what, _ in budgets} == {
-            "non-zerodivisor element of J", "element of J avoiding the minimal primes"}
-        assert {budget for _, budget in budgets} == {5}
-        assert spans and set(spans) == {101}
+        assert budgets == [] and spans == []
 
 
 def test_selftest_runs_under_its_configuration(capsys, monkeypatch):

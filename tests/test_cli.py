@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -280,3 +284,23 @@ class TestOneSubcommandParser:
                     parser.parse_args([name, "--help"])
                 texts.append(capsys.readouterr().out)
             assert texts[0] == texts[1] and texts[0].startswith(f"usage: mixmult {name}")
+
+
+def test_closed_stdout_exits_quietly():
+    # a pipe whose read end is closed before the command writes to it: the
+    # write fails with EPIPE, as under ``mixmult sv ... | true``
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mixmult", "sv", "--file", "problems/two_lines.mix",
+             "--x", "X", "--y", "Y"],
+            cwd=root, env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

@@ -226,7 +226,16 @@ class TestBigradedCrosscheck:
         with pytest.raises(InputError):
             rees_bigraded_crosscheck(setting)
 
-    def test_two_routes_agree_on_five_fixtures(self, cubic, points):
+    def test_distinguished_ideal_other_than_m_rejected(self):
+        R = Ring("DI", ("x", "y"), ((1, 0),) * 2, F)
+        x, y = R.gens()
+        squares = GradedSetting(R, Ideal(R), Ideal(R, [x]), primary=Ideal(R, [x * x, y * y]))
+        with pytest.raises(InputError, match="maximal ideal"):
+            rees_bigraded_crosscheck(squares)
+        maximal = GradedSetting(R, Ideal(R), Ideal(R, [x]), primary=Ideal(R, [x, y]))
+        assert rees_bigraded_crosscheck(maximal).diagonal() == [1, 0]
+
+    def test_two_routes_agree_on_five_fixtures(self, cubic, points, planes):
         plane2 = Ring("CC2", ("x", "y"), ((1, 0),) * 2, F)
         x, y = plane2.gens()
         space3 = Ring("CC3", ("u", "v", "w"), ((1, 0),) * 3, F)
@@ -238,6 +247,7 @@ class TestBigradedCrosscheck:
             GradedSetting(space3, Ideal(space3), Ideal(space3, space3.gens())),
             cubic.setting,
             points.setting,
+            planes.setting,  # a quotient ambient ring
         ]
         for idx, setting in enumerate(settings):
             table = rees_bigraded_crosscheck(setting)

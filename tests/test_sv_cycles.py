@@ -2,20 +2,26 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from mixmult import (FieldSpec, Ideal, InputError, Ring, RunConfig, bezout_check,
-                     make_join, sv_degrees)
+import mixmult.sv_cycles as sv_cycles
+from mixmult import (ETable, FieldSpec, Ideal, InputError, MathInvariantError, Ring,
+                     bezout_check, make_join, rees_bigraded_crosscheck, sv_degrees)
+from mixmult.cli import main
 
 F = FieldSpec(32003)
 
 
-def proj_plane(prefix: str) -> Ring:
-    return Ring(f"P_{prefix}", tuple(f"{prefix}{i}" for i in range(3)), ((1, 0),) * 3, F)
+def proj_space(prefix: str, n: int = 2, field: FieldSpec = F) -> Ring:
+    """P^n with variables prefix0..prefix<n>."""
+    return Ring(f"P{n}_{prefix}", tuple(f"{prefix}{i}" for i in range(n + 1)),
+                ((1, 0),) * (n + 1), field)
 
 
-PX = proj_plane("x")
-PY = proj_plane("y")
+PX = proj_space("x")
+PY = proj_space("y")
 
 
 def line_x():
@@ -57,27 +63,27 @@ class TestJoins:
 class TestDegrees:
     def test_two_lines(self):
         js = make_join(line_x(), line_y())
-        rep = sv_degrees(js, RunConfig(seed=1))
+        rep = sv_degrees(js)
         assert sum(rep.degrees) == 1
         assert all(d >= 0 for d in rep.degrees)
         assert bezout_check(js, rep, 1, 1)
 
     def test_two_conics(self):
         js = make_join(conic_x(), conic_y())
-        rep = sv_degrees(js, RunConfig(seed=1))
+        rep = sv_degrees(js)
         assert sum(rep.degrees) == 4
         assert bezout_check(js, rep, 2, 2)
 
     def test_line_self_intersection(self):
         js = make_join(line_x(), Ideal(PY, [PY.var("y2")]))
-        rep = sv_degrees(js, RunConfig(seed=1))
+        rep = sv_degrees(js)
         assert sum(rep.degrees) == 1
         # the distinguished cycle is the line itself, one dimension down
         assert rep.degrees == [0, 1, 0]
 
     def test_line_against_conic(self):
         js = make_join(line_x(), conic_y())
-        rep = sv_degrees(js, RunConfig(seed=1))
+        rep = sv_degrees(js)
         assert sum(rep.degrees) == 2
         assert bezout_check(js, rep, 1, 2)
 
@@ -85,10 +91,57 @@ class TestDegrees:
         for ix, iy in ((line_x(), line_y()), (conic_x(), conic_y()),
                        (line_x(), conic_y())):
             js = make_join(ix, iy)
-            rep = sv_degrees(js, RunConfig(seed=4))
+            rep = sv_degrees(js)
             assert sum(rep.degrees) == rep.e_list[0]
             assert rep.e_list[-1] == 0
 
-    def test_seed_independence(self):
-        js = make_join(conic_x(), conic_y())
-        assert sv_degrees(js, RunConfig(seed=0)).degrees == sv_degrees(js, RunConfig(seed=31337)).degrees
+    def test_seed_independence(self, capsys):
+        docs = []
+        for seed in ("0", "7"):
+            code = main(["sv", "--file", "problems/two_conics.mix", "--x", "X",
+                         "--y", "Y", "--seed", seed])
+            out = capsys.readouterr()
+            assert code == 0, out.err
+            docs.append(json.loads(out.out))
+        assert docs[0]["result"] == docs[1]["result"]
+        assert docs[0]["certificates"] == docs[1]["certificates"] == {}
+
+
+class TestReesRoute:
+    """The e_i come off the regraded Rees diagonal: cut or padded to n + 2
+    entries, and the same over any field, since nothing is drawn."""
+
+    def test_two_planes_in_p3_cut_the_diagonal(self):
+        px, py = proj_space("x", 3), proj_space("y", 3)
+        js = make_join(Ideal(px, [px.var("x3")]), Ideal(py, [py.var("y0")]))
+        # A has dimension 6, so the diagonal has 6 entries: one more than n + 2
+        diagonal = rees_bigraded_crosscheck(js.setting).diagonal()
+        assert len(diagonal) == 6 and diagonal[:5] == [1, 1, 1, 1, 0]
+        rep = sv_degrees(js)
+        assert rep.degrees == [0, 0, 0, 1]
+        assert rep.e_list == [1, 1, 1, 1, 0]
+
+    def test_two_points_in_p2_pad_the_diagonal(self):
+        px, py = PX, PY
+        # the points (1:0:0) and (0:1:0): A has dimension 2, so two entries
+        js = make_join(Ideal(px, [px.var("x1"), px.var("x2")]),
+                       Ideal(py, [py.var("y0"), py.var("y2")]))
+        assert rees_bigraded_crosscheck(js.setting).diagonal() == [1, 1]
+        rep = sv_degrees(js)
+        assert rep.degrees == [0, 1, 0]
+        assert rep.e_list == [1, 1, 0, 0]
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_two_conics_over_a_small_field(self, p):
+        px, py = proj_space("x", 2, FieldSpec(p)), proj_space("y", 2, FieldSpec(p))
+        js = make_join(Ideal(px, [px.var("x0") * px.var("x2") - px.var("x1") ** 2]),
+                       Ideal(py, [py.var("y0") * py.var("y1") - py.var("y2") ** 2]))
+        rep = sv_degrees(js)
+        assert rep.degrees == [0, 0, 4]
+        assert bezout_check(js, rep, 2, 2)
+
+    def test_a_nonzero_entry_past_n_plus_one_is_refused(self, monkeypatch):
+        monkeypatch.setattr(sv_cycles, "rees_bigraded_crosscheck",
+                            lambda setting: ETable(4, {(0, 4): 1, (4, 0): 1}))
+        with pytest.raises(MathInvariantError):
+            sv_degrees(make_join(line_x(), line_y()))

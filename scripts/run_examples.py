@@ -65,12 +65,11 @@ def main(seed: int = 0) -> None:
          Ideal(py, [py.var("y2")]), None),
     ]
     for label, ix, iy, degrees in cases:
-        js = make_join(ix, iy)
-        rep = sv_degrees(js)
+        rep = sv_degrees(make_join(ix, iy))
         note = ""
         if degrees:
             note = f" (bezout {degrees[0]}*{degrees[1]}: " \
-                   f"{bezout_check(js, rep, *degrees)})"
+                   f"{bezout_check(rep, *degrees)})"
         print(f"{label:16s} degrees={rep.degrees} sum={sum(rep.degrees)}{note}")
 
     print(f"total time: {time.monotonic() - t0:.1f}s", file=sys.stderr)

@@ -23,6 +23,6 @@ from .ideal_mixed import (GradedSetting, InstanceLabels, MixedIdealReport,
                           sat_chain)
 from .problemfile import ProblemFile, parse_problem, print_problem
 from .rings import Bidegree, Poly, Ring, monomials_of_bidegree, swap_ring
-from .sv_cycles import JoinSetting, SVReport, bezout_check, make_join, sv_degrees
+from .sv_cycles import SVReport, bezout_check, make_join, sv_degrees
 
 __version__ = "0.1.0"

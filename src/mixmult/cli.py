@@ -223,9 +223,8 @@ def _cmd_sv(args, config: RunConfig) -> str:
     I_Y = _pick_ideal(pf, args.y)
     inputs["x"] = args.x
     inputs["y"] = args.y
-    js = make_join(I_X, I_Y)
-    rep = sv_degrees(js)
-    if not bezout_check(js, rep):
+    rep = sv_degrees(make_join(I_X, I_Y))
+    if not bezout_check(rep):
         raise MathInvariantError("telescoping identity failed")
     result = {
         "degrees": rep.degrees,

@@ -347,17 +347,11 @@ class ETable:
         )
 
 
-def e_table(P: HilbertPoly2, r_expected: Optional[int] = None) -> ETable:
+def e_table(P: HilbertPoly2) -> ETable:
     """Read the mixed multiplicities off the polynomial's top diagonal."""
     if P.is_zero:
-        if r_expected is not None:
-            raise MathInvariantError("expected a nonzero Hilbert polynomial")
         return ETable(None)
     r = P.total_degree
-    if r_expected is not None and r != r_expected:
-        raise MathInvariantError(
-            f"Hilbert polynomial degree {r} disagrees with expected {r_expected}"
-        )
     entries = {}
     for i in range(r + 1):
         v = P.coeffs.get((i, r - i), 0)

@@ -67,6 +67,8 @@ class GradedSetting:
         for g in self.defining.gens + self.J.gens:
             if g.bidegree() is None:
                 raise InputError(f"inhomogeneous generator {g}")
+        if self.J.is_zero:
+            raise InputError("J is the zero ideal")
         if self.defining.is_unit:
             raise InputError("the ambient ideal is the unit ideal, so A is the zero ring")
         if self.primary is not None:
@@ -100,8 +102,6 @@ class GradedSetting:
 
     def working_degree(self) -> int:
         """The largest generator degree, where generic elements are drawn."""
-        if not self.generator_degrees:
-            raise InputError("J is the zero ideal")
         return self.generator_degrees[-1]
 
 
@@ -121,27 +121,19 @@ _JACOBIAN_SEED = 0x7AC0B1
 
 
 def rees_presentation(setting: GradedSetting) -> tuple[Ring, Ideal]:
-    """Presentation ideal of the Rees algebra A[Jt] inside k[x, T].
+    """Presentation ideal of the Rees algebra A[Jt] inside k[x, T], in the
+    grading of R(m|J): x in bidegree (0,1), T_l in (1,0).
 
-    Computed by eliminating t from I_A + (T_l - t * g_l). The T names are
-    chosen fresh against the ambient variables.
+    Computed by eliminating t from I_A + (T_l - t * g_l). The T are named
+    ``#T1..#Ts``, like the elimination tags, so no parsed variable clashes
+    with them. The result is bihomogeneous when J is generated in one degree.
     """
     ring = setting.ring
     gens = setting.J.gens
-    if not gens:
-        raise InputError("J is the zero ideal")
-    taken = set(ring.variables)
-    tnames = []
-    for i in range(1, len(gens) + 1):
-        name = f"T{i}"
-        while name in taken:
-            name = name + "_"
-        taken.add(name)
-        tnames.append(name)
     present_ring = Ring(
         ring.name + "_rees",
-        ring.variables + tuple(tnames),
-        ring.bidegrees + ((1, 0),) * len(tnames),
+        ring.variables + tuple(f"#T{i}" for i in range(1, len(gens) + 1)),
+        ((0, 1),) * ring.nvars + ((1, 0),) * len(gens),
         ring.field,
     )
     work = _tagged_ring(present_ring, 1)
@@ -228,10 +220,7 @@ def order_of(setting: GradedSetting) -> int:
     The identity with the first mixed multiplicity holds for a polynomial
     ambient ring; a nonzero defining ideal makes the value merely heuristic.
     """
-    gb = setting.J.groebner()
-    if not gb:
-        raise InputError("J is the zero ideal")
-    return min(g.total_exp_degree() for g in gb)
+    return min(g.total_exp_degree() for g in setting.J.groebner())
 
 
 # ---------------------------------------------------------------------------
@@ -261,18 +250,23 @@ class SatChain:
         return [self.dim0] + [s.dim for s in self.steps]
 
 
-def sat_chain(setting: GradedSetting, upto: int, config: RunConfig = RunConfig()) -> SatChain:
-    """Build S_0, ..., S_upto with per-step non-zerodivisor certificates.
+def sat_chain(setting: GradedSetting, upto: Optional[int] = None,
+              config: RunConfig = RunConfig()) -> SatChain:
+    """Build S_0, ..., S_upto with per-step non-zerodivisor certificates;
+    ``upto`` defaults to l(J) - 1 (0 when l(J) = 0).
 
     J must be generated in one degree: lifted to a common degree, the
     elements would be generic in the truncation of J there, whose mixed
-    multiplicities are not those of J.
+    multiplicities are not those of J. That is checked before the spread,
+    which may cost an elimination.
     """
     if len(setting.generator_degrees) > 1:
         raise InputError("the chain needs J generated in one degree; its generators "
                          "have degrees "
                          + ", ".join(str(d) for d in setting.generator_degrees))
     spread = setting.spread
+    if upto is None:
+        upto = max(spread - 1, 0)
     if upto > spread:
         raise InputError(f"chain length {upto} exceeds the analytic spread {spread}")
     s0 = setting.s0
@@ -364,9 +358,7 @@ def e_i_values(setting: GradedSetting, chain: SatChain) -> MixedIdealReport:
 
 def mixed_report(setting: GradedSetting, config: RunConfig = RunConfig()) -> MixedIdealReport:
     """Chain all the way to s(J) - 1 and extract the report."""
-    spread = setting.spread
-    chain = sat_chain(setting, max(spread - 1, 0), config)
-    return e_i_values(setting, chain)
+    return e_i_values(setting, sat_chain(setting, config=config))
 
 
 # ---------------------------------------------------------------------------
@@ -497,31 +489,21 @@ def rees_and_diagonal(
 
 
 def rees_bigraded_crosscheck(setting: GradedSetting) -> ETable:
-    """e_i(m|J) with no random draw: regrade the Rees presentation and run the
-    bigraded pipeline; the top diagonal is e_0, e_1, ... (zero from l(J) on).
+    """e_i(m|J) with no random draw: the bigraded pipeline on the Rees
+    presentation; the top diagonal is e_0, e_1, ... (zero from l(J) on).
 
     Needs I = m and J generated in one degree c: with T in bidegree (1,0) and
-    x in (0,1), m^v J^u / m^(v+1) J^u = (J^u)_(uc+v), so R(m|J) is A[Jt]
-    regraded, for any standard graded A.
+    x in (0,1), m^v J^u / m^(v+1) J^u = (J^u)_(uc+v), so R(m|J) is A[Jt] in
+    the grading ``rees_presentation`` gives it, for any standard graded A.
     """
     if setting.primary is not None and not setting.primary.same_ideal(setting.maximal_ideal):
         raise InputError("cross-check needs the maximal ideal as distinguished ideal")
     if not setting.equigenerated:
         raise InputError("cross-check needs an equigenerated ideal")
     pring, pres = rees_presentation(setting)
-    nx = setting.ring.nvars
-    regraded = Ring(
-        pring.name + "_bi",
-        pring.variables,
-        ((0, 1),) * nx + ((1, 0),) * (pring.nvars - nx),
-        pring.field,
-    )
-    gens = [Poly(regraded, dict(g.terms), _trusted=True) for g in pres.gens]
-    for g in gens:
-        if g.bidegree() is None:
-            raise MathInvariantError("Rees presentation failed to be bihomogeneous")
-    alg = BigradedAlgebra(regraded, Ideal(regraded, gens))
-    return e_table_full(alg)
+    if any(g.bidegree() is None for g in pres.gens):
+        raise MathInvariantError("Rees presentation failed to be bihomogeneous")
+    return e_table_full(BigradedAlgebra(pring, pres))
 
 
 # ---------------------------------------------------------------------------

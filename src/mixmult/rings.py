@@ -295,8 +295,6 @@ def monomials_of_bidegree(ring: Ring, u: int, v: int) -> Iterator[Exponent]:
         cap = ru // d1 if d1 else rv // d2
         if d1 and d2:
             cap = min(ru // d1, rv // d2)
-        elif d2 and not d1:
-            cap = rv // d2
         for e in range(cap + 1):
             cur[i] = e
             yield from rec(i + 1, ru - e * d1, rv - e * d2)

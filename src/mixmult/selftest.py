@@ -279,10 +279,10 @@ def suite_fixtures(config: RunConfig) -> SuiteResult:
     px, py, conics = conics_over(FieldSpec(DEFAULT_PRIME))
     lines = make_join(Ideal(px, [px.var("x2")]), Ideal(py, [py.var("y0")]))
     rl = sv_degrees(lines)
-    res.require(sum(rl.degrees) == 1 and bezout_check(lines, rl, 1, 1),
+    res.require(sum(rl.degrees) == 1 and bezout_check(rl, 1, 1),
                 "two lines")
     rc = sv_degrees(conics)
-    res.require(sum(rc.degrees) == 4 and bezout_check(conics, rc, 2, 2),
+    res.require(sum(rc.degrees) == 4 and bezout_check(rc, 2, 2),
                 "two conics")
     # no random draw, so even a field of three elements gives the answer
     res.require(sum(sv_degrees(conics_over(FieldSpec(3))[2]).degrees) == 4,

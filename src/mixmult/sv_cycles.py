@@ -5,9 +5,11 @@ A = k[x_0..x_n, y_0..y_n]/(I_X, I_Y) and the diagonal ideal is
 J = (x_0 - y_0, ..., x_n - y_n). The degree of the i-th intersection cycle is
 the difference e_{i-1}(m|J) - e_i(m|J), so the degrees telescope to e_0.
 
-The e_i come off the diagonal of the regraded Rees algebra A[Jt]
-(``rees_bigraded_crosscheck``) with no random draw, so a negative cycle degree
-is a bug: ``sv_degrees`` raises ``MathInvariantError`` (exit 2 in the CLI).
+The join is a ``GradedSetting``: the ambient ring, I_X + I_Y lifted into it,
+and J. The e_i come off the diagonal of the Rees algebra A[Jt] graded as
+R(m|J) (``rees_bigraded_crosscheck``) with no random draw, so a negative
+cycle degree is a bug: ``sv_degrees`` raises ``MathInvariantError`` (exit 2
+in the CLI).
 """
 
 from __future__ import annotations
@@ -21,21 +23,9 @@ from .ideal_mixed import GradedSetting, rees_bigraded_crosscheck
 from .rings import Poly, Ring
 
 
-@dataclass
-class JoinSetting:
-    """The ruled-join ambient ring with the diagonal ideal."""
-
-    n: int
-    ring: Ring
-    setting: GradedSetting
-
-    @property
-    def diagonal(self) -> Ideal:
-        return self.setting.J
-
-
-def make_join(I_X: Ideal, I_Y: Ideal) -> JoinSetting:
-    """Assemble the join of V(I_X) in P^n (x-ring) and V(I_Y) in P^n (y-ring)."""
+def make_join(I_X: Ideal, I_Y: Ideal) -> GradedSetting:
+    """The join of V(I_X) in P^n (x-ring) and V(I_Y) in P^n (y-ring): its
+    ambient ring, the lifted I_X + I_Y, and J = (x_0 - y_0, ..., x_n - y_n)."""
     rx, ry = I_X.ring, I_Y.ring
     if rx.nvars != ry.nvars:
         raise InputError("the two projective spaces have different dimensions")
@@ -57,8 +47,7 @@ def make_join(I_X: Ideal, I_Y: Ideal) -> JoinSetting:
     lift_y = [Poly(ring, {(0,) * (n + 1) + e: c for e, c in g.terms.items()}, _trusted=True)
               for g in I_Y.gens]
     diag = [ring.var(i) - ring.var(n + 1 + i) for i in range(n + 1)]
-    setting = GradedSetting(ring, Ideal(ring, lift_x + lift_y), Ideal(ring, diag))
-    return JoinSetting(n, ring, setting)
+    return GradedSetting(ring, Ideal(ring, lift_x + lift_y), Ideal(ring, diag))
 
 
 @dataclass
@@ -70,12 +59,12 @@ class SVReport:
     seeds: list[int]  # always empty: no seed is drawn
 
 
-def sv_degrees(js: JoinSetting) -> SVReport:
-    """deg v_i = e_{i-1} - e_i for i = 1..n+1, off the Rees diagonal padded or
-    cut to e_0..e_{n+1}. A cut entry is zero: e_i = 0 for i >= l(J), and the
-    n+1 diagonal forms give l(J) <= n+1."""
-    size = js.n + 2
-    e_full = rees_bigraded_crosscheck(js.setting).diagonal()
+def sv_degrees(join: GradedSetting) -> SVReport:
+    """deg v_i = e_{i-1} - e_i for i = 1..n+1, off the Rees diagonal of the
+    join (``make_join``) padded or cut to e_0..e_{n+1}. A cut entry is zero:
+    e_i = 0 for i >= l(J), and the n+1 diagonal forms give l(J) <= n+1."""
+    size = len(join.J.gens) + 1
+    e_full = rees_bigraded_crosscheck(join).diagonal()
     if any(e_full[size:]):
         raise MathInvariantError(f"nonzero e_i beyond i = {size - 1}: {e_full}")
     e_full = (e_full + [0] * size)[:size]
@@ -85,12 +74,8 @@ def sv_degrees(js: JoinSetting) -> SVReport:
     return SVReport(degs, e_full, [])
 
 
-def bezout_check(
-    js: JoinSetting,
-    report: SVReport,
-    deg_x: Optional[int] = None,
-    deg_y: Optional[int] = None,
-) -> bool:
+def bezout_check(report: SVReport, deg_x: Optional[int] = None,
+                 deg_y: Optional[int] = None) -> bool:
     """Telescoping identity, plus the Bezout product when labels are given."""
     ok = sum(report.degrees) == report.e_list[0]
     if deg_x is not None and deg_y is not None:

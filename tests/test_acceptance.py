@@ -97,7 +97,7 @@ def test_criterion_6_intersection_cycles():
     lines = make_join(Ideal(px, [px.var("x2")]), Ideal(py, [py.var("y0")]))
     rl = sv_degrees(lines)
     ok = sum(rl.degrees) == 1 and all(d >= 0 for d in rl.degrees)
-    ok = ok and bezout_check(lines, rl, 1, 1)
+    ok = ok and bezout_check(rl, 1, 1)
     t_lines = time.monotonic() - start
     start2 = time.monotonic()
     conics = make_join(
@@ -106,7 +106,7 @@ def test_criterion_6_intersection_cycles():
     )
     rc = sv_degrees(conics)
     ok = ok and sum(rc.degrees) == 4 and all(d >= 0 for d in rc.degrees)
-    ok = ok and bezout_check(conics, rc, 2, 2)
+    ok = ok and bezout_check(rc, 2, 2)
     t_conics = time.monotonic() - start2
     report(6, "intersection cycle degrees",
            ok and t_lines < 120 and t_conics < 120, t_lines + t_conics)

@@ -167,6 +167,31 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == "error: the ambient ideal is the unit ideal, so A is the zero ring\n"
 
+    @pytest.mark.parametrize("command", ["ideal-mixed", "rees-mult", "diagonal-degree"])
+    def test_zero_ideal_is_one(self, capsys, tmp_path, command):
+        path = tmp_path / "zero.mix"
+        path.write_text("field F 32003\nring R vars a:1 b:1 c:1\nideal J in R = 0\n")
+        code, out, err = run_cli(capsys, command, "--file", str(path), "--ideal", "J")
+        assert code == 1 and out == ""
+        assert err == "error: J is the zero ideal\n"
+
+    def test_mixed_degrees_refused_before_the_spread(self, capsys, tmp_path, monkeypatch):
+        # the spread of this J needs the Rees presentation; the refusal must not
+        import mixmult.ideal_mixed as ideal_mixed
+
+        def boom(*a, **k):
+            raise RuntimeError("the Rees presentation was built")
+
+        monkeypatch.setattr(ideal_mixed, "rees_presentation", boom)
+        path = tmp_path / "mixed_degrees.mix"
+        path.write_text("field F 32003\nring R vars x:1 y:1 z:1 w:1\n"
+                        "ideal J in R = x*y ; y^3 + z^3 ; x^4 + w^4 + z*w^3\n")
+        code, out, err = run_cli(capsys, "ideal-mixed", "--file", str(path),
+                                 "--ideal", "J")
+        assert code == 1 and out == ""
+        assert err == ("error: the chain needs J generated in one degree; its "
+                       "generators have degrees 2, 3, 4\n")
+
     @pytest.mark.parametrize("text", ["ring R vars x:(2,0) y:(0,1)\nideal I in R = x*y\n",
                                       "ring R vars x:2 y:2\nideal I in R = x^2\n"])
     def test_hilbert_on_other_degrees_is_zero_without_a_multiplicity(self, capsys,

@@ -133,11 +133,6 @@ class TestETable:
         with pytest.raises(MathInvariantError):
             e_table(P)
 
-    def test_degree_mismatch_rejected(self):
-        P = HilbertPoly2({(0, 0): 1}, 0, 0, 0, 0, 0)
-        with pytest.raises(MathInvariantError):
-            e_table(P, r_expected=1)
-
 
 class TestTotalMultiplicity:
     def test_affine_plane(self):

@@ -9,7 +9,7 @@ import pytest
 from mixmult import (FieldSpec, GradedSetting, Ideal, InputError, InstanceLabels,
                      Ring, RunConfig, analytic_spread, closed_form_oracles, height_of,
                      ideal_power, is_reduction_of, mixed_report, order_of,
-                     rees_and_diagonal, rees_bigraded_crosscheck,
+                     rees_and_diagonal, rees_bigraded_crosscheck, rees_presentation,
                      reduction_invariance_check, sat_chain)
 from mixmult.instances import (ideal_fixtures, maximal_ideal_plane,
                                nonrigid_pair_of_planes, reduction_pairs,
@@ -218,6 +218,23 @@ class TestBigradedCrosscheck:
         expected = rep.e + [0] * (table.r + 1 - len(rep.e))
         assert table.diagonal() == expected
         assert table.r == rep.dim_a - 1
+
+    def test_presentation_is_graded_as_r_m_j(self, cubic):
+        # x in bidegree (0,1), T_l in (1,0), named like the elimination tags
+        pring, pres = rees_presentation(cubic.setting)
+        nx, s = cubic.setting.ring.nvars, len(cubic.setting.J.gens)
+        assert pring.bidegrees == ((0, 1),) * nx + ((1, 0),) * s
+        assert pring.variables[nx:] == ("#T1", "#T2", "#T3")
+        assert all(g.bidegree() is not None for g in pres.gens)
+
+    def test_ambient_variables_named_like_rees_variables(self):
+        tables = []
+        for names in (("x", "y"), ("T1", "T2")):
+            R = Ring("TN", names, ((1, 0),) * 2, F)
+            a, b = R.gens()
+            tables.append(rees_bigraded_crosscheck(
+                GradedSetting(R, Ideal(R), Ideal(R, [a * a, a * b]))))
+        assert tables[0].diagonal() == tables[1].diagonal() == [1, 1]
 
     def test_non_equigenerated_rejected(self):
         R = Ring("NE", ("x", "y", "z"), ((1, 0),) * 3, F)

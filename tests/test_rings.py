@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -139,6 +140,18 @@ class TestGrading:
         # two (1,0)-variables and one (0,1)-variable
         assert len(list(monomials_of_bidegree(R, 3, 2))) == 4
         assert len(list(monomials_of_bidegree(R, 0, 0))) == 1
+
+    def test_monomial_enumeration_with_weighted_bidegrees(self):
+        # variables of bidegree (2,0), (0,3), (1,1), (1,2), against every
+        # exponent tuple small enough to reach the bidegree
+        R = Ring("W", ("a", "b", "c", "d"), ((2, 0), (0, 3), (1, 1), (1, 2)), QQ)
+        brute: dict = {}
+        for e in itertools.product(range(8), repeat=4):
+            brute.setdefault(R.monomial_bidegree(e), []).append(e)
+        for u in range(6):
+            for v in range(8):
+                listed = list(monomials_of_bidegree(R, u, v))
+                assert sorted(listed) == brute.get((u, v), []), (u, v)
 
     def test_swap_ring_transposes_bidegrees(self):
         R = swap_ring(ring_q())

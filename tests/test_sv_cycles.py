@@ -42,9 +42,9 @@ def conic_y():
 
 class TestJoins:
     def test_join_shape(self):
-        js = make_join(line_x(), line_y())
-        assert js.n == 2 and js.ring.nvars == 6
-        assert len(js.diagonal.gens) == 3
+        join = make_join(line_x(), line_y())
+        assert join.ring.nvars == 6 and len(join.J.gens) == 3
+        assert len(join.defining.gens) == 2
 
     def test_dimension_mismatch_rejected(self):
         small = Ring("P1", ("y0", "y1"), ((1, 0),) * 2, F)
@@ -62,36 +62,36 @@ class TestJoins:
 
 class TestDegrees:
     def test_two_lines(self):
-        js = make_join(line_x(), line_y())
-        rep = sv_degrees(js)
+        join = make_join(line_x(), line_y())
+        rep = sv_degrees(join)
         assert sum(rep.degrees) == 1
         assert all(d >= 0 for d in rep.degrees)
-        assert bezout_check(js, rep, 1, 1)
+        assert bezout_check(rep, 1, 1)
 
     def test_two_conics(self):
-        js = make_join(conic_x(), conic_y())
-        rep = sv_degrees(js)
+        join = make_join(conic_x(), conic_y())
+        rep = sv_degrees(join)
         assert sum(rep.degrees) == 4
-        assert bezout_check(js, rep, 2, 2)
+        assert bezout_check(rep, 2, 2)
 
     def test_line_self_intersection(self):
-        js = make_join(line_x(), Ideal(PY, [PY.var("y2")]))
-        rep = sv_degrees(js)
+        join = make_join(line_x(), Ideal(PY, [PY.var("y2")]))
+        rep = sv_degrees(join)
         assert sum(rep.degrees) == 1
         # the distinguished cycle is the line itself, one dimension down
         assert rep.degrees == [0, 1, 0]
 
     def test_line_against_conic(self):
-        js = make_join(line_x(), conic_y())
-        rep = sv_degrees(js)
+        join = make_join(line_x(), conic_y())
+        rep = sv_degrees(join)
         assert sum(rep.degrees) == 2
-        assert bezout_check(js, rep, 1, 2)
+        assert bezout_check(rep, 1, 2)
 
     def test_telescoping_identity_always(self):
         for ix, iy in ((line_x(), line_y()), (conic_x(), conic_y()),
                        (line_x(), conic_y())):
-            js = make_join(ix, iy)
-            rep = sv_degrees(js)
+            join = make_join(ix, iy)
+            rep = sv_degrees(join)
             assert sum(rep.degrees) == rep.e_list[0]
             assert rep.e_list[-1] == 0
 
@@ -113,32 +113,32 @@ class TestReesRoute:
 
     def test_two_planes_in_p3_cut_the_diagonal(self):
         px, py = proj_space("x", 3), proj_space("y", 3)
-        js = make_join(Ideal(px, [px.var("x3")]), Ideal(py, [py.var("y0")]))
+        join = make_join(Ideal(px, [px.var("x3")]), Ideal(py, [py.var("y0")]))
         # A has dimension 6, so the diagonal has 6 entries: one more than n + 2
-        diagonal = rees_bigraded_crosscheck(js.setting).diagonal()
+        diagonal = rees_bigraded_crosscheck(join).diagonal()
         assert len(diagonal) == 6 and diagonal[:5] == [1, 1, 1, 1, 0]
-        rep = sv_degrees(js)
+        rep = sv_degrees(join)
         assert rep.degrees == [0, 0, 0, 1]
         assert rep.e_list == [1, 1, 1, 1, 0]
 
     def test_two_points_in_p2_pad_the_diagonal(self):
         px, py = PX, PY
         # the points (1:0:0) and (0:1:0): A has dimension 2, so two entries
-        js = make_join(Ideal(px, [px.var("x1"), px.var("x2")]),
-                       Ideal(py, [py.var("y0"), py.var("y2")]))
-        assert rees_bigraded_crosscheck(js.setting).diagonal() == [1, 1]
-        rep = sv_degrees(js)
+        join = make_join(Ideal(px, [px.var("x1"), px.var("x2")]),
+                         Ideal(py, [py.var("y0"), py.var("y2")]))
+        assert rees_bigraded_crosscheck(join).diagonal() == [1, 1]
+        rep = sv_degrees(join)
         assert rep.degrees == [0, 1, 0]
         assert rep.e_list == [1, 1, 0, 0]
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_two_conics_over_a_small_field(self, p):
         px, py = proj_space("x", 2, FieldSpec(p)), proj_space("y", 2, FieldSpec(p))
-        js = make_join(Ideal(px, [px.var("x0") * px.var("x2") - px.var("x1") ** 2]),
-                       Ideal(py, [py.var("y0") * py.var("y1") - py.var("y2") ** 2]))
-        rep = sv_degrees(js)
+        join = make_join(Ideal(px, [px.var("x0") * px.var("x2") - px.var("x1") ** 2]),
+                         Ideal(py, [py.var("y0") * py.var("y1") - py.var("y2") ** 2]))
+        rep = sv_degrees(join)
         assert rep.degrees == [0, 0, 4]
-        assert bezout_check(js, rep, 2, 2)
+        assert bezout_check(rep, 2, 2)
 
     def test_a_nonzero_entry_past_n_plus_one_is_refused(self, monkeypatch):
         monkeypatch.setattr(sv_cycles, "rees_bigraded_crosscheck",

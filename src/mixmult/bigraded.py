@@ -169,7 +169,6 @@ def degrees_report(alg: BigradedAlgebra) -> DegreesReport:
 @dataclass
 class FilterStep:
     element: Poly
-    bidegree: Bidegree
     ok: bool
 
     def __bool__(self) -> bool:  # a step certifies its element only when it passed
@@ -184,7 +183,6 @@ class FilterRegularCertificate:
     ideal: Ideal
     steps: list[FilterStep] = field(default_factory=list)
     ok: bool = True
-    seed: Optional[int] = None
 
     @property
     def elements(self) -> list[Poly]:
@@ -192,12 +190,11 @@ class FilterRegularCertificate:
 
 
 def _filter_step(alg: BigradedAlgebra, prev: Ideal, z: Poly) -> FilterStep:
-    bideg = z.bidegree()
-    if bideg is None:
+    if z.bidegree() is None:
         raise InputError(f"inhomogeneous sequence element {z}")
     alg._need_both_kinds()
     torsion = HilbertSeries2(alg.ring, colon_numerator(prev, z))
-    return FilterStep(z, bideg, polynomial_of(torsion).is_zero)
+    return FilterStep(z, polynomial_of(torsion).is_zero)
 
 
 def is_filter_regular(
@@ -213,7 +210,7 @@ def is_filter_regular(
     if cert is None:
         cert = FilterRegularCertificate(alg.defining)
     else:
-        cert = FilterRegularCertificate(cert.ideal, list(cert.steps), seed=cert.seed)
+        cert = FilterRegularCertificate(cert.ideal, list(cert.steps))
     for z in seq:
         step = _filter_step(alg, cert.ideal, z)
         cert.steps.append(step)
@@ -264,7 +261,7 @@ def find_filter_regular(
     for kind in pattern:
         if kind not in ((1, 0), (0, 1)):
             raise InputError(f"pattern entries must be (1,0) or (0,1), got {kind}")
-    cert = FilterRegularCertificate(alg.defining, seed=config.seed)
+    cert = FilterRegularCertificate(alg.defining)
     _extend(alg, cert, pattern, config, "filter-regular element of bidegree {}")
     return cert
 
@@ -284,31 +281,32 @@ def _extend(alg: BigradedAlgebra, cert: FilterRegularCertificate,
         cert.ideal = ideal_sum(cert.ideal, [z])
 
 
-def e_positivity(
-    alg: BigradedAlgebra,
-    i: int,
-    j: int,
-    config: RunConfig = RunConfig(),
-    sequence: Optional[Sequence[Poly]] = None,
-) -> tuple[bool, int, FilterRegularCertificate]:
-    """Positivity test for e_ij: does the saturated quotient by i generic
-    (1,0)-forms plus all (1,0)-variables have dimension j + 1?"""
+def _check_top_diagonal(alg: BigradedAlgebra, i: int, j: int) -> None:
+    """Raise unless (i, j) lies on the top diagonal of a nonzero polynomial."""
     report = alg.degrees
     if report.r is None:
         raise InputError("the Hilbert polynomial vanishes; no top diagonal")
     if i < 0 or j < 0 or i + j != report.r:
         raise InputError(f"(i, j) = {(i, j)} is not on the top diagonal of degree {report.r}")
-    if sequence is not None:
-        seq = list(sequence)[:i]
-        if len(seq) != i or any(z.bidegree() != (1, 0) for z in seq):
-            raise InputError(f"need {i} elements of bidegree (1,0)")
-        cert = is_filter_regular(alg, seq)
-        if not cert.ok:
-            raise InputError("supplied sequence is not filter-regular")
-    else:
-        cert = find_filter_regular(alg, [(1, 0)] * i, config)
-    sat = alg.saturate(cert.ideal)
-    witness_dim = krull_dim(ideal_sum(sat, alg.r1_ideal))
+
+
+def _witness_dim(alg: BigradedAlgebra, cert: FilterRegularCertificate) -> int:
+    """dim of the saturated quotient by the certified elements plus all
+    (1,0)-variables: j + 1 exactly when the cell's e_ij is positive."""
+    return krull_dim(ideal_sum(alg.saturate(cert.ideal), alg.r1_ideal))
+
+
+def e_positivity(
+    alg: BigradedAlgebra,
+    i: int,
+    j: int,
+    config: RunConfig = RunConfig(),
+) -> tuple[bool, int, FilterRegularCertificate]:
+    """Positivity test for e_ij: does the saturated quotient by i generic
+    (1,0)-forms plus all (1,0)-variables have dimension j + 1?"""
+    _check_top_diagonal(alg, i, j)
+    cert = find_filter_regular(alg, [(1, 0)] * i, config)
+    witness_dim = _witness_dim(alg, cert)
     return witness_dim == j + 1, witness_dim, cert
 
 
@@ -322,7 +320,8 @@ def e_value_via_criterion(
     """e_ij as the multiplicity of R/(x_1..x_i, y_1..y_j) : Rpp^infinity.
 
     Returns 0 when the positivity test fails. In the positive branch the
-    saturated quotient must have dimension exactly 2.
+    saturated quotient must have dimension exactly 2. A named ``sequence``
+    lists the i (1,0)-elements, then the j (0,1)-elements.
     """
     if sequence is None:
         positive, _, cert_x = e_positivity(alg, i, j, config)
@@ -335,7 +334,11 @@ def e_value_via_criterion(
         z.bidegree() != (0, 1) for z in ys
     ):
         raise InputError("sequence must list (1,0)-elements then (0,1)-elements")
-    positive, _, cert_x = e_positivity(alg, i, j, config, sequence=xs)
+    _check_top_diagonal(alg, i, j)
+    cert_x = is_filter_regular(alg, xs)
+    if not cert_x.ok:
+        raise InputError("supplied sequence is not filter-regular")
+    positive = _witness_dim(alg, cert_x) == j + 1
     cert = is_filter_regular(alg, ys, cert_x)
     if not cert.ok:
         raise InputError("supplied sequence is not filter-regular")
@@ -351,7 +354,7 @@ def e_value_from_prefix(
     """e_ij of a positive cell, from the certified (1,0)-prefix of its
     positivity test: extend it by j random (0,1)-elements, drawn from
     ``config.seed + 1`` and certified one by one, and take the multiplicity."""
-    cert = FilterRegularCertificate(cert_x.ideal, list(cert_x.steps), seed=config.seed)
+    cert = FilterRegularCertificate(cert_x.ideal, list(cert_x.steps))
     _extend(alg, cert, [(0, 1)] * j, replace(config, seed=config.seed + 1),
             "filter-regular (0,1)-element")
     return _saturated_multiplicity(alg, cert)

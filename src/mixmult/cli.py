@@ -181,7 +181,7 @@ def _cmd_bigraded_e(args, config: RunConfig) -> str:
         result = {"i": args.i, "j": args.j, "e": value,
                   "positive": positive, "witness_dim": wdim}
         certificates["filter_regular"] = {
-            "seed": cert.seed,
+            "seed": config.seed,
             "elements": [str(s.element) for s in cert.steps],
             "ok": cert.ok,
         }

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, TypeVar
 
 from .errors import GenericityExhausted, InputError
-from .fields import DEFAULT_PRIME, FieldSpec, is_prime
+from .fields import DEFAULT_PRIME, FieldSpec, require_prime
 
 _U64 = 1 << 64
 MAX_RETRIES = 16
@@ -86,8 +86,7 @@ def load_config(
     )
     if not 0 <= config.seed < _U64:
         raise InputError("seed must fit in 64 unsigned bits")
-    if not is_prime(config.prime):
-        raise InputError(f"configured prime {config.prime} is not prime")
+    require_prime(config.prime, "configured prime")
     if config.max_retries < 1:
         raise InputError("max_retries must be positive")
     return config

@@ -13,6 +13,17 @@ from fractions import Fraction
 from .errors import InputError
 
 DEFAULT_PRIME = 32003
+# is_prime's witnesses are proven for every input below this, and no further:
+# 318665857834031151167461, a composite of 79 bits, passes them all
+PRIME_LIMIT = 1 << 64
+
+
+def require_prime(n: int, what: str) -> None:
+    """Raise ``InputError`` unless ``n`` is a prime below ``PRIME_LIMIT``."""
+    if n >= PRIME_LIMIT:
+        raise InputError(f"{what} {n} is not below 2^64, where primality is proven")
+    if not is_prime(n):
+        raise InputError(f"{what} {n} is not prime")
 
 
 def is_prime(n: int) -> bool:
@@ -47,8 +58,8 @@ class FieldSpec:
     p: int | None = None
 
     def __post_init__(self):
-        if self.p is not None and not is_prime(self.p):
-            raise InputError(f"field characteristic {self.p} is not prime")
+        if self.p is not None:
+            require_prime(self.p, "field characteristic")
 
     def __str__(self) -> str:
         return "Q" if self.p is None else f"F{self.p}"

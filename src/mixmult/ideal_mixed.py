@@ -24,9 +24,8 @@ certificates, none of which needs an elimination:
 - height (``height_of``): dim A - dim A/J for a polynomial ring A;
   otherwise a certified chain of generic elements avoiding minimal primes.
 
-Closed-form cross-checks (order of J, products of least form degrees,
-equigenerated powers) and an independent bigraded route through the Rees
-presentation validate the chain values on suitable instances.
+An independent bigraded route through the Rees presentation validates the
+chain values on equigenerated J.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from typing import Optional
 
 from .bigraded import BigradedAlgebra, e_table_full, random_combination
 from .config import RunConfig, certified_search
-from .errors import InputError, MathInvariantError
+from .errors import GenericityExhausted, InputError, MathInvariantError
 from .fields import DEFAULT_PRIME
 from .groebner import (Ideal, _lift, _tagged_ring, eliminate, ideal_power, ideal_product,
                        ideal_sum, in_radical, is_nzd, krull_dim, saturation)
@@ -201,10 +200,10 @@ def analytic_spread(setting: GradedSetting) -> int:
       presentation, one block-order elimination.
     """
     gens = setting.J.gens
-    bound = min(len(gens), setting.ring.nvars)
+    full_rank = min(len(gens), setting.ring.nvars)
     if (setting.defining.is_zero and setting.equigenerated
-            and _jacobian_rank(gens, setting.ring) == bound):
-        return bound
+            and _jacobian_rank(gens, setting.ring) == full_rank):
+        return full_rank
     return _spread_by_rees(setting)
 
 
@@ -237,11 +236,9 @@ class ChainStep:
 
 @dataclass
 class SatChain:
-    setting: GradedSetting
     s0: Ideal
     dim0: int
     steps: list[ChainStep] = field(default_factory=list)
-    config: RunConfig = RunConfig()
 
     def ideals(self) -> list[Ideal]:
         return [self.s0] + [s.ideal for s in self.steps]
@@ -250,10 +247,9 @@ class SatChain:
         return [self.dim0] + [s.dim for s in self.steps]
 
 
-def sat_chain(setting: GradedSetting, upto: Optional[int] = None,
-              config: RunConfig = RunConfig()) -> SatChain:
-    """Build S_0, ..., S_upto with per-step non-zerodivisor certificates;
-    ``upto`` defaults to l(J) - 1 (0 when l(J) = 0).
+def sat_chain(setting: GradedSetting, config: RunConfig = RunConfig()) -> SatChain:
+    """Build S_0, ..., S_k with per-step non-zerodivisor certificates, for
+    k = l(J) - 1 (0 when l(J) = 0).
 
     J must be generated in one degree: lifted to a common degree, the
     elements would be generic in the truncation of J there, whose mixed
@@ -264,18 +260,14 @@ def sat_chain(setting: GradedSetting, upto: Optional[int] = None,
         raise InputError("the chain needs J generated in one degree; its generators "
                          "have degrees "
                          + ", ".join(str(d) for d in setting.generator_degrees))
-    spread = setting.spread
-    if upto is None:
-        upto = max(spread - 1, 0)
-    if upto > spread:
-        raise InputError(f"chain length {upto} exceeds the analytic spread {spread}")
+    length = max(setting.spread - 1, 0)
     s0 = setting.s0
     if s0.is_unit:
         raise InputError("J is nilpotent modulo the defining ideal")
-    chain = SatChain(setting, s0, krull_dim(s0), config=config)
+    chain = SatChain(s0, krull_dim(s0))
     rng = random.Random(config.seed)
     prev = s0
-    for _ in range(upto):
+    for _ in range(length):
         a, _ = certified_search(lambda: generic_element(setting, rng, config),
                                 lambda a: is_nzd(a, prev),
                                 config.max_retries, "non-zerodivisor element of J")
@@ -316,25 +308,24 @@ class MixedIdealReport:
     seed: int
 
 
-def e_i_values(setting: GradedSetting, chain: SatChain) -> MixedIdealReport:
-    """Extract the e_i from a chain and enforce the rigidity window.
+def mixed_report(setting: GradedSetting, config: RunConfig = RunConfig()) -> MixedIdealReport:
+    """Chain to l(J) - 1, read off the e_i and enforce the rigidity window.
 
     e_i is the Samuel multiplicity of A/S_i exactly when the dimension has
-    dropped by one per step; the positivity set must be an initial interval
-    and must reach at least height(J) - 1. The height chain runs under the
-    chain's configuration.
+    dropped by one per step, and zero after a larger drop. The positivity
+    set must be an initial interval and must reach at least height(J) - 1.
+    Over a polynomial ring A, a domain, e_i(m|J) > 0 for every i < l(J)
+    (the paper's positivity statement, as ROADMAP item 5 recalls it), so a
+    shorter interval means the chain's elements were not generic enough.
+    The height chain runs under ``config``.
     """
+    chain = sat_chain(setting, config)
     spread = setting.spread
     dims = chain.dims()
     ideals = chain.ideals()
-    if len(dims) < spread and dims[-1] == chain.dim0 - (len(dims) - 1):
-        raise InputError(
-            "chain too short: no dimension drop has occurred yet, so the "
-            f"values past step {len(dims) - 1} are undetermined"
-        )
     e: list[int] = []
     for k in range(spread):
-        if k < len(dims) and dims[k] == chain.dim0 - k:
+        if dims[k] == chain.dim0 - k:
             e.append(samuel_multiplicity(setting, ideals[k]))
         else:
             e.append(0)  # dimension dropped too fast, or zero by rigidity
@@ -346,19 +337,18 @@ def e_i_values(setting: GradedSetting, chain: SatChain) -> MixedIdealReport:
         raise MathInvariantError(
             f"positivity set {positive} is not an initial interval"
         )
-    # dims beyond the first failure must keep failing: implied by the interval
-    # check above whenever the chain was computed far enough
-    ht = height_of(setting, chain.config)
+    if setting.defining.is_zero and rho < spread - 1:
+        raise GenericityExhausted(
+            "the chain dropped more than one dimension in a step, which the "
+            "positivity of e_i(m|J) for i < l(J) over a polynomial ring rules "
+            "out; rerun with another --seed"
+        )
+    ht = height_of(setting, config)
     if not (ht - 1 <= rho < spread):
         raise MathInvariantError(
             f"rho = {rho} escapes [height-1, spread) = [{ht - 1}, {spread})"
         )
-    return MixedIdealReport(chain.dim0, spread, ht, e, rho, dims, chain.config.seed)
-
-
-def mixed_report(setting: GradedSetting, config: RunConfig = RunConfig()) -> MixedIdealReport:
-    """Chain all the way to s(J) - 1 and extract the report."""
-    return e_i_values(setting, sat_chain(setting, config=config))
+    return MixedIdealReport(chain.dim0, spread, ht, e, rho, dims, config.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -416,59 +406,6 @@ def _height_by_chain(setting: GradedSetting, config: RunConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# closed-form oracles
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class InstanceLabels:
-    """Hypotheses that are instance knowledge, not computed: local structure
-    at the top-dimensional primes and chain conditions."""
-
-    generically_complete_intersection: bool = False
-    first_chain_condition: bool = False
-    has_coprime_least_forms: bool = False
-
-
-def closed_form_oracles(
-    setting: GradedSetting, labels: InstanceLabels, config: RunConfig = RunConfig()
-) -> dict:
-    """Formula values available under the labelled hypotheses.
-
-    Returns a dict with any of the keys ``equigenerated`` (list of e_i for
-    i <= height, when J is generated in one degree), ``order`` (the degree-1
-    step for a polynomial ambient ring), and ``least_degrees`` (the two-form
-    product formula). Only formulas whose hypotheses hold are included.
-    """
-    out: dict = {}
-    ht = height_of(setting, config)
-    ambient_polynomial = setting.defining.is_zero
-    if not ideal_sum(setting.defining, setting.J).is_unit:
-        if setting.equigenerated:
-            c = setting.generator_degrees[0]
-            e_ambient = total_multiplicity(setting.defining)[1]
-            values = [c ** i * e_ambient for i in range(ht)]
-            entry = {"c": c, "values": values}
-            if labels.generically_complete_intersection and setting.spread >= ht + 1:
-                e_quot = total_multiplicity(ideal_sum(setting.defining, setting.J))[1]
-                entry["top"] = c ** ht * e_ambient - e_quot
-            out["equigenerated"] = entry
-    if ambient_polynomial and ht >= 2:
-        out["order"] = {"e1": order_of(setting)}
-    if ambient_polynomial and ht >= 2 and labels.has_coprime_least_forms:
-        degrees = sorted(g.total_exp_degree() for g in setting.J.groebner())
-        c1, c2 = degrees[0], degrees[1]
-        if ht >= 3:
-            out["least_degrees"] = {"c1": c1, "c2": c2, "e2": c1 * c2}
-        elif labels.generically_complete_intersection:
-            e_quot = total_multiplicity(ideal_sum(setting.defining, setting.J))[1]
-            out["least_degrees"] = {"c1": c1, "c2": c2, "e2": c1 * c2 - e_quot}
-    if not out:
-        raise InputError("no closed-form hypothesis holds for this instance")
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Rees multiplicity, diagonal degree, bigraded cross-check
 # ---------------------------------------------------------------------------
 
@@ -511,28 +448,33 @@ def rees_bigraded_crosscheck(setting: GradedSetting) -> ETable:
 # ---------------------------------------------------------------------------
 
 
-def is_reduction_of(J: Ideal, Jp: Ideal, bound: int = 10) -> int:
-    """Least n <= bound with J^(n+1) = Jp * J^n; raises when none is found."""
+# Largest n at which ``is_reduction_of`` tests J^(n+1) = J' J^n.
+_REDUCTION_NUMBER_CAP = 10
+
+
+def is_reduction_of(J: Ideal, Jp: Ideal) -> int:
+    """Least n <= _REDUCTION_NUMBER_CAP with J^(n+1) = Jp * J^n; raises when
+    none is found."""
     if not J.contains_ideal(Jp):
         raise InputError("claimed reduction is not contained in the ideal")
-    for n in range(bound + 1):
+    for n in range(_REDUCTION_NUMBER_CAP + 1):
         lhs = ideal_power(J, n + 1)
         rhs = ideal_product(Jp, ideal_power(J, n))
         if lhs.same_ideal(rhs):
             return n
-    raise InputError(f"reduction identity not confirmed for any n <= {bound}")
+    raise InputError("reduction identity not confirmed for any n <= "
+                     f"{_REDUCTION_NUMBER_CAP}")
 
 
 def reduction_invariance_check(
     setting: GradedSetting,
     other: GradedSetting,
     config: RunConfig = RunConfig(),
-    bound: int = 10,
 ) -> bool:
     """Verify J' is a reduction of J and compare the full e-vectors."""
     if setting.ring != other.ring or not setting.defining.same_ideal(other.defining):
         raise InputError("settings must share ambient data")
-    is_reduction_of(setting.J, other.J, bound)
+    is_reduction_of(setting.J, other.J)
     r1 = mixed_report(setting, config)
     r2 = mixed_report(other, config)
     return r1.e == r2.e

@@ -14,7 +14,7 @@ from typing import Optional
 from .bigraded import BigradedAlgebra
 from .fields import DEFAULT_PRIME, FieldSpec
 from .groebner import Ideal, ideal_intersection, ideal_power
-from .ideal_mixed import GradedSetting, InstanceLabels
+from .ideal_mixed import GradedSetting
 from .rings import Poly, Ring
 
 F = FieldSpec(DEFAULT_PRIME)
@@ -114,9 +114,9 @@ def random_bigraded_algebra(rng: random.Random, max_vars: int = 5) -> BigradedAl
     return BigradedAlgebra(ring, Ideal(ring, gens))
 
 
-def random_ideal_pair(rng: random.Random, nvars: int = 4) -> tuple[Ideal, Ideal]:
-    """Small random homogeneous ideals in one graded ring, for saturation laws."""
-    ring = graded_ring(tuple(f"z{i}" for i in range(1, nvars + 1)), name=f"Z{nvars}")
+def random_ideal_pair(rng: random.Random) -> tuple[Ideal, Ideal]:
+    """Small random homogeneous ideals in k[z1..z4], for saturation laws."""
+    ring = graded_ring(("z1", "z2", "z3", "z4"), name="Z4")
 
     def rand_ideal() -> Ideal:
         from .rings import monomials_of_bidegree
@@ -138,6 +138,16 @@ def random_ideal_pair(rng: random.Random, nvars: int = 4) -> tuple[Ideal, Ideal]
 
 
 # -- graded ideal fixtures ----------------------------------------------------
+
+
+@dataclass
+class InstanceLabels:
+    """Hypotheses that are instance knowledge, not computed: local structure
+    at the top-dimensional primes and chain conditions."""
+
+    generically_complete_intersection: bool = False
+    first_chain_condition: bool = False
+    has_coprime_least_forms: bool = False
 
 
 @dataclass

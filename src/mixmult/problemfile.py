@@ -6,9 +6,8 @@ Grammar (``#`` starts a line comment)::
     ring <name> vars <v>:(<d1>,<d2>) ...     # single-graded shorthand <v>:<d>
     ideal <name> in <ring> = <poly> ; <poly> ; ...
 
-Polynomials are infix expressions over ``+ - * ^`` with integer literals and
-parentheses. Diagnostics carry line and column. Printing a parsed file yields
-text that parses back to an identical structure.
+Polynomials are infix expressions over ``+ - * ^`` with integer literals
+(ASCII digits 0-9) and parentheses. Diagnostics carry line and column.
 """
 
 from __future__ import annotations
@@ -23,6 +22,8 @@ from .rings import Poly, Ring
 
 _KEYWORDS = {"field", "ring", "ideal", "vars", "in"}
 _SYMBOLS = set("+-*^():,;=")
+# str.isdigit() also accepts digits such as "²" that int() refuses
+_DIGITS = set("0123456789")
 _EXPONENT_CAP = 1 << 20
 # Bound, checked before expanding, on the terms of a product (len(a) * len(b))
 # and of a t-term base to the e (C(e + t - 1, t - 1)). A binomial's power costs
@@ -54,10 +55,10 @@ def _tokenize(text: str) -> list[Token]:
         elif ch == "#":
             while i < n and text[i] != "\n":
                 i += 1
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             start = i
             c0 = col
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
                 col += 1
             tokens.append(Token("int", text[start:i], line, c0))
@@ -232,9 +233,9 @@ class _Parser:
             acc = acc * rhs
         return acc
 
-    def _bound_terms(self, bound: int, tok: Token) -> None:
-        if bound > _TERM_CAP:
-            raise ParseError(f"expansion may reach {bound} terms, above the cap of "
+    def _bound_terms(self, terms: int, tok: Token) -> None:
+        if terms > _TERM_CAP:
+            raise ParseError(f"expansion may reach {terms} terms, above the cap of "
                              f"{_TERM_CAP}", tok.line, tok.col)
 
     def _factor(self, ring: Ring) -> Poly:
@@ -285,23 +286,3 @@ def parse_problem(text: str) -> ProblemFile:
         tok = parser.tokens[min(parser.pos, len(parser.tokens) - 1)]
         raise ParseError("expression nested too deeply", tok.line, tok.col) from None
 
-
-def print_problem(pf: ProblemFile) -> str:
-    """Canonical rendering; reparsing yields an identical structure."""
-    lines = []
-    if pf.field_spec.p is None:
-        lines.append("field Q")
-    else:
-        lines.append(f"field F {pf.field_spec.p}")
-    for name, ring in pf.rings.items():
-        if ring.is_single_graded:
-            vs = " ".join(f"{v}:{d1}" for v, (d1, _) in zip(ring.variables, ring.bidegrees))
-        else:
-            vs = " ".join(
-                f"{v}:({d1},{d2})" for v, (d1, d2) in zip(ring.variables, ring.bidegrees)
-            )
-        lines.append(f"ring {name} vars {vs}")
-    for name, ideal in pf.ideals.items():
-        body = " ; ".join(str(g) for g in ideal.gens) if ideal.gens else "0"
-        lines.append(f"ideal {name} in {ideal.ring.name} = {body}")
-    return "\n".join(lines) + "\n"

@@ -54,10 +54,6 @@ class Ring:
         return all(d in ((1, 0), (0, 1)) for d in self.bidegrees)
 
     @property
-    def is_single_graded(self) -> bool:
-        return all(b == 0 for _, b in self.bidegrees)
-
-    @property
     def first_kind(self) -> tuple[int, ...]:
         """Indices of variables of bidegree (1,0) (the "u" side)."""
         return tuple(i for i, d in enumerate(self.bidegrees) if d == (1, 0))

@@ -44,17 +44,17 @@ class SuiteResult:
             self.fail(message)
 
 
-def suite_hilbert_oracle(config: RunConfig, count: int = 50,
-                         window: int = 8) -> SuiteResult:
-    """(a) Series-derived and brute-force Hilbert functions agree."""
+def suite_hilbert_oracle(config: RunConfig) -> SuiteResult:
+    """(a) Series-derived and brute-force Hilbert functions agree on 50
+    random algebras, in every bidegree (u, v) with u + v <= 8."""
     res = SuiteResult("hilbert-oracle")
     rng = random.Random(config.seed)
-    for k in range(count):
+    for k in range(50):
         alg = random_bigraded_algebra(rng)
         S = series_of(alg.defining)
         mismatch = None
-        for u in range(window + 1):
-            for v in range(window + 1 - u):
+        for u in range(9):
+            for v in range(9 - u):
                 if S.coefficient(u, v) != hilbert_function(alg.defining, u, v):
                     mismatch = (u, v)
                     break
@@ -65,13 +65,13 @@ def suite_hilbert_oracle(config: RunConfig, count: int = 50,
     return res
 
 
-def suite_degree_formulas(config: RunConfig, count: int = 20) -> SuiteResult:
+def suite_degree_formulas(config: RunConfig) -> SuiteResult:
     """(b) Saturation-dimension degree formulas match the polynomial."""
     res = SuiteResult("degree-formulas")
     rng = random.Random(config.seed + 1)
     algebras = [three_component_example(), trivial_plane(),
                 two_component_vanishing()] + [r.algebra for r in rigidity_instances()]
-    algebras += [random_bigraded_algebra(rng) for _ in range(count)]
+    algebras += [random_bigraded_algebra(rng) for _ in range(20)]
     for idx, alg in enumerate(algebras):
         try:
             rep = degrees_report(alg)  # raises on any disagreement
@@ -82,19 +82,19 @@ def suite_degree_formulas(config: RunConfig, count: int = 20) -> SuiteResult:
     return res
 
 
-def suite_partial_degree_saturations(config: RunConfig, count: int = 20) -> SuiteResult:
+def suite_partial_degree_saturations(config: RunConfig) -> SuiteResult:
     """(c) Saturating by the mixed products or by one kind of variables gives
-    the same quotient dimensions.
+    the same quotient dimensions, on 20 algebras.
 
     The identity needs the mixed-product saturation to be proper (it compares
     radicals through a power of the maximal ideal); nilpotent-product
-    instances are skipped and replaced.
+    instances are skipped and replaced, from at most 200 draws.
     """
     res = SuiteResult("partial-degree-saturations")
     rng = random.Random(config.seed + 2)
     algebras = [three_component_example(), trivial_plane()]
-    budget = 10 * count
-    while len(algebras) < count and budget:
+    budget = 200
+    while len(algebras) < 20 and budget:
         budget -= 1
         alg = random_bigraded_algebra(rng)
         if not saturation(alg.defining, alg.rpp_ideal).is_unit:
@@ -137,14 +137,14 @@ def suite_positivity_criterion(config: RunConfig) -> SuiteResult:
     return res
 
 
-def suite_multiplicity_sum(config: RunConfig, count: int = 12) -> SuiteResult:
+def suite_multiplicity_sum(config: RunConfig) -> SuiteResult:
     """(e) Total multiplicity equals the diagonal sum whenever the
     conservative height precondition is established."""
     res = SuiteResult("multiplicity-sum")
     rng = random.Random(config.seed + 3)
     algebras = [three_component_example(), trivial_plane()]
     algebras += [r.algebra for r in rigidity_instances()]
-    algebras += [random_bigraded_algebra(rng) for _ in range(count)]
+    algebras += [random_bigraded_algebra(rng) for _ in range(12)]
     decided = 0
     for idx, alg in enumerate(algebras):
         if alg.defining.is_unit:
@@ -158,11 +158,11 @@ def suite_multiplicity_sum(config: RunConfig, count: int = 12) -> SuiteResult:
     return res
 
 
-def suite_saturation_laws(config: RunConfig, count: int = 50) -> SuiteResult:
-    """(f) Saturation contains the ideal and is idempotent."""
+def suite_saturation_laws(config: RunConfig) -> SuiteResult:
+    """(f) Saturation contains the ideal and is idempotent, on 50 pairs."""
     res = SuiteResult("saturation-laws")
     rng = random.Random(config.seed + 4)
-    for k in range(count):
+    for k in range(50):
         I, J = random_ideal_pair(rng)
         if all(g.is_zero for g in J.gens):
             continue
@@ -172,12 +172,12 @@ def suite_saturation_laws(config: RunConfig, count: int = 50) -> SuiteResult:
     return res
 
 
-def suite_grading_swap(config: RunConfig, count: int = 8) -> SuiteResult:
+def suite_grading_swap(config: RunConfig) -> SuiteResult:
     """(g) Exchanging the gradings transposes series, polynomial, and table."""
     res = SuiteResult("grading-swap")
     rng = random.Random(config.seed + 5)
     algebras = [three_component_example(), trivial_plane()]
-    algebras += [random_bigraded_algebra(rng) for _ in range(count)]
+    algebras += [random_bigraded_algebra(rng) for _ in range(8)]
     for idx, alg in enumerate(algebras):
         swapped = alg.swapped()
         s1 = series_of(alg.defining)

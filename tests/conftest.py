@@ -4,16 +4,24 @@ The membership oracle solves a linear system over the monomials of a bounded
 degree window, never touching the division algorithm it is used to check.
 The saturation oracle iterates colons, never touching the direct routes of
 ``saturation`` it is used to check. The filter-regularity oracle builds the
-colon the Hilbert-series certificate avoids.
+colon the Hilbert-series certificate avoids. The closed-form oracles give
+e_i(m|J) by formula under labelled hypotheses, apart from the chain.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from mixmult import Ideal, Poly, ideal_quotient, saturation
+from mixmult import (GradedSetting, Ideal, InputError, Poly, Ring, RunConfig, height_of,
+                     ideal_quotient, ideal_sum, order_of, saturation, total_multiplicity)
 from mixmult.bigraded import BigradedAlgebra
+from mixmult.instances import InstanceLabels
 from mixmult.rings import monomials_of_bidegree
+
+
+def is_single_graded(ring: Ring) -> bool:
+    """Every variable has second degree 0."""
+    return all(b == 0 for _, b in ring.bidegrees)
 
 
 def saturation_by_colon(I: Ideal, J: Ideal, cap: int = 100) -> Ideal:
@@ -112,7 +120,7 @@ def truncated_membership_oracle(f: Poly, I: Ideal, max_degree: int) -> bool:
     monos = []
     for d in range(max_degree + 1):
         monos.extend(monomials_of_bidegree(ring, d, 0))
-        if not ring.is_single_graded:
+        if not is_single_graded(ring):
             monos = None
             break
     if monos is None:  # enumerate by exponent box instead for bigraded rings
@@ -144,3 +152,41 @@ def truncated_membership_oracle(f: Poly, I: Ideal, max_degree: int) -> bool:
     for exp, c in f.terms.items():
         target[basis[exp]] = c
     return _row_reduce_solve(rows, target, ring.field)
+
+
+def closed_form_oracles(
+    setting: GradedSetting, labels: InstanceLabels, config: RunConfig = RunConfig()
+) -> dict:
+    """Formula values available under the labelled hypotheses.
+
+    Returns a dict with any of the keys ``equigenerated`` (list of e_i for
+    i <= height, when J is generated in one degree), ``order`` (the degree-1
+    step for a polynomial ambient ring), and ``least_degrees`` (the two-form
+    product formula). Only formulas whose hypotheses hold are included.
+    """
+    out: dict = {}
+    ht = height_of(setting, config)
+    ambient_polynomial = setting.defining.is_zero
+    if not ideal_sum(setting.defining, setting.J).is_unit:
+        if setting.equigenerated:
+            c = setting.generator_degrees[0]
+            e_ambient = total_multiplicity(setting.defining)[1]
+            values = [c ** i * e_ambient for i in range(ht)]
+            entry = {"c": c, "values": values}
+            if labels.generically_complete_intersection and setting.spread >= ht + 1:
+                e_quot = total_multiplicity(ideal_sum(setting.defining, setting.J))[1]
+                entry["top"] = c ** ht * e_ambient - e_quot
+            out["equigenerated"] = entry
+    if ambient_polynomial and ht >= 2:
+        out["order"] = {"e1": order_of(setting)}
+    if ambient_polynomial and ht >= 2 and labels.has_coprime_least_forms:
+        degrees = sorted(g.total_exp_degree() for g in setting.J.groebner())
+        c1, c2 = degrees[0], degrees[1]
+        if ht >= 3:
+            out["least_degrees"] = {"c1": c1, "c2": c2, "e2": c1 * c2}
+        elif labels.generically_complete_intersection:
+            e_quot = total_multiplicity(ideal_sum(setting.defining, setting.J))[1]
+            out["least_degrees"] = {"c1": c1, "c2": c2, "e2": c1 * c2 - e_quot}
+    if not out:
+        raise InputError("no closed-form hypothesis holds for this instance")
+    return out

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import time
 
+from conftest import closed_form_oracles
 from mixmult import (FieldSpec, Ideal, Ring, RunConfig, bezout_check, degrees_report,
                      e_table_full, e_value_via_criterion, make_join,
                      mixed_report, rees_and_diagonal, rees_bigraded_crosscheck,
-                     sv_degrees, order_of, closed_form_oracles)
+                     sv_degrees, order_of)
 from mixmult.instances import (three_component_example, three_coordinate_points,
                                twisted_cubic, two_component_vanishing,
                                nonrigid_pair_of_planes)
@@ -52,7 +53,7 @@ def test_criterion_3_pair_of_planes():
     fx = nonrigid_pair_of_planes()
     rep = mixed_report(fx.setting, RunConfig(seed=7))
     ok = rep.spread == 2 and rep.e == [1, 0] and rep.rho == 0
-    chain = sat_chain(fx.setting, 1, RunConfig(seed=7))
+    chain = sat_chain(fx.setting, RunConfig(seed=7))
     ok = ok and chain.dims() == [3, 1]
     elapsed = time.monotonic() - start
     report(3, "graded counterexample with vanishing top value",

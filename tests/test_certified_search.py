@@ -1,5 +1,5 @@
 """The certified-search loop: its contract, real exhaustion through the CLI,
-the retry budget reaching every search, and the pinned small-field defect."""
+the retry budget reaching every search, and the small-field chain guard."""
 
 from __future__ import annotations
 
@@ -170,11 +170,19 @@ def test_selftest_runs_under_its_configuration(capsys, monkeypatch):
     assert json.loads(out)["config"]["max_retries"] == "1"
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: a too-large dimension drop over "
-                                       "a small field is read as zero by rigidity")
 def test_small_field_three_points_is_right_or_exhausted(capsys, tmp_path):
     for p, seed in ((2, 0), (2, 1), (3, 1), (3, 2)):
         path = rewrite_field(tmp_path, "three_points", f"F {p}")
         code, out, _ = run_cli(capsys, "ideal-mixed", "--file", path, "--ideal", "J",
                                "--seed", str(seed))
         assert code == 3 or json.loads(out)["result"]["e"] == ["1", "2", "1"], (p, seed)
+
+
+def test_chain_reading_below_the_bound_names_the_seed(capsys, tmp_path):
+    # over a polynomial ring e_i(m|J) > 0 for i < l(J); F 2 with seed 0 reads
+    # rho 1 < l(J) - 1 = 2, so the draw was not generic enough
+    path = rewrite_field(tmp_path, "three_points", "F 2")
+    code, out, err = run_cli(capsys, "ideal-mixed", "--file", path, "--ideal", "J",
+                             "--seed", "0")
+    assert code == 3 and out == ""
+    assert err.startswith("genericity exhausted: ") and "--seed" in err

@@ -211,6 +211,35 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "3:21: expansion may reach" in err  # at the caret
 
+    # a composite of 79 bits that passes Miller-Rabin to every base 2..37
+    PSEUDOPRIME = "318665857834031151167461"
+    # the largest prime below 2^64
+    PRIME_64 = "18446744073709551557"
+
+    def test_pseudoprime_field_is_one(self, capsys, tmp_path):
+        text = Path("problems/three_points.mix").read_text()
+        path = tmp_path / "three_points.mix"
+        path.write_text(text.replace("field F 32003", f"field F {self.PSEUDOPRIME}"))
+        code, out, err = run_cli(capsys, "ideal-mixed", "--file", str(path), "--ideal", "J")
+        assert (code, out) == (1, "")
+        assert "not below 2^64" in err
+
+    def test_pseudoprime_prime_flag_is_one(self, capsys):
+        code, out, err = run_cli(capsys, "ideal-mixed", "--file", "problems/three_points.mix",
+                                 "--ideal", "J", "--prime", self.PSEUDOPRIME)
+        assert (code, out) == (1, "")
+        assert err == (f"error: configured prime {self.PSEUDOPRIME} is not below 2^64, "
+                       "where primality is proven\n")
+
+    def test_largest_prime_below_2_64_accepted(self, capsys, tmp_path):
+        text = Path("problems/three_points.mix").read_text()
+        path = tmp_path / "three_points.mix"
+        path.write_text(text.replace("field F 32003", f"field F {self.PRIME_64}"))
+        doc = run_json(capsys, "gb", "--file", str(path), "--ideal", "J",
+                       "--prime", self.PRIME_64)
+        assert doc["config"]["prime"] == self.PRIME_64
+        assert doc["result"]["size"] == "3"
+
     def test_genericity_exhaustion_is_three(self, capsys, monkeypatch):
         import mixmult.cli as cli_mod
         from mixmult.errors import GenericityExhausted

@@ -6,12 +6,12 @@ import json
 
 import pytest
 
-from mixmult import (FieldSpec, GradedSetting, Ideal, InputError, InstanceLabels,
-                     Ring, RunConfig, analytic_spread, closed_form_oracles, height_of,
-                     ideal_power, is_reduction_of, mixed_report, order_of,
-                     rees_and_diagonal, rees_bigraded_crosscheck, rees_presentation,
-                     reduction_invariance_check, sat_chain)
-from mixmult.instances import (ideal_fixtures, maximal_ideal_plane,
+from conftest import closed_form_oracles
+from mixmult import (FieldSpec, GradedSetting, Ideal, InputError, Ring, RunConfig,
+                     analytic_spread, height_of, ideal_power, is_reduction_of,
+                     mixed_report, order_of, rees_and_diagonal, rees_bigraded_crosscheck,
+                     rees_presentation, reduction_invariance_check, sat_chain)
+from mixmult.instances import (InstanceLabels, ideal_fixtures, maximal_ideal_plane,
                                nonrigid_pair_of_planes, reduction_pairs,
                                three_coordinate_points, twisted_cubic)
 
@@ -70,7 +70,7 @@ class TestHeight:
 
 class TestChain:
     def test_pair_of_planes_witness(self, planes):
-        chain = sat_chain(planes.setting, 1, RunConfig(seed=7))
+        chain = sat_chain(planes.setting, RunConfig(seed=7))
         assert chain.dims() == [3, 1]
         # the surviving component is the plane (x2, x3, a1)
         s1 = chain.steps[0].ideal
@@ -79,31 +79,19 @@ class TestChain:
 
     def test_maximal_ideal_chain(self):
         setting = maximal_ideal_plane().setting
-        chain = sat_chain(setting, 1, RunConfig(seed=3))
+        chain = sat_chain(setting, RunConfig(seed=3))
         assert chain.dims() == [2, 1]
         assert chain.s0.is_zero
 
     def test_twisted_cubic_dims(self, cubic):
-        chain = sat_chain(cubic.setting, 2, RunConfig(seed=11))
+        chain = sat_chain(cubic.setting, RunConfig(seed=11))
         assert chain.dims() == [4, 3, 2]
 
-    def test_chain_capped_by_spread(self, points):
-        with pytest.raises(InputError):
-            sat_chain(points.setting, 4, RunConfig(seed=0))
-
     def test_determinism(self, cubic):
-        a = sat_chain(cubic.setting, 2, RunConfig(seed=5))
-        b = sat_chain(cubic.setting, 2, RunConfig(seed=5))
+        a = sat_chain(cubic.setting, RunConfig(seed=5))
+        b = sat_chain(cubic.setting, RunConfig(seed=5))
         assert [s.element for s in a.steps] == [s.element for s in b.steps]
         assert a.dims() == b.dims()
-
-    def test_short_chain_rejected_for_reports(self, cubic):
-        # a chain with no dimension drop yet cannot justify trailing zeros
-        from mixmult import e_i_values
-
-        short = sat_chain(cubic.setting, 1, RunConfig(seed=5))
-        with pytest.raises(InputError):
-            e_i_values(cubic.setting, short)
 
 
 class TestReports:

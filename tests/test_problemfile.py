@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from mixmult import ParseError, parse_problem, print_problem
+from conftest import is_single_graded
+from mixmult import ParseError, ProblemFile, parse_problem
 
 GOOD = """\
 # a bigraded ring and one ideal
@@ -14,6 +15,27 @@ field F 32003
 ring R vars x:(1,0) y:(0,1)
 ideal I in R = x*y
 """
+
+
+def print_problem(pf: ProblemFile) -> str:
+    """Canonical rendering; reparsing yields an identical structure."""
+    lines = []
+    if pf.field_spec.p is None:
+        lines.append("field Q")
+    else:
+        lines.append(f"field F {pf.field_spec.p}")
+    for name, ring in pf.rings.items():
+        if is_single_graded(ring):
+            vs = " ".join(f"{v}:{d1}" for v, (d1, _) in zip(ring.variables, ring.bidegrees))
+        else:
+            vs = " ".join(
+                f"{v}:({d1},{d2})" for v, (d1, d2) in zip(ring.variables, ring.bidegrees)
+            )
+        lines.append(f"ring {name} vars {vs}")
+    for name, ideal in pf.ideals.items():
+        body = " ; ".join(str(g) for g in ideal.gens) if ideal.gens else "0"
+        lines.append(f"ideal {name} in {ideal.ring.name} = {body}")
+    return "\n".join(lines) + "\n"
 
 
 class TestParsing:
@@ -75,6 +97,23 @@ class TestDiagnostics:
     def test_nonprime_characteristic(self):
         with pytest.raises(ParseError):
             parse_problem("field F 32001\nring A vars x:1")
+
+    def test_characteristic_of_64_bits_or_more_refused(self):
+        # a strong pseudoprime to every Miller-Rabin base 2..37
+        with pytest.raises(ParseError, match="not below 2\\^64") as err:
+            parse_problem("field F 318665857834031151167461\nring A vars x:1")
+        assert (err.value.line, err.value.col) == (1, 9)
+
+    @pytest.mark.parametrize("text,line,col", [
+        ("field Q\nring R vars x:1\nideal I in R = x^\u00b2", 3, 18),
+        ("field Q\nring R vars x:\u00b9", 2, 15),
+        ("field F \u0663", 1, 9),
+    ])
+    def test_non_ascii_digits_are_parse_errors(self, text, line, col):
+        # str.isdigit() accepts all three; int() refuses the first two
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse_problem(text)
+        assert (err.value.line, err.value.col) == (line, col)
 
     def test_missing_field(self):
         with pytest.raises(ParseError):

@@ -5,10 +5,20 @@ intersection / quotient / saturation, elimination behind fresh tag variables,
 radical membership, zero-divisor tests (by Hilbert series, see ``is_nzd``),
 and Krull dimension of quotients.
 
-The engine is a Buchberger loop with the coprime and chain criteria and the
-normal selection strategy: S-pairs wait in a heap keyed by their lcm, and
-pairs with equal lcms leave in the order they were made. Generators that are
-all monomials skip the loop: their reduced basis is their minimal monomials.
+``buchberger`` picks a kernel by its input. Generators that are all
+monomials need no pairs: their reduced basis is their minimal monomials.
+Generators that are each homogeneous (every basis under a Hilbert series,
+``gb`` or a Bayer step) go to signature-based Buchberger in the Schreyer
+order (``_signature_basis``; Gao, Volny and Wang, Math. Comp. 2016), which
+drops J-pairs by syzygy and rewrite criteria before reducing them, so a
+regular sequence costs few zero reductions. Anything else (every
+Rabinowitsch part, intersection and Rees presentation) goes to a Buchberger
+loop with the coprime and chain criteria and the normal selection strategy:
+S-pairs wait in a heap keyed by their lcm, and equal lcms leave in the order
+they were made. The signature kernel's guard-bit argument needs homogeneity:
+there no field of a signature exceeds the degree of its polynomial. Both
+loops end in one minimalise-and-tail-reduce pass (``_reduced_basis``), and
+the reduced basis is unique, so either returns the same dicts.
 Monomial-ideal fast paths cover the operations that dominate the workloads
 here and return handles preset with the basis that path finds.
 
@@ -176,6 +186,16 @@ def _egcd(a: Exponent, b: Exponent) -> Exponent:
     return tuple(map(min, a, b))
 
 
+def _divisible(m: int, divisors: Iterable[int], mask: int) -> bool:
+    """True when one of the packed ``divisors`` divides packed ``m``, that
+    is when ``m`` minus it sets no bit of ``mask``: the guard bits, and for
+    signature keys also the index bits."""
+    for d in divisors:
+        if not (m - d) & mask:
+            return True
+    return False
+
+
 def _monic(terms: dict, field: FieldSpec) -> dict:
     lc = terms[max(terms)]
     if lc == field.one:
@@ -192,7 +212,7 @@ def _reducer(h: dict) -> tuple[int, tuple]:
 
 
 def _reduce_full(terms: dict, basis: list[tuple[int, tuple]], field: FieldSpec,
-                 guard: int, memo: dict) -> dict:
+                 guard: int, memo: dict, bound: tuple | None = None) -> dict:
     """Fully reduce packed ``terms`` (a dict, or its items) against
     ``basis``, a list of monic reducers (see ``_reducer``); no term of the
     result is divisible by any basis leading monomial. Terms leave in
@@ -204,8 +224,14 @@ def _reduce_full(terms: dict, basis: list[tuple[int, tuple]], field: FieldSpec,
     to the index of its first divisor in ``basis``, or to ~n when the first
     n basis elements are known not to divide it; a later search resumes
     there. It stays valid while ``basis`` only grows at the end, and never
-    changes the divisor chosen."""
+    changes the divisor chosen.
+
+    With ``bound = (sig, nbits, ratios)`` the reduction is regular (see
+    ``_signature_basis``): a term e is reduced by the first basis element k
+    that divides it and whose multiple has a smaller signature key,
+    ``(e << nbits) + ratios[k] < sig``, and kept when there is none."""
     normal, pop, push = field.normal, heapq.heappop, heapq.heappush
+    sig, nbits, ratios = bound or (0, 0, None)
     lts = [lt for lt, _ in basis]
     n = len(lts)
     p = dict(terms)
@@ -229,6 +255,15 @@ def _reduce_full(terms: dict, basis: list[tuple[int, tuple]], field: FieldSpec,
                 memo[e] = ~n
                 out[e] = c
                 continue
+        if ratios is not None:
+            top = sig - (e << nbits)
+            if ratios[k] >= top:
+                for k in range(k + 1, n):
+                    if ratios[k] < top and not (e - lts[k]) & guard:
+                        break
+                else:
+                    out[e] = c
+                    continue
         shift = e - lts[k]
         c = -c
         for ge, gc in basis[k][1]:
@@ -268,7 +303,12 @@ def buchberger(gens: Iterable[dict], field: FieldSpec, order: MonomialOrder) -> 
     if not gens:
         return []
     nvars = len(next(iter(gens[0])))
-    work = _monomial_basis if all(len(g) == 1 for g in gens) else _buchberger
+    if all(len(g) == 1 for g in gens):
+        work = _monomial_basis
+    elif all(len(set(map(sum, g))) == 1 for g in gens):
+        work = _signature_basis
+    else:
+        work = _buchberger
     return _packed(lambda pk: work(gens, field, pk), order, nvars, gens)
 
 
@@ -278,7 +318,7 @@ def _monomial_basis(gens: list[dict], field: FieldSpec, pk: _Packing) -> list[di
     guard = pk.guard
     kept: list[int] = []
     for m in sorted({pk.pack(e) for g in gens for e in g}):
-        if all((m - k) & guard for k in kept):
+        if not _divisible(m, kept, guard):
             kept.append(m)
     return [{pk.unpack(m): field.one} for m in kept]
 
@@ -334,20 +374,119 @@ def _buchberger(gens: list[dict], field: FieldSpec, pk: _Packing) -> list[dict]:
             if r and push(r):
                 return unit
 
-    # minimalize: drop any element whose leading term another one divides
-    # (leading terms are distinct: each was reduced by the earlier ones)
-    H = [(lt, t) for lt, t in basis
-         if not any(m != lt and not (lt - m) & guard for m, _ in basis)]
+    return _reduced_basis(basis, field, pk)
+
+
+def _reduced_basis(basis: list[tuple[int, tuple]], field: FieldSpec, pk: _Packing) -> list[dict]:
+    """The reduced basis of the ideal that the monic reducers ``basis``, a
+    Groebner basis, generate, as ``buchberger`` returns it: unique, so the
+    same from either kernel."""
+    guard = pk.guard
+    # minimalize: ascending, keep an element when no kept leading term
+    # divides its own (equal leading terms included)
+    H: list[tuple[int, tuple]] = []
+    kept: list[int] = []
+    for lt, t in sorted(basis, key=itemgetter(0)):
+        if not _divisible(lt, kept, guard):
+            kept.append(lt)
+            H.append((lt, t))
 
     # tail-reduce each against all of H, one memo for the pass: no leading
     # term divides a smaller monomial, so an element never reduces its own
     # tail, and the leading terms stay minimal and monic
-    memo = {}
+    memo: dict = {}
     for i, (lt, t) in enumerate(H):
         H[i] = (lt, tuple(_reduce_full(t, H, field, guard, memo).items()))
 
     one = field.one
-    return [pk.unpack_terms(dict(((lt, one),) + t)) for lt, t in sorted(H, key=itemgetter(0))]
+    return [pk.unpack_terms(dict(((lt, one),) + t)) for lt, t in H]
+
+
+def _signature_basis(gens: list[dict], field: FieldSpec, pk: _Packing) -> list[dict]:
+    """The reduced basis of homogeneous ``gens`` by signatures (Gao, Volny
+    and Wang, Math. Comp. 2016; Eder and Roune, ISSAC 2013).
+
+    Each element g carries a signature (m, i), the leading term m e_i of an
+    a in R^s with a . gens = g, in the Schreyer order: (m, i) ranks by
+    m*LT(gens[i]), then by i. Its key is that packed product shifted left
+    by ``nbits``, plus i, so keys compare as the order, a multiple u*g has
+    key (u << nbits) + key(g), and two keys of one i divide as their
+    monomials do. J-pairs (the multiple of the larger-signed element of a
+    pair that reaches the lcm of the two leading terms, and the generators
+    themselves) are treated in increasing signature and reduced regularly,
+    by multiples of smaller signature only. A J-pair is dropped unreduced
+    when a syzygy signature divides its own (the Koszul ones
+    (LT gens[i], j) for i < j, those of the J-pairs that reduced to zero,
+    and those of pairs with coprime leading terms or of two monomials,
+    which are syzygies themselves), or when an element added after its
+    origin has a signature dividing it (the rewrite criterion in add order,
+    which also keeps one J-pair per signature). Both are checked when a
+    J-pair is made and again when it is popped."""
+    guard, weights = pk.guard, pk.weights
+    nbits = len(gens).bit_length()
+    low = (1 << nbits) - 1
+    sigmask = guard << nbits | low
+    fs = [pk.pack_terms(g) for g in gens]
+    heads = [max(f) for f in fs]
+    # syzygy signatures by index i, each as its packed m*LT(gens[i])
+    syz = [[heads[j] + h for j in range(i)] for i, h in enumerate(heads)]
+    basis: list[tuple[int, tuple]] = []  # reducers: (packed leading monomial, tail)
+    sigs: list[int] = []  # signature keys
+    ratios: list[int] = []  # signature key minus the leading monomial's
+    exps: list[Exponent] = []  # leading exponents, for lcms
+    supports: list[int] = []  # leading supports, as variable bitmasks
+    memo: dict = {}  # divisor memo of _reduce_full over the growing basis
+    # (signature key, minus the origin's index, packed multiplier); a
+    # generator's entry has 1 in the middle
+    queue = [(h << nbits | i, 1, 0) for i, h in enumerate(heads)]
+    heapq.heapify(queue)
+    one = field.one
+    while queue:
+        key, a, t = heapq.heappop(queue)
+        val, i = key >> nbits, key & low
+        if val & guard:
+            raise _Overflow
+        if _divisible(val, syz[i], guard) or _divisible(key, sigs[1 - a:], sigmask):
+            continue
+        if a == 1:
+            poly = fs[i]
+        else:
+            lt, tail = basis[-a]
+            poly = {lt + t: one}
+            poly.update((e + t, c) for e, c in tail)
+        r = _reduce_full(poly, basis, field, guard, memo, (key, nbits, ratios))
+        if not r:
+            syz[i].append(val)
+            continue
+        h = _monic(r, field)
+        lt = max(h)
+        if not lt:
+            return [{(0,) * len(weights): one}]
+        k = len(basis)
+        basis.append(_reducer(h))
+        sigs.append(key)
+        ratios.append(key - (lt << nbits))
+        exps.append(pk.unpack(lt))
+        supports.append(sum(1 << v for v, x in enumerate(exps[k]) if x))
+        for j in range(k):
+            ltj = basis[j][0]
+            coprime = not supports[k] & supports[j]
+            lcm = lt + ltj if coprime else sum(map(mul, map(max, exps[k], exps[j]), weights))
+            if lcm & guard:
+                raise _Overflow
+            mine = key + (lcm - lt << nbits)
+            theirs = sigs[j] + (lcm - ltj << nbits)
+            if mine == theirs:
+                continue
+            top, origin = (mine, k) if mine > theirs else (theirs, j)
+            zs, z = syz[top & low], top >> nbits
+            if _divisible(z, zs, guard) or origin == j and not (top - key) & sigmask:
+                continue  # dropped now rather than when popped
+            if coprime or not (basis[k][1] or basis[j][1]):  # a syzygy
+                zs.append(z)
+            else:
+                heapq.heappush(queue, (top, -origin, lcm - basis[origin][0]))
+    return _reduced_basis(basis, field, pk)
 
 
 # ---------------------------------------------------------------------------
@@ -724,32 +863,29 @@ def krull_dim(I: Ideal) -> int:
     if I.is_unit:
         I._dim = -1
         return -1
-    supports = [frozenset(i for i, e in enumerate(exp) if e) for exp in I.leading_exponents()]
+    # supports and variable subsets as bitmasks, bit v for variable v
+    supports = {sum(1 << v for v, e in enumerate(exp) if e) for exp in I.leading_exponents()}
     # keep only inclusion-minimal supports; the rest are implied
-    minimal = [
-        s for s in supports if not any(t < s for t in supports)
-    ]
+    minimal = [s for s in supports if not any(t != s and t & s == t for t in supports)]
     # shortest first, so each branch is on the fewest variables
-    supports = sorted(set(minimal), key=lambda s: (len(s), sorted(s)))
+    bits = {s: [1 << v for v in range(I.ring.nvars) if s >> v & 1] for s in minimal}
+    blockers = sorted(bits.items(), key=lambda item: (len(item[1]), item[1]))
     memo: dict = {}
 
-    def best(avail: frozenset) -> int:
+    def best(avail: int) -> int:
         hit = memo.get(avail)
         if hit is not None:
             return hit
-        blocker = None
-        for s in supports:
-            if s <= avail:
-                blocker = s
+        for s, vs in blockers:
+            if s & avail == s:
+                value = max(best(avail ^ v) for v in vs)
                 break
-        if blocker is None:
-            memo[avail] = len(avail)
-            return len(avail)
-        value = max(best(avail - {v}) for v in blocker)
+        else:
+            value = avail.bit_count()
         memo[avail] = value
         return value
 
-    I._dim = best(frozenset(range(I.ring.nvars)))
+    I._dim = best((1 << I.ring.nvars) - 1)
     return I._dim
 
 

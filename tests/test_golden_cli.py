@@ -1,6 +1,6 @@
 """Golden CLI output: every problem subcommand on every shipped problem, single
-``bigraded-e`` cells, ``selftest``, and the summary of
-``scripts/run_examples.py``.
+``bigraded-e`` cells, ``gb`` and ``hilbert`` on the ideals in
+``tests/inputs``, ``selftest``, and the summary of ``scripts/run_examples.py``.
 
 Each case runs ``mixmult`` in process at ``--seed 0`` from the repository
 root and compares stdout byte for byte with ``tests/golden/<case>.out``. An
@@ -60,6 +60,14 @@ def golden_cases() -> list[tuple[str, list[str]]]:
         cases.append((f"{stem}.bigraded-e.I.cell{i}{j}",
                       ["bigraded-e", "--file", f"problems/{stem}.mix", "--ideal", "I",
                        "--i", str(i), "--j", str(j)]))
+    # gb and hilbert on homogeneous ideals that are not monomial, the input
+    # of the signature kernel: (1,1)-forms in 4+4 (a regular sequence) and
+    # (2,1)-forms in 3+3 (not one). They live in tests/inputs, not in
+    # problems/, whose every file runs under every subcommand.
+    for path in sorted((ROOT / "tests" / "inputs").glob("*.mix")):
+        for cmd in ("gb", "hilbert"):
+            cases.append((f"{path.stem}.{cmd}.I",
+                          [cmd, "--file", f"tests/inputs/{path.name}", "--ideal", "I"]))
     cases.append(("selftest", ["selftest"]))
     return cases
 

@@ -220,6 +220,32 @@ class TestLargeExponents:
         assert [list(h.items()) for h in basis] == [list(h.items()) for h in wide]
         assert [str(Poly(R, h)) for h in basis] == ["x^140 + 32002*y", "32002*x^20 + z"]
 
+    def test_eight_bit_start_trips_in_the_signature_kernel(self, monkeypatch):
+        # homogeneous inputs of degree 61 start at 8-bit fields, and the
+        # basis reaches degree 128
+        widths = []
+        real = groebner._Packing
+
+        def spy(order, nvars, width):
+            widths.append(width)
+            return real(order, nvars, width)
+
+        kernel, runs = groebner._signature_basis, []
+
+        def spy_kernel(gens, field, pk):
+            runs.append(pk)
+            return kernel(gens, field, pk)
+
+        monkeypatch.setattr(groebner, "_Packing", spy)
+        monkeypatch.setattr(groebner, "_signature_basis", spy_kernel)
+        R = kxyzw()
+        x, y, z, w = R.gens()
+        gens = [(x * w**60 - y**60 * z).terms, (x * y * w**59 - z**61).terms]
+        basis = groebner.buchberger(gens, R.field, DEGREVLEX)
+        assert widths == [8, 16] and len(runs) == 2
+        wide = groebner._buchberger(gens, R.field, real(DEGREVLEX, 4, 32))
+        assert [list(h.items()) for h in basis] == [list(h.items()) for h in wide]
+
 
 class TestNormalForm:
     def test_member_reduces_to_zero(self):

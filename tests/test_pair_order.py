@@ -8,7 +8,14 @@ show that the pair queue changes speed only, never the work done.
 
 The ``three_component`` ideal is generated by monomials, so ``buchberger``
 answers it with its minimal generators and runs no pair loop: its figures
-were re-recorded as no reductions and an empty pair list.
+were re-recorded as no reductions and an empty pair list. The (2,1)-forms
+are homogeneous, so ``buchberger`` sends them to the signature kernel; the
+pair loop is pinned on them by calling ``_buchberger`` itself, with its
+figures unchanged.
+
+The signature kernel is pinned by its own counts: the J-pairs it treats
+(one regular reduction each, the generators included) and how many of
+those reduce to zero.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import random
 import pytest
 
 from mixmult import DEGREVLEX, groebner
-from mixmult.groebner import _lift, _tagged_ring, buchberger, eliminate
+from mixmult.groebner import _buchberger, _lift, _packed, _tagged_ring, buchberger, eliminate
 from mixmult.instances import bigraded_ring
 from mixmult.problemfile import parse_problem
 from mixmult.rings import monomials_of_bidegree
@@ -69,12 +76,17 @@ def _tagged_intersection():
     return eliminate(gens, I.ring)
 
 
-def _forms_21():
-    R = bigraded_ring(3, 3)
+def _forms(nx, ny, bidegree, count):
+    """``count`` dense random forms of one bidegree in nx + ny variables."""
+    R = bigraded_ring(nx, ny)
     rng = random.Random(2024)
-    monos = list(monomials_of_bidegree(R, 2, 1))
-    gens = [{e: rng.randrange(1, 32003) for e in monos} for _ in range(4)]
-    return buchberger(gens, R.field, DEGREVLEX)
+    monos = list(monomials_of_bidegree(R, *bidegree))
+    return R, [{e: rng.randrange(1, 32003) for e in monos} for _ in range(count)]
+
+
+def _forms_21():
+    R, gens = _forms(3, 3, (2, 1), 4)
+    return _packed(lambda pk: _buchberger(gens, R.field, pk), DEGREVLEX, R.nvars, gens)
 
 
 @pytest.mark.parametrize("run,expected", [
@@ -84,3 +96,46 @@ def _forms_21():
 ], ids=["three_component", "tagged_intersection", "forms_21"])
 def test_pair_order_is_pinned(run, expected, monkeypatch):
     assert _trace_buchberger(monkeypatch, run) == expected
+
+
+_REDUCE_FULL = groebner._reduce_full
+
+
+def _reduction_counts(monkeypatch, run, regular):
+    """(reductions, zero reductions) of ``run()``: the regular ones of the
+    signature kernel (those given a signature bound), or else every one."""
+    counts = [0, 0]
+
+    def counting(*args):
+        r = _REDUCE_FULL(*args)
+        if not regular or len(args) > 5:
+            counts[0] += 1
+            counts[1] += not r
+        return r
+
+    monkeypatch.setattr(groebner, "_reduce_full", counting)
+    run()
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("shape,expected", [
+    ((3, 3, (2, 1), 4), (74, 22)),
+    ((5, 5, (1, 1), 5), (53, 22)),
+], ids=["forms_21", "forms_11_5x5"])
+def test_signature_kernel_counts_are_pinned(shape, expected, monkeypatch):
+    R, gens = _forms(*shape)
+    counts = _reduction_counts(
+        monkeypatch, lambda: buchberger(gens, R.field, DEGREVLEX), regular=True)
+    assert counts == expected
+
+
+def test_signature_kernel_skips_most_zero_reductions_of_a_regular_sequence(monkeypatch):
+    # five (1,1)-forms in 5+5 variables are a regular sequence: their only
+    # syzygies are the Koszul ones, which the signatures recognise
+    R, gens = _forms(5, 5, (1, 1), 5)
+    pair_loop = _reduction_counts(monkeypatch, lambda: _packed(
+        lambda pk: _buchberger(gens, R.field, pk), DEGREVLEX, R.nvars, gens), regular=False)
+    signature = _reduction_counts(
+        monkeypatch, lambda: buchberger(gens, R.field, DEGREVLEX), regular=True)
+    assert pair_loop == (134, 72)
+    assert 2 * signature[1] < pair_loop[1]

@@ -1,9 +1,11 @@
-"""The Buchberger reduction kernel: delayed normalisation, the divisor memo
-and the monomial fast path, each against the plain computation it stands for."""
+"""The Buchberger reduction kernel: delayed normalisation, the divisor memo,
+the monomial fast path and the signature kernel, each against the plain
+computation it stands for."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +92,60 @@ def test_monomial_fast_path_matches_the_pair_loop(case):
     field, order, nvars, gens = case
     pair_loop = _packed(lambda pk: _buchberger(gens, field, pk), order, nvars, gens)
     assert buchberger(gens, field, order) == pair_loop
+
+
+@st.composite
+def homogeneous_case(draw):
+    """Homogeneous generators, some dependent on the others, now and then a
+    constant, under degrevlex or the block order of the first variable."""
+    field = draw(st.sampled_from((FieldSpec(2), FieldSpec(3), FieldSpec(32003), FieldSpec())))
+    nvars = draw(st.integers(1, 4))
+    order = MonomialOrder(draw(st.sampled_from(((), (0,)))))
+    if field.p is None:
+        coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+    else:
+        coeff = st.integers(1, field.p - 1)
+
+    def monomial(degree):
+        exp = [0] * nvars
+        for v in draw(st.lists(st.integers(0, nvars - 1), min_size=degree, max_size=degree)):
+            exp[v] += 1
+        return tuple(exp)
+
+    def form(degree):
+        terms = {}
+        for _ in range(draw(st.integers(1, 4))):
+            terms[monomial(degree)] = field.coerce(draw(coeff))
+        return terms
+
+    def times(f, degree):
+        """f times a monomial, to the given degree."""
+        m = monomial(degree - sum(next(iter(f))))
+        return {tuple(map(add, e, m)): c for e, c in f.items()}
+
+    gens = [form(draw(st.integers(1, 3))) for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(0, 2))):
+        # a dependent generator, m*f + c*m'*g, in the ideal of the others
+        f, g = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+        degree = max(sum(next(iter(f))), sum(next(iter(g))))
+        dep, c = times(f, degree), field.coerce(draw(coeff))
+        for e, b in times(g, degree).items():
+            dep[e] = field.add(dep.get(e, field.zero), field.mul(c, b))
+        dep = {e: b for e, b in dep.items() if b}
+        if dep:
+            gens.insert(draw(st.integers(0, len(gens))), dep)
+    if draw(st.integers(0, 7)) == 0:
+        gens.insert(draw(st.integers(0, len(gens))), {(0,) * nvars: field.coerce(draw(coeff))})
+    return field, order, nvars, gens
+
+
+@settings(max_examples=300, deadline=None)
+@given(homogeneous_case())
+def test_signature_kernel_matches_the_pair_loop(case):
+    field, order, nvars, gens = case
+    pair_loop = _packed(lambda pk: _buchberger(gens, field, pk), order, nvars, gens)
+    ours = buchberger(gens, field, order)
+    assert [list(h.items()) for h in ours] == [list(h.items()) for h in pair_loop]
 
 
 def test_monomial_unit_ideal():

@@ -222,7 +222,7 @@ class TestLargeExponents:
 
     def test_eight_bit_start_trips_in_the_signature_kernel(self, monkeypatch):
         # homogeneous inputs of degree 61 start at 8-bit fields, and the
-        # basis reaches degree 128
+        # pairs of the degree-121 basis element pass degree 127
         widths = []
         real = groebner._Packing
 

@@ -7,14 +7,23 @@ consumer. Exit codes: 0 success, 1 usage or parse error, 2 mathematical
 assertion failure, 3 genericity exhausted, 4 internal error (any other
 exception: its traceback, then one ``internal error:`` line, on stderr). A
 closed stdout exits 1 and prints nothing.
+
+``_SUBCOMMANDS`` is the one description of the CLI: each command's help
+line, options and handler. ``_read_argv`` reads ``argv`` against it as
+argparse did (exact flags, unique prefixes, ``--flag=value``, negative
+numbers as values, required options, ``-h``/``--help``), with argparse's
+usage-error wording, and help text is built from the same table. argparse
+itself is not used: building its parser and printing its first message
+imports gettext and locale and compiles six regexes, 2-3 ms of a command
+that spends 4-25 ms of CPU on the shipped files.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 from typing import Optional
 
 # CPython's own SHA-256 module, as ``random`` takes its SHA-512: hashlib loads
@@ -259,93 +268,180 @@ class _SelftestFailed(MathInvariantError):
         self.doc = doc
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage errors exit 1, not argparse's 2
-        raise InputError(message)
+# the options every command takes
+_CONFIG = (
+    ("--seed", int, False, f"seed of every random draw (default {RunConfig.seed}, "
+                           "or MIXMULT_SEED)"),
+    ("--prime", int, False, "bounds random draws over Q only; over F p they lie in "
+                            "the field, and every shipped selftest instance is over "
+                            f"F 32003 (default {RunConfig.prime}, or MIXMULT_PRIME)"),
+    ("--max-retries", int, False, "attempts per certified search before exit 3 "
+                                  f"(default {RunConfig.max_retries}, or "
+                                  "MIXMULT_MAX_RETRIES)"),
+)
+_FILE = (("--file", str, True, "problem file"),)
+_IDEAL = _FILE + _CONFIG + (("--ideal", str, True, "name of the ideal in the file"),)
+_MIXED = _FILE + _CONFIG + (
+    ("--ideal", str, True, "the ideal J"),
+    ("--ambient", str, False, "ideal defining the ambient quotient ring"),
+)
 
-
-def _common(p, needs_file=True):
-    if needs_file:
-        p.add_argument("--file", required=True, help="problem file")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"seed of every random draw (default {RunConfig.seed}, "
-                        "or MIXMULT_SEED)")
-    p.add_argument("--prime", type=int, default=None,
-                   help="bounds random draws over Q only; over F p they lie in "
-                        "the field, and every shipped selftest instance is over "
-                        f"F 32003 (default {RunConfig.prime}, or MIXMULT_PRIME)")
-    p.add_argument("--max-retries", type=int, default=None,
-                   help="attempts per certified search before exit 3 (default "
-                        f"{RunConfig.max_retries}, or MIXMULT_MAX_RETRIES)")
-
-
-def _ideal_args(p):
-    _common(p)
-    p.add_argument("--ideal", required=True)
-
-
-def _bigraded_e_args(p):
-    _ideal_args(p)
-    p.add_argument("--i", type=int, default=None)
-    p.add_argument("--j", type=int, default=None)
-    p.add_argument("--verify", action="store_true",
-                   help="recompute every top-diagonal cell of the table by the criterion")
-
-
-def _mixed_args(p):
-    _common(p)
-    p.add_argument("--ideal", required=True, help="the ideal J")
-    p.add_argument("--ambient", default=None,
-                   help="ideal defining the ambient quotient ring")
-
-
-def _sv_args(p):
-    _common(p)
-    p.add_argument("--x", required=True, help="ideal of the first subscheme")
-    p.add_argument("--y", required=True, help="ideal of the second subscheme")
-
-
-# subcommand: (help, arguments, handler), in the order ``mixmult --help``
-# lists them
+# subcommand: (help, options, handler), in the order ``mixmult --help`` lists
+# them; an option is (flag, type, required, help), and type bool is a switch
 _SUBCOMMANDS = {
-    "gb": ("reduced degrevlex Groebner basis", _ideal_args, _cmd_gb),
-    "hilbert": ("series numerator, polynomial, table", _ideal_args, _cmd_hilbert),
-    "bigraded-report": ("degree data of the Hilbert polynomial", _ideal_args,
+    "gb": ("reduced degrevlex Groebner basis", _IDEAL, _cmd_gb),
+    "hilbert": ("series numerator, polynomial, table", _IDEAL, _cmd_hilbert),
+    "bigraded-report": ("degree data of the Hilbert polynomial", _IDEAL,
                         _cmd_bigraded_report),
-    "bigraded-e": ("mixed multiplicities of a bigraded algebra", _bigraded_e_args,
-                   _cmd_bigraded_e),
-    "ideal-mixed": ("mixed multiplicities e_i(m|J) via saturation chains", _mixed_args,
+    "bigraded-e": ("mixed multiplicities of a bigraded algebra", _IDEAL + (
+        ("--i", int, False, "row of one cell, read by the positivity criterion"),
+        ("--j", int, False, "column of that cell"),
+        ("--verify", bool, False,
+         "recompute every top-diagonal cell of the table by the criterion"),
+    ), _cmd_bigraded_e),
+    "ideal-mixed": ("mixed multiplicities e_i(m|J) via saturation chains", _MIXED,
                     _cmd_mixed),
-    "rees-mult": ("multiplicity of the Rees algebra", _mixed_args, _cmd_mixed),
-    "diagonal-degree": ("degree of the diagonal embedding", _mixed_args, _cmd_mixed),
-    "sv": ("intersection cycle degrees on the ruled join", _sv_args, _cmd_sv),
-    "selftest": ("run the fixture and property suites",
-                 lambda p: _common(p, needs_file=False), _cmd_selftest),
+    "rees-mult": ("multiplicity of the Rees algebra", _MIXED, _cmd_mixed),
+    "diagonal-degree": ("degree of the diagonal embedding", _MIXED, _cmd_mixed),
+    "sv": ("intersection cycle degrees on the ruled join", _FILE + _CONFIG + (
+        ("--x", str, True, "ideal of the first subscheme"),
+        ("--y", str, True, "ideal of the second subscheme"),
+    ), _cmd_sv),
+    "selftest": ("run the fixture and property suites", _CONFIG, _cmd_selftest),
 }
 
+_HELP = ("-h", "--help")
 
-def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
-    """The CLI parser; with ``only``, one that knows just that subcommand,
-    which parses its arguments as the full parser does at a fraction of the
-    set-up cost."""
-    parser = _Parser(prog="mixmult",
-                     description="exact bigraded Hilbert polynomials, mixed "
-                                 "multiplicities, and intersection-cycle degrees")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (helptext, arguments, _) in _SUBCOMMANDS.items():
-        if only is None or name == only:
-            arguments(sub.add_parser(name, help=helptext))
-    return parser
+
+class _Help(Exception):
+    """``-h`` or ``--help`` was read: print the text and exit 0."""
+
+
+def _help_text(name: Optional[str]) -> str:
+    """``mixmult --help``, or with ``name`` that command's help, from
+    ``_SUBCOMMANDS``."""
+    import textwrap  # only help text needs it
+
+    if name is None:
+        usage, text = "mixmult <command> [options]", (
+            "exact bigraded Hilbert polynomials, mixed multiplicities, and "
+            "intersection-cycle degrees")
+        heading, rows = "commands:", [(cmd, h) for cmd, (h, _, _) in _SUBCOMMANDS.items()]
+        footer = ["", "Run mixmult <command> --help for the options of a command."]
+    else:
+        text, options, _ = _SUBCOMMANDS[name]
+        heading, rows, footer = "options:", [("-h, --help", "show this help message and exit")], []
+        usage = f"mixmult {name} [-h]"
+        for flag, kind, required, helptext in options:
+            form = flag if kind is bool else f"{flag} {flag[2:].upper().replace('-', '_')}"
+            usage += f" {form}" if required else f" [{form}]"
+            rows.append((form, helptext))
+    width = max(len(form) for form, _ in rows) + 4
+
+    def wrap(text: str, first: str = "", rest: str = "") -> list[str]:
+        return textwrap.wrap(text, 79, initial_indent=first, subsequent_indent=rest,
+                             break_on_hyphens=False)
+
+    lines = wrap(usage, "usage: ", " " * 7) + ["", *wrap(text), "", heading]
+    for form, helptext in rows:
+        lines += wrap(helptext, f"  {form}".ljust(width), " " * width)
+    return "\n".join(lines + footer)
+
+
+def _option(token: str, flags: tuple) -> Optional[tuple]:
+    """How ``token`` reads among ``flags``, as argparse reads it: None for a
+    value, else (flag, value after ``=`` or None), with flag None for an
+    unknown option. A flag matches exactly, or by a unique prefix of two
+    dashes; a token that looks like a negative number, or holds a space,
+    is a value."""
+    if token in flags:
+        return token, None
+    if token[:1] != "-" or token == "-":
+        return None
+    head, eq, value = token.partition("=")
+    if eq and head in flags:
+        return head, value
+    if token[1] == "-":
+        hits = [f for f in flags if f.startswith(head)]
+        if len(hits) > 1:
+            raise InputError(f"ambiguous option: {token} could match {', '.join(hits)}")
+        if hits:
+            return hits[0], value if eq else None
+    whole, dot, fraction = token[1:].partition(".")
+    if dot:
+        negative = fraction.isdecimal() and (not whole or whole.isdecimal())
+    else:
+        negative = whole.isdecimal()
+    return None if negative or " " in token else (None, None)
+
+
+def _read_argv(argv: list[str]):
+    """The subcommand's options from ``argv``, as argparse read them: a
+    namespace with ``command`` and one attribute per option of that
+    command (None, or False for a switch, when not given; the last value
+    when repeated). Raises ``InputError`` with argparse's wording on a
+    usage error and ``_Help`` on ``-h`` or ``--help``."""
+    if not argv:
+        raise InputError("the following arguments are required: command")
+    name, rest = argv[0], argv[1:]
+    if name == "-h" or name.startswith("--h") and "--help".startswith(name):
+        raise _Help(_help_text(None))
+    if name not in _SUBCOMMANDS:
+        choices = ", ".join(map(repr, _SUBCOMMANDS))
+        raise InputError(f"argument command: invalid choice: {name!r} "
+                         f"(choose from {choices})")
+    options = {flag: (kind, required) for flag, kind, required, _ in _SUBCOMMANDS[name][1]}
+    # "--" is no option's value, and every token after it is a value
+    sep = rest.index("--") if "--" in rest else len(rest)
+    reads = [_option(t, _HELP + tuple(options)) for t in rest[:sep]]
+    reads += [(None, None)] + [None] * (len(rest) - sep - 1)
+    values = {flag: False if kind is bool else None for flag, (kind, _) in options.items()}
+    extras: list = []
+    i = 0
+    while i < len(rest):
+        flag, value = reads[i] or (None, None)
+        i += 1
+        if flag is None:  # a value no option took, or an unknown option
+            extras.append(rest[i - 1])
+            continue
+        kind = bool if flag in _HELP else options[flag][0]
+        label = "-h/--help" if flag in _HELP else flag
+        if value is None and kind is not bool:
+            if i == len(rest) or reads[i] is not None:
+                raise InputError(f"argument {label}: expected one argument")
+            value = rest[i]
+            i += 1
+        elif value is not None and kind is bool:
+            raise InputError(f"argument {label}: ignored explicit argument {value!r}")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise InputError(f"argument {label}: invalid int value: {value!r}") from None
+        if flag in _HELP:
+            raise _Help(_help_text(name))
+        values[flag] = True if kind is bool else value
+    missing = [flag for flag, (_, required) in options.items()
+               if required and values[flag] is None]
+    if missing:
+        raise InputError("the following arguments are required: " + ", ".join(missing))
+    if extras:
+        raise InputError("unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(command=name,
+                           **{flag[2:].replace("-", "_"): v for flag, v in values.items()})
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv and argv[0] in _SUBCOMMANDS else None)
     try:
-        args = parser.parse_args(argv)
-        config = load_config(args.seed, args.prime, args.max_retries)
-        print(_SUBCOMMANDS[args.command][2](args, config))
+        try:
+            args = _read_argv(argv)
+            config = load_config(args.seed, args.prime, args.max_retries)
+            doc = _SUBCOMMANDS[args.command][2](args, config)
+        except _Help as text:
+            doc = str(text)
+        print(doc)
         sys.stdout.flush()
         return 0
     except BrokenPipeError:

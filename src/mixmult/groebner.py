@@ -13,12 +13,18 @@ order (``_signature_basis``; Gao, Volny and Wang, Math. Comp. 2016), which
 drops J-pairs by syzygy and rewrite criteria before reducing them, so a
 regular sequence costs few zero reductions. Anything else (every
 Rabinowitsch part, intersection and Rees presentation) goes to a Buchberger
-loop with the coprime and chain criteria and the normal selection strategy:
-S-pairs wait in a heap keyed by their lcm, and equal lcms leave in the order
-they were made. The signature kernel's guard-bit argument needs homogeneity:
-there no field of a signature exceeds the degree of its polynomial. Both
-loops end in one minimalise-and-tail-reduce pass (``_reduced_basis``), and
-the reduced basis is unique, so either returns the same dicts.
+loop with the coprime and chain criteria and sugar selection (Giovini, Mora,
+Niesi, Robbiano and Traverso, "One sugar cube, please", ISSAC 1991): an input
+generator's sugar is its largest term degree, the S-pair of f_i and f_j has
+the larger of sugar_i + deg lcm - deg LT(f_i) and the same for j, and its
+remainder keeps that sugar. S-pairs wait in a heap keyed by their sugar, then
+their lcm, and equal keys leave in the order they were made. On homogeneous
+input the sugar is the degree of the lcm, which degrevlex compares first
+anyway, so there the order is the normal strategy's. The signature kernel's
+guard-bit argument needs homogeneity: there no field of a signature exceeds
+the degree of its polynomial. Both loops end in one minimalise-and-tail-
+reduce pass (``_reduced_basis``), and the reduced basis is unique, so either
+returns the same dicts.
 Monomial-ideal fast paths cover the operations that dominate the workloads
 here and return handles preset with the basis that path finds.
 
@@ -328,14 +334,16 @@ def _buchberger(gens: list[dict], field: FieldSpec, pk: _Packing) -> list[dict]:
     unit = [{(0,) * len(pk.weights): field.one}]
     basis: list[tuple[int, tuple]] = []  # reducers: (packed leading monomial, tail)
     lts: list[Exponent] = []
+    # each element's sugar less the degree of its leading monomial
+    excess: list[int] = []
     memo: dict = {}  # divisor memo of _reduce_full over the growing basis
     pending: dict[frozenset, int] = {}
-    # (packed lcm, creation tick, pair): pops the smallest lcm first, equal
-    # lcms in creation order
+    # (sugar, packed lcm, creation tick, pair): pops the smallest sugar
+    # first, then the smallest lcm, equal ones in creation order
     queue: list = []
     tick = count()
 
-    def push(h: dict) -> bool:
+    def push(h: dict, sugar: int) -> bool:
         """Add a fully reduced nonzero polynomial; True when it is a unit."""
         lt = max(h)
         if not lt:
@@ -343,19 +351,22 @@ def _buchberger(gens: list[dict], field: FieldSpec, pk: _Packing) -> list[dict]:
         k = len(basis)
         basis.append(_reducer(_monic(h, field)))
         lts.append(pk.unpack(lt))
+        excess.append(sugar - sum(lts[k]))
         for i in range(k):
             key = frozenset((i, k))
-            lcm = pending[key] = pk.pack(_elcm(lts[i], lts[k]))
-            heapq.heappush(queue, (lcm, next(tick), key))
+            lcm = _elcm(lts[i], lts[k])
+            packed = pending[key] = pk.pack(lcm)
+            pair_sugar = sum(lcm) + max(excess[i], excess[k])
+            heapq.heappush(queue, (pair_sugar, packed, next(tick), key))
         return False
 
     for g in gens:
         r = _reduce_full(pk.pack_terms(g), basis, field, guard, memo)
-        if r and push(r):
+        if r and push(r, max(map(sum, g))):
             return unit
 
     while queue:
-        key = heapq.heappop(queue)[2]
+        sugar, _, _, key = heapq.heappop(queue)
         lcm = pending.pop(key)
         i, j = tuple(key)
         # coprime criterion: disjoint leading supports reduce to zero
@@ -371,7 +382,7 @@ def _buchberger(gens: list[dict], field: FieldSpec, pk: _Packing) -> list[dict]:
             s = _spoly((lts[i], basis[i][1], lcm - basis[i][0]),
                        (lts[j], basis[j][1], lcm - basis[j][0]))
             r = _reduce_full(s, basis, field, guard, memo)
-            if r and push(r):
+            if r and push(r, sugar):
                 return unit
 
     return _reduced_basis(basis, field, pk)

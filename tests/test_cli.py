@@ -1,8 +1,12 @@
-"""CLI subcommands: JSON shape, determinism, exit codes."""
+"""CLI subcommands: JSON shape, determinism, exit codes, and the argument
+reader against the argparse parser it replaced."""
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -11,8 +15,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mixmult.cli import _SUBCOMMANDS, build_parser, main
+from mixmult.cli import _SUBCOMMANDS, _Help, _read_argv, main
+from mixmult.config import RunConfig
 from mixmult.errors import InputError
 
 
@@ -298,46 +305,194 @@ class TestEnvironmentOverrides:
         assert code == 1
 
 
-class TestOneSubcommandParser:
-    """``main`` builds only the subparser its first argument names; that
-    parser must read every argument list as the full parser does."""
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # usage errors exit 1, not argparse's 2
+        raise InputError(message)
 
-    TAILS = (
-        [],
-        ["--file", "f.mix"],
-        ["--file", "f.mix", "--ideal", "I", "--seed", "3", "--prime", "7",
-         "--max-retries", "2"],
-        ["--file", "f.mix", "--ideal", "I", "--i", "1", "--j", "2", "--verify"],
-        ["--file", "f.mix", "--ideal", "J", "--ambient", "A"],
-        ["--file", "f.mix", "--x", "X", "--y", "Y"],
-        ["--seed", "many"],
-        ["--file", "f.mix", "--ideal", "I", "extra"],
-        ["--bogus"],
-    )
 
-    @staticmethod
-    def _outcome(parser, argv):
-        try:
-            return vars(parser.parse_args(argv))
-        except InputError as exc:
-            return ("usage error", str(exc))
+def _common(p, needs_file=True):
+    if needs_file:
+        p.add_argument("--file", required=True, help="problem file")
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"seed of every random draw (default {RunConfig.seed}, "
+                        "or MIXMULT_SEED)")
+    p.add_argument("--prime", type=int, default=None,
+                   help="bounds random draws over Q only; over F p they lie in "
+                        "the field, and every shipped selftest instance is over "
+                        f"F 32003 (default {RunConfig.prime}, or MIXMULT_PRIME)")
+    p.add_argument("--max-retries", type=int, default=None,
+                   help="attempts per certified search before exit 3 (default "
+                        f"{RunConfig.max_retries}, or MIXMULT_MAX_RETRIES)")
 
-    def test_same_namespace_and_usage_errors(self):
-        full = build_parser()
-        for name in _SUBCOMMANDS:
-            one = build_parser(name)
-            for tail in self.TAILS:
-                argv = [name] + tail
-                assert self._outcome(one, argv) == self._outcome(full, argv), argv
 
-    def test_help_is_the_same(self, capsys):
-        for name in _SUBCOMMANDS:
-            texts = []
-            for parser in (build_parser(name), build_parser()):
-                with pytest.raises(SystemExit):
-                    parser.parse_args([name, "--help"])
-                texts.append(capsys.readouterr().out)
-            assert texts[0] == texts[1] and texts[0].startswith(f"usage: mixmult {name}")
+def _ideal_args(p):
+    _common(p)
+    p.add_argument("--ideal", required=True)
+
+
+def _bigraded_e_args(p):
+    _ideal_args(p)
+    p.add_argument("--i", type=int, default=None)
+    p.add_argument("--j", type=int, default=None)
+    p.add_argument("--verify", action="store_true",
+                   help="recompute every top-diagonal cell of the table by the criterion")
+
+
+def _mixed_args(p):
+    _common(p)
+    p.add_argument("--ideal", required=True, help="the ideal J")
+    p.add_argument("--ambient", default=None,
+                   help="ideal defining the ambient quotient ring")
+
+
+def _sv_args(p):
+    _common(p)
+    p.add_argument("--x", required=True, help="ideal of the first subscheme")
+    p.add_argument("--y", required=True, help="ideal of the second subscheme")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI used before it read ``_SUBCOMMANDS``
+    itself: the reference its reader must agree with."""
+    parser = _Parser(prog="mixmult",
+                     description="exact bigraded Hilbert polynomials, mixed "
+                                 "multiplicities, and intersection-cycle degrees")
+    sub = parser.add_subparsers(dest="command", required=True)
+    arguments = {"gb": _ideal_args, "hilbert": _ideal_args,
+                 "bigraded-report": _ideal_args, "bigraded-e": _bigraded_e_args,
+                 "ideal-mixed": _mixed_args, "rees-mult": _mixed_args,
+                 "diagonal-degree": _mixed_args, "sv": _sv_args,
+                 "selftest": lambda p: _common(p, needs_file=False)}
+    for name, (helptext, _, _) in _SUBCOMMANDS.items():
+        arguments[name](sub.add_parser(name, help=helptext))
+    return parser
+
+
+ORACLE = build_parser()
+
+
+def _outcome(parse, argv):
+    """What ``parse`` makes of ``argv``: the namespace as a dict, a usage
+    error with its message, or help."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            return vars(parse(list(argv)))
+    except InputError as exc:
+        return ("usage error", str(exc))
+    except (SystemExit, _Help):
+        return ("help",)
+
+
+FLAGS = sorted({flag for _, options, _ in _SUBCOMMANDS.values() for flag, *_ in options})
+# "--" is no value after "=": argparse up to 3.12 stores [] for "--file=--",
+# 3.13 and the reader "--" (see test_double_dash_after_equals_is_the_value)
+WORDS = ("f.mix", "I", "J", "X", "many", "", "-x", "-1.5", "a b", "-x y", "-", " 5",
+         "+4", "3_0")
+VALUES = st.one_of(st.integers(-20, 20).map(str), st.sampled_from(WORDS))
+
+
+@st.composite
+def command_line(draw):
+    """A subcommand, often its required options with values, then flags of
+    any subcommand or their prefixes, alone, with a value or with
+    ``=value``, ``--``, help now and then, and stray values."""
+    name = draw(st.sampled_from(list(_SUBCOMMANDS) + ["bogus"]))
+    argv = [name]
+    if name in _SUBCOMMANDS and draw(st.booleans()):
+        for flag, _, required, _ in _SUBCOMMANDS[name][1]:
+            if required:
+                argv += [flag, draw(VALUES)]
+    for _ in range(draw(st.integers(0, 6))):
+        flag = draw(st.sampled_from(FLAGS * 4 + ["--bogus", "-x", "-h", "--help", "--"]))
+        if flag.startswith("--") and len(flag) > 3 and draw(st.booleans()):
+            flag = flag[:draw(st.integers(3, len(flag)))]
+        form = draw(st.integers(0, 3))
+        if form == 0:
+            argv.append(flag)
+        elif form == 1:
+            argv += [flag, draw(VALUES | st.just("--"))]
+        elif form == 2 and flag != "--":
+            argv.append(f"{flag}={draw(VALUES)}")
+        else:
+            argv.append(draw(VALUES))
+    return argv
+
+
+class TestReaderAgainstArgparse:
+    """``_read_argv`` reads every argument list as the argparse parser of
+    ``build_parser`` does: the same values, or the same usage error."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(command_line())
+    def test_same_namespace_and_usage_errors(self, argv):
+        assert _outcome(_read_argv, argv) == _outcome(ORACLE.parse_args, argv)
+
+    @pytest.mark.parametrize("argv,expected", [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'gb', "
+                    "'hilbert', 'bigraded-report', 'bigraded-e', 'ideal-mixed', "
+                    "'rees-mult', 'diagonal-degree', 'sv', 'selftest')"),
+        (["sv", "--file", "f"], "the following arguments are required: --x, --y"),
+        (["gb", "--file", "-x", "--ideal", "I"], "argument --file: expected one argument"),
+        (["gb", "--file", "f", "--ideal"], "argument --ideal: expected one argument"),
+        (["gb", "--file", "f", "--ideal", "I", "--seed", "3.5"],
+         "argument --seed: invalid int value: '3.5'"),
+        (["gb", "--file", "f", "--ideal", "I", "extra", "--bogus"],
+         "unrecognized arguments: extra --bogus"),
+        (["gb", "--file", "f", "--ideal", "I", "--verify"],
+         "unrecognized arguments: --verify"),
+        (["bigraded-e", "--file", "f", "--ideal", "I", "--verify=yes"],
+         "argument --verify: ignored explicit argument 'yes'"),
+    ])
+    def test_usage_error_wording(self, argv, expected):
+        assert _outcome(_read_argv, argv) == ("usage error", expected)
+        assert _outcome(ORACLE.parse_args, argv) == ("usage error", expected)
+
+    @pytest.mark.parametrize("argv,values", [
+        # unique prefixes, "=", negative numbers and a repeated flag
+        (["bigraded-e", "--fi=f.mix", "--id", "I", "--ver", "--s", "-3", "--max", "2",
+          "--seed", "4"],
+         {"file": "f.mix", "ideal": "I", "verify": True, "seed": 4, "max_retries": 2}),
+        # an exact flag beats a prefix: --i is not --ideal here ...
+        (["bigraded-e", "--file", "f", "--ideal", "I", "--i", "-1", "--j=2"],
+         {"file": "f", "ideal": "I", "i": -1, "j": 2}),
+        # ... but is where no --i exists
+        (["gb", "--f", "f", "--i", "I", "--p=7"], {"file": "f", "ideal": "I", "prime": 7}),
+        (["ideal-mixed", "--file", "f", "--ideal", "J", "--amb", "A"],
+         {"file": "f", "ideal": "J", "ambient": "A"}),
+    ])
+    def test_accepted_forms(self, argv, values):
+        outcome = _outcome(_read_argv, argv)
+        assert outcome == _outcome(ORACLE.parse_args, argv)
+        assert {k: v for k, v in outcome.items() if v not in (None, False)} == \
+            {"command": argv[0], **values}
+
+    def test_double_dash_after_equals_is_the_value(self):
+        # argparse 3.10-3.12 stored [] here, and the command then failed with
+        # exit 4; 3.13 reads "--" as the reader does
+        assert _read_argv(["gb", "--file=--", "--ideal", "I"]).file == "--"
+
+    @pytest.mark.parametrize("name", list(_SUBCOMMANDS))
+    def test_help(self, capsys, name):
+        code, out, err = run_cli(capsys, name, "--file", "f", "--help", "--bogus")
+        assert (code, err) == (0, "")
+        assert out.startswith(f"usage: mixmult {name} [-h]")
+        flat = " ".join(out.split())
+        for flag, kind, _, text in _SUBCOMMANDS[name][1]:
+            assert flag in out and " ".join(text.split()) in flat
+        if name != "selftest":
+            assert "--file FILE problem file" in flat
+        for default in ("default 0, or MIXMULT_SEED", "default 32003, or MIXMULT_PRIME",
+                        "default 16, or MIXMULT_MAX_RETRIES"):
+            assert default in flat
+
+    @pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+    def test_top_level_help_lists_every_command(self, capsys, flag):
+        code, out, err = run_cli(capsys, flag)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: mixmult <command>")
+        for name, (text, _, _) in _SUBCOMMANDS.items():
+            assert f"  {name}" in out and text in out
 
 
 def test_closed_stdout_exits_quietly():

@@ -6,6 +6,11 @@ of the leading exponents of every S-pair in the order the loop treats them,
 which also fixes the order among pairs with equal lcms. Equal figures
 show that the pair queue changes speed only, never the work done.
 
+Sugar selection changed the order on inhomogeneous input on purpose: the
+tag elimination of ``tagged_intersection`` was re-recorded then, from 23
+reductions to 21. On homogeneous input under degrevlex the sugar is the
+degree of the lcm, so the ``forms_21`` figures stand.
+
 The ``three_component`` ideal is generated by monomials, so ``buchberger``
 answers it with its minimal generators and runs no pair loop: its figures
 were re-recorded as no reductions and an empty pair list. The (2,1)-forms
@@ -91,7 +96,7 @@ def _forms_21():
 
 @pytest.mark.parametrize("run,expected", [
     (_three_component, (0, hashlib.sha1(b"[]").hexdigest())),
-    (_tagged_intersection, (23, "223da0dbb4dac0d8916d9498a8dfce9f9af0b661")),
+    (_tagged_intersection, (21, "835a1495b034ccf3858b52bf7f03acb26bbfcb19")),
     (_forms_21, (199, "9031017cf5cd621b1ca57cabaf1900167308b0b9")),
 ], ids=["three_component", "tagged_intersection", "forms_21"])
 def test_pair_order_is_pinned(run, expected, monkeypatch):

@@ -16,6 +16,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "mixmult"
 
@@ -77,3 +79,25 @@ def test_importing_the_cli_leaves_the_instances_unloaded():
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout == "False\n"
+
+
+@pytest.mark.parametrize("lang", [None, "C.UTF-8"], ids=["LANG unset", "LANG=C.UTF-8"])
+@pytest.mark.parametrize("argv", [
+    ["gb", "--file", "problems/twisted_cubic.mix", "--ideal", "J"],
+    ["gb", "--file", "problems/twisted_cubic.mix"],
+], ids=["gb", "usage error"])
+def test_a_command_loads_no_argparse_gettext_or_locale(argv, lang):
+    # argparse's first translated message imports gettext and locale, some
+    # 2-3 ms of each command's start-up; the CLI reads its arguments itself
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("LANG", "LANGUAGE", "LC_ALL", "LC_MESSAGES")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if lang:
+        env["LANG"] = lang
+    probe = ("import sys, mixmult.cli\n"
+             f"code = mixmult.cli.main({argv!r})\n"
+             "print(code, [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", probe], cwd=ROOT, env=env,
+                          capture_output=True, text=True, check=True)
+    code = 1 if len(argv) < 5 else 0
+    assert done.stdout.splitlines()[-1] == f"{code} []"

@@ -42,7 +42,7 @@ from .config import RunConfig, load_config
 from .errors import GenericityExhausted, InputError, MathInvariantError, MixmultError
 from .groebner import Ideal
 from .hilbert import e_table, polynomial_of, series_of, total_multiplicity
-from .ideal_mixed import GradedSetting, mixed_report, order_of, rees_and_diagonal
+from .ideal_mixed import GradedSetting, mixed_report, order_of, rees_and_diagonal, rees_report
 from .problemfile import ProblemFile, parse_problem
 from .sv_cycles import bezout_check, make_join, sv_degrees
 
@@ -201,19 +201,33 @@ def _cmd_bigraded_e(args, config: RunConfig) -> str:
 
 
 def _cmd_mixed(args, config: RunConfig) -> str:
-    """ideal-mixed, rees-mult and diagonal-degree: one mixed report, projected."""
+    """ideal-mixed, rees-mult and diagonal-degree: one mixed report, projected.
+
+    The report comes off the regraded Rees algebra. ``--verify`` also runs
+    the saturation chain, which must give the same ``e`` and ``dim``, and
+    prints the chain's report with its dimensions and seed."""
     pf, inputs = _load_file(args.file)
     setting, names = _graded_setting(pf, args)
     inputs.update(names)
-    rep = mixed_report(setting, config)
+    rep = rees_report(setting, config)
+    if args.verify:
+        chain = mixed_report(setting, config)
+        if (chain.e, chain.dim_a) != (rep.e, rep.dim_a):
+            raise MathInvariantError(
+                f"the chain reads e = {chain.e}, dim = {chain.dim_a}; the Rees "
+                f"algebra e = {rep.e}, dim = {rep.dim_a} (over a small field the "
+                "chain's draws may not be generic: try another --seed)")
+        rep = chain
     certificates = None
     if args.command == "ideal-mixed":
         result = {
             "e": rep.e, "rho": rep.rho, "spread": rep.spread, "height": rep.height,
-            "dim": rep.dim_a, "dims_along_chain": rep.dims,
+            "dim": rep.dim_a,
             "order": order_of(setting) if setting.defining.is_zero else None,
         }
-        certificates = {"seed": rep.seed, "dims": rep.dims}
+        if args.verify:
+            result["dims_along_chain"] = rep.dims
+            certificates = {"seed": rep.seed, "dims": rep.dims}
     else:
         rees, diag = rees_and_diagonal(setting, rep)
         if args.command == "rees-mult":
@@ -284,6 +298,9 @@ _IDEAL = _FILE + _CONFIG + (("--ideal", str, True, "name of the ideal in the fil
 _MIXED = _FILE + _CONFIG + (
     ("--ideal", str, True, "the ideal J"),
     ("--ambient", str, False, "ideal defining the ambient quotient ring"),
+    ("--verify", bool, False,
+     "also read e off the certified saturation chain; exit 2 when it differs, "
+     "and for ideal-mixed print the chain's dimensions and seed"),
 )
 
 # subcommand: (help, options, handler), in the order ``mixmult --help`` lists
@@ -299,7 +316,7 @@ _SUBCOMMANDS = {
         ("--verify", bool, False,
          "recompute every top-diagonal cell of the table by the criterion"),
     ), _cmd_bigraded_e),
-    "ideal-mixed": ("mixed multiplicities e_i(m|J) via saturation chains", _MIXED,
+    "ideal-mixed": ("mixed multiplicities e_i(m|J) via the Rees algebra", _MIXED,
                     _cmd_mixed),
     "rees-mult": ("multiplicity of the Rees algebra", _MIXED, _cmd_mixed),
     "diagonal-degree": ("degree of the diagonal embedding", _MIXED, _cmd_mixed),

@@ -1,8 +1,16 @@
 """Mixed multiplicities e_i(I|J) of an m-primary ideal I and an arbitrary
 homogeneous ideal J in a standard graded algebra A = k[x]/I_A.
 
-The chain method: saturate out J, repeatedly add a certified-generic element
-of J and saturate again,
+Two routes, both for J generated in one degree d.
+
+The Rees route (``rees_report``, the CLI's default): R(m|J) =
+(+) m^v J^u / m^(v+1) J^u has (u, v)-piece (J^u)_(ud+v), so it is the Rees
+algebra A[Jt] with f t^u in bidegree (u, deg f - ud). One elimination
+(``rees_presentation``) and one bigraded Hilbert series give every e_i as a
+top-diagonal coefficient, with no random draw, over any field.
+
+The chain route (``mixed_report``, the CLI's ``--verify``): saturate out J,
+repeatedly add a certified-generic element of J and saturate again,
 
     S_0 = I_A : J^inf,   S_k = (S_{k-1} + (a_k)) : J^inf,
 
@@ -10,7 +18,8 @@ and read e_i off as the multiplicity of A/S_i whenever the dimension drops by
 exactly one per step; a larger drop forces that and all later values to zero.
 Each a_k is a random combination of the generators of J, which must share
 one degree, and is certified to be a non-zerodivisor modulo S_{k-1} before
-being accepted.
+being accepted. Regular is not general enough for the multiplicities: over
+F 3 a chain has read e_2 = 1 where the Rees route and a rank count give 2.
 
 The chain and its positivity window [ht J - 1, l(J)) rest on three
 certificates, none of which needs an elimination:
@@ -24,8 +33,9 @@ certificates, none of which needs an elimination:
 - height (``height_of``): dim A - dim A/J for a polynomial ring A;
   otherwise a certified chain of generic elements avoiding minimal primes.
 
-An independent bigraded route through the Rees presentation validates the
-chain values on equigenerated J.
+Both routes check the positivity window; the Rees route reads the
+analytic spread off the same presentation when the Jacobian cannot certify
+it, so a command builds it once (``GradedSetting.presentation``).
 """
 
 from __future__ import annotations
@@ -84,6 +94,11 @@ class GradedSetting:
     def s0(self) -> Ideal:
         """Preimage of 0 : J^infinity in A."""
         return saturation(self.defining, self.J)
+
+    @cached_property
+    def presentation(self) -> tuple[Ring, Ideal]:
+        """``rees_presentation`` of this setting, built once per setting."""
+        return rees_presentation(self)
 
     @cached_property
     def spread(self) -> int:
@@ -209,7 +224,7 @@ def analytic_spread(setting: GradedSetting) -> int:
 
 def _spread_by_rees(setting: GradedSetting) -> int:
     """Krull dimension of the fiber of the Rees presentation modulo m."""
-    pring, pres = rees_presentation(setting)
+    pring, pres = setting.presentation
     return krull_dim(ideal_sum(pres, [pring.var(i) for i in range(setting.ring.nvars)]))
 
 
@@ -247,6 +262,13 @@ class SatChain:
         return [self.dim0] + [s.dim for s in self.steps]
 
 
+def _require_one_degree(setting: GradedSetting) -> None:
+    if len(setting.generator_degrees) > 1:
+        raise InputError("the chain needs J generated in one degree; its generators "
+                         "have degrees "
+                         + ", ".join(str(d) for d in setting.generator_degrees))
+
+
 def sat_chain(setting: GradedSetting, config: RunConfig = RunConfig()) -> SatChain:
     """Build S_0, ..., S_k with per-step non-zerodivisor certificates, for
     k = l(J) - 1 (0 when l(J) = 0).
@@ -256,10 +278,7 @@ def sat_chain(setting: GradedSetting, config: RunConfig = RunConfig()) -> SatCha
     multiplicities are not those of J. That is checked before the spread,
     which may cost an elimination.
     """
-    if len(setting.generator_degrees) > 1:
-        raise InputError("the chain needs J generated in one degree; its generators "
-                         "have degrees "
-                         + ", ".join(str(d) for d in setting.generator_degrees))
+    _require_one_degree(setting)
     length = max(setting.spread - 1, 0)
     s0 = setting.s0
     if s0.is_unit:
@@ -304,20 +323,45 @@ class MixedIdealReport:
     height: int
     e: list[int]
     rho: int
-    dims: list[int]
-    seed: int
+    dims: list[int] = field(default_factory=list)  # along the chain; empty on the Rees route
+    seed: Optional[int] = None  # the chain's; None on the Rees route
+
+
+def _window(setting: GradedSetting, e: list[int], config: RunConfig,
+            short: Exception) -> tuple[int, int]:
+    """(rho, height) of e = e_0..e_{l(J)-1}, with the rigidity checks.
+
+    The positivity set must be an initial interval and must reach at least
+    height(J) - 1. Over a polynomial ring A, a domain, e_i(m|J) > 0 for
+    every i < l(J) (the paper's positivity statement, as ROADMAP item 5
+    recalls it), so a shorter interval raises ``short``. The height chain
+    runs under ``config``.
+    """
+    positive = [i for i, v in enumerate(e) if v > 0]
+    if not positive:
+        raise MathInvariantError("e_0 must be positive")
+    rho = max(positive)
+    if positive != list(range(rho + 1)):
+        raise MathInvariantError(
+            f"positivity set {positive} is not an initial interval"
+        )
+    if setting.defining.is_zero and rho < len(e) - 1:
+        raise short
+    ht = height_of(setting, config)
+    if not (ht - 1 <= rho < len(e)):
+        raise MathInvariantError(
+            f"rho = {rho} escapes [height-1, spread) = [{ht - 1}, {len(e)})"
+        )
+    return rho, ht
 
 
 def mixed_report(setting: GradedSetting, config: RunConfig = RunConfig()) -> MixedIdealReport:
     """Chain to l(J) - 1, read off the e_i and enforce the rigidity window.
 
     e_i is the Samuel multiplicity of A/S_i exactly when the dimension has
-    dropped by one per step, and zero after a larger drop. The positivity
-    set must be an initial interval and must reach at least height(J) - 1.
-    Over a polynomial ring A, a domain, e_i(m|J) > 0 for every i < l(J)
-    (the paper's positivity statement, as ROADMAP item 5 recalls it), so a
-    shorter interval means the chain's elements were not generic enough.
-    The height chain runs under ``config``.
+    dropped by one per step, and zero after a larger drop. Over a
+    polynomial ring an e_i that vanishes below l(J) - 1 means the chain's
+    elements were not generic enough: exit 3, name the seed.
     """
     chain = sat_chain(setting, config)
     spread = setting.spread
@@ -329,26 +373,34 @@ def mixed_report(setting: GradedSetting, config: RunConfig = RunConfig()) -> Mix
             e.append(samuel_multiplicity(setting, ideals[k]))
         else:
             e.append(0)  # dimension dropped too fast, or zero by rigidity
-    positive = [i for i, v in enumerate(e) if v > 0]
-    if not positive:
-        raise MathInvariantError("e_0 must be positive")
-    rho = max(positive)
-    if positive != list(range(rho + 1)):
-        raise MathInvariantError(
-            f"positivity set {positive} is not an initial interval"
-        )
-    if setting.defining.is_zero and rho < spread - 1:
-        raise GenericityExhausted(
-            "the chain dropped more than one dimension in a step, which the "
-            "positivity of e_i(m|J) for i < l(J) over a polynomial ring rules "
-            "out; rerun with another --seed"
-        )
-    ht = height_of(setting, config)
-    if not (ht - 1 <= rho < spread):
-        raise MathInvariantError(
-            f"rho = {rho} escapes [height-1, spread) = [{ht - 1}, {spread})"
-        )
+    rho, ht = _window(setting, e, config, GenericityExhausted(
+        "the chain dropped more than one dimension in a step, which the "
+        "positivity of e_i(m|J) for i < l(J) over a polynomial ring rules "
+        "out; rerun with another --seed"
+    ))
     return MixedIdealReport(chain.dim0, spread, ht, e, rho, dims, config.seed)
+
+
+def rees_report(setting: GradedSetting, config: RunConfig = RunConfig()) -> MixedIdealReport:
+    """e_i(m|J) off the top diagonal of R(m|J) (``rees_bigraded_crosscheck``)
+    padded or cut to l(J) entries. Nothing is drawn (but a height over a
+    quotient ring, under ``config``), so a nonzero entry cut off, or an e_i
+    that vanishes below l(J) - 1 over a polynomial ring, is a bug. The
+    Hilbert polynomial of R(m|J) has degree dim A/(0 : J^inf) - 1.
+    """
+    _require_one_degree(setting)
+    table = rees_bigraded_crosscheck(setting)
+    if table.r is None:
+        raise InputError("J is nilpotent modulo the defining ideal")
+    spread = setting.spread
+    diagonal = table.diagonal()
+    if any(diagonal[spread:]):
+        raise MathInvariantError(f"nonzero e_i at i >= l(J) = {spread}: {diagonal}")
+    e = (diagonal + [0] * spread)[:spread]
+    rho, ht = _window(setting, e, config, MathInvariantError(
+        f"e = {e} vanishes below l(J) - 1 = {spread - 1} over a polynomial ring"
+    ))
+    return MixedIdealReport(table.r + 1, spread, ht, e, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +489,7 @@ def rees_bigraded_crosscheck(setting: GradedSetting) -> ETable:
         raise InputError("cross-check needs the maximal ideal as distinguished ideal")
     if not setting.equigenerated:
         raise InputError("cross-check needs an equigenerated ideal")
-    pring, pres = rees_presentation(setting)
+    pring, pres = setting.presentation
     if any(g.bidegree() is None for g in pres.gens):
         raise MathInvariantError("Rees presentation failed to be bihomogeneous")
     return e_table_full(BigradedAlgebra(pring, pres))

@@ -49,38 +49,46 @@ def colon_escape(alg: BigradedAlgebra, prev: Ideal, z: Poly) -> Optional[Poly]:
     return None
 
 
-def _row_reduce_solve(rows, target, field):
-    """Is ``target`` in the row span? Plain Gaussian elimination."""
-    if not rows:
-        return all(not c for c in target)
-    width = len(target)
-    mat = [list(r) for r in rows]
-    tgt = list(target)
-    pivot_cols = []
-    r = 0
-    for col in range(width):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][col]:
-                pivot = i
-                break
+def _reduce_row(row: dict, pivots: dict[int, dict], field) -> dict:
+    """``row``, a sparse vector {column: nonzero value}, less multiples of
+    the ``pivots`` until its leading column has none (empty when the row is
+    in their span). Changes ``row`` in place."""
+    while row:
+        col = min(row)
+        pivot = pivots.get(col)
         if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = field.inv(mat[r][col])
-        mat[r] = [field.mul(inv, v) for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                c = mat[i][col]
-                mat[i] = [field.sub(a, field.mul(c, b)) for a, b in zip(mat[i], mat[r])]
-        if tgt[col]:
-            c = tgt[col]
-            tgt = [field.sub(a, field.mul(c, b)) for a, b in zip(tgt, mat[r])]
-        pivot_cols.append(col)
-        r += 1
-        if r == len(mat):
             break
-    return all(not c for c in tgt)
+        c = row[col]
+        for k, v in pivot.items():
+            value = field.sub(row.get(k, field.zero), field.mul(c, v))
+            if value:
+                row[k] = value
+            else:
+                del row[k]
+    return row
+
+
+def _row_echelon(rows, field) -> dict[int, dict]:
+    """Echelon form of the sparse ``rows`` by plain Gaussian elimination:
+    {pivot column: monic row leading there}, one entry per unit of rank."""
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        r = _reduce_row(dict(row), pivots, field)
+        if r:
+            col = min(r)
+            inv = field.inv(r[col])
+            pivots[col] = {k: field.mul(inv, v) for k, v in r.items()}
+    return pivots
+
+
+def _sparse(vector) -> dict:
+    return {k: v for k, v in enumerate(vector) if v}
+
+
+def _row_reduce_solve(rows, target, field):
+    """Is ``target`` in the span of the dense ``rows``?"""
+    pivots = _row_echelon(map(_sparse, rows), field)
+    return not _reduce_row(_sparse(target), pivots, field)
 
 
 def homogeneous_membership_oracle(f: Poly, I: Ideal) -> bool:

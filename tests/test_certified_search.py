@@ -1,5 +1,6 @@
 """The certified-search loop: its contract, real exhaustion through the CLI,
-the retry budget reaching every search, and the small-field chain guard."""
+the retry budget reaching every search, the small-field chain guard of
+``ideal-mixed --verify``, and the Rees route answering over small fields."""
 
 from __future__ import annotations
 
@@ -72,7 +73,7 @@ class TestExhaustionThroughTheCli:
          "no filter-regular (0,1)-element found in 1 attempts"),
         ("three_component", ["bigraded-e", "--ideal", "I", "--i", "2", "--j", "2"], 1,
          "no filter-regular element of bidegree (1, 0) found in 1 attempts"),
-        ("three_points", ["ideal-mixed", "--ideal", "J"], 1,
+        ("three_points", ["ideal-mixed", "--ideal", "J", "--verify"], 1,
          "no non-zerodivisor element of J found in 1 attempts"),
     ])
     def test_exit_three_with_message(self, capsys, tmp_path, stem, argv, seed, message):
@@ -121,7 +122,8 @@ class TestBudgetReachesEverySearch:
         # the Krull dimension and runs no height search
         path = rewrite_field(tmp_path, "pair_of_planes", "Q")
         code, out, err = run_cli(capsys, "ideal-mixed", "--file", path, "--ideal", "J",
-                                 "--ambient", "amb", "--max-retries", "5", "--prime", "101")
+                                 "--ambient", "amb", "--max-retries", "5", "--prime", "101",
+                                 "--verify")
         assert code == 0, err
         assert json.loads(out)["result"]["e"] == ["1", "0"]
         assert {what for what, _ in budgets} == {
@@ -171,11 +173,24 @@ def test_selftest_runs_under_its_configuration(capsys, monkeypatch):
 
 
 def test_small_field_three_points_is_right_or_exhausted(capsys, tmp_path):
+    # the seeds on which the chain exhausts: the Rees route draws nothing and
+    # answers, so only the first alternative is left
     for p, seed in ((2, 0), (2, 1), (3, 1), (3, 2)):
         path = rewrite_field(tmp_path, "three_points", f"F {p}")
-        code, out, _ = run_cli(capsys, "ideal-mixed", "--file", path, "--ideal", "J",
-                               "--seed", str(seed))
-        assert code == 3 or json.loads(out)["result"]["e"] == ["1", "2", "1"], (p, seed)
+        code, out, err = run_cli(capsys, "ideal-mixed", "--file", path, "--ideal", "J",
+                                 "--seed", str(seed))
+        assert code == 0, (p, seed, err)
+        assert json.loads(out)["result"]["e"] == ["1", "2", "1"], (p, seed)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_small_fields_answer_on_the_rees_route(capsys, tmp_path, p):
+    path = rewrite_field(tmp_path, "three_points", f"F {p}")
+    for seed in range(10):
+        code, out, err = run_cli(capsys, "ideal-mixed", "--file", path, "--ideal", "J",
+                                 "--seed", str(seed))
+        assert code == 0, (seed, err)
+        assert json.loads(out)["result"]["e"] == ["1", "2", "1"], seed
 
 
 def test_chain_reading_below_the_bound_names_the_seed(capsys, tmp_path):
@@ -183,6 +198,6 @@ def test_chain_reading_below_the_bound_names_the_seed(capsys, tmp_path):
     # rho 1 < l(J) - 1 = 2, so the draw was not generic enough
     path = rewrite_field(tmp_path, "three_points", "F 2")
     code, out, err = run_cli(capsys, "ideal-mixed", "--file", path, "--ideal", "J",
-                             "--seed", "0")
+                             "--seed", "0", "--verify")
     assert code == 3 and out == ""
     assert err.startswith("genericity exhausted: ") and "--seed" in err

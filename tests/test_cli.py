@@ -343,6 +343,7 @@ def _mixed_args(p):
     p.add_argument("--ideal", required=True, help="the ideal J")
     p.add_argument("--ambient", default=None,
                    help="ideal defining the ambient quotient ring")
+    p.add_argument("--verify", action="store_true")
 
 
 def _sv_args(p):

@@ -1,6 +1,7 @@
 """Golden CLI output: every problem subcommand on every shipped problem, single
-``bigraded-e`` cells, ``gb`` and ``hilbert`` on the ideals in
-``tests/inputs``, ``selftest``, and the summary of ``scripts/run_examples.py``.
+``bigraded-e`` cells, ``ideal-mixed --verify``, ``gb`` and ``hilbert`` on the
+ideals in ``tests/inputs``, ``selftest``, and the summary of
+``scripts/run_examples.py``.
 
 Each case runs ``mixmult`` in process at ``--seed 0`` from the repository
 root and compares stdout byte for byte with ``tests/golden/<case>.out``. An
@@ -68,6 +69,10 @@ def golden_cases() -> list[tuple[str, list[str]]]:
         for cmd in ("gb", "hilbert"):
             cases.append((f"{path.stem}.{cmd}.I",
                           [cmd, "--file", f"tests/inputs/{path.name}", "--ideal", "I"]))
+    # ideal-mixed --verify also runs the saturation chain and prints its
+    # dimensions and seed: the output ideal-mixed gave when the chain answered
+    cases += [(f"{name}.verify", argv + ["--verify"])
+              for name, argv in cases if argv[0] == "ideal-mixed"]
     cases.append(("selftest", ["selftest"]))
     return cases
 

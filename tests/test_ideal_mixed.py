@@ -1,21 +1,28 @@
-"""Ideal mixed multiplicities: chains, spread, height, closed forms, Rees."""
+"""Ideal mixed multiplicities: chains, spread, height, closed forms, the
+Rees route."""
 
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import mixmult.ideal_mixed as ideal_mixed
 from conftest import closed_form_oracles
-from mixmult import (FieldSpec, GradedSetting, Ideal, InputError, Ring, RunConfig,
-                     analytic_spread, height_of, ideal_power, is_reduction_of,
-                     mixed_report, order_of, rees_and_diagonal, rees_bigraded_crosscheck,
-                     rees_presentation, reduction_invariance_check, sat_chain)
+from mixmult import (ETable, FieldSpec, GradedSetting, Ideal, InputError, MathInvariantError,
+                     Ring, RunConfig, analytic_spread, height_of, ideal_power,
+                     is_reduction_of, mixed_report, order_of, rees_and_diagonal,
+                     rees_bigraded_crosscheck, rees_presentation, rees_report,
+                     reduction_invariance_check, sat_chain)
+from mixmult.cli import main
 from mixmult.instances import (InstanceLabels, ideal_fixtures, maximal_ideal_plane,
                                nonrigid_pair_of_planes, reduction_pairs,
                                three_coordinate_points, twisted_cubic)
 
 F = FieldSpec(32003)
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 @pytest.fixture(scope="module")
@@ -260,6 +267,63 @@ class TestBigradedCrosscheck:
             expected = rep.e + [0] * (table.r + 1 - len(rep.e))
             assert table.diagonal() == expected, idx
             assert table.r == rep.dim_a - 1, idx
+
+
+class TestReesReport:
+    """The report the CLI prints by default, off the regraded Rees algebra."""
+
+    def test_equals_the_chain_on_every_fixture(self):
+        for fx in ideal_fixtures():
+            rees = rees_report(fx.setting)
+            chain = mixed_report(fx.setting, RunConfig(seed=13))
+            assert (rees.e, rees.rho, rees.spread, rees.height, rees.dim_a) == \
+                (chain.e, chain.rho, chain.spread, chain.height, chain.dim_a), fx.name
+            assert rees.dims == [] and rees.seed is None
+
+    def test_nilpotent_j_is_refused(self):
+        R = Ring("NP", ("x", "y"), ((1, 0),) * 2, F)
+        x, _ = R.gens()
+        with pytest.raises(InputError, match="^J is nilpotent modulo the defining ideal$"):
+            rees_report(GradedSetting(R, Ideal(R, [x * x]), Ideal(R, [x])))
+
+    @pytest.mark.parametrize("table,message", [
+        # e_3 != 0 past l(J) = 3: cut off, so a bug
+        (ETable(3, {(0, 3): 1, (1, 2): 2, (2, 1): 1, (3, 0): 1}), "nonzero e_i at i >= l(J)"),
+        # e_2 = 0 < l(J) - 1 over a polynomial ring: no draw to blame
+        (ETable(2, {(0, 2): 1, (1, 1): 2, (2, 0): 0}), "vanishes below l(J) - 1"),
+    ], ids=["cut", "short"])
+    def test_a_wrong_diagonal_is_a_bug(self, monkeypatch, cubic, table, message):
+        monkeypatch.setattr(ideal_mixed, "rees_bigraded_crosscheck", lambda setting: table)
+        with pytest.raises(MathInvariantError, match=re.escape(message)):
+            rees_report(cubic.setting)
+
+    @pytest.mark.parametrize("command", ["ideal-mixed", "rees-mult", "diagonal-degree"])
+    def test_one_presentation_per_command(self, monkeypatch, capsys, command):
+        # with a defining ideal the spread needs the presentation too
+        calls = []
+        real = ideal_mixed.rees_presentation
+
+        def counting(setting):
+            calls.append(setting)
+            return real(setting)
+
+        monkeypatch.setattr(ideal_mixed, "rees_presentation", counting)
+        main([command, "--file", str(PROBLEMS / "pair_of_planes.mix"), "--ideal", "J",
+              "--ambient", "amb"])
+        capsys.readouterr()
+        assert len(calls) == 1
+
+    def test_verify_refuses_a_chain_that_disagrees(self, monkeypatch, capsys):
+        wrong = ETable(2, {(0, 2): 1, (1, 1): 3, (2, 0): 1})
+        monkeypatch.setattr(ideal_mixed, "rees_bigraded_crosscheck", lambda setting: wrong)
+        argv = ["ideal-mixed", "--file", str(PROBLEMS / "twisted_cubic.mix"), "--ideal", "J"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["e"] == ["1", "3", "1"]
+        assert main(argv + ["--verify"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith(
+            "mathematical assertion failed: the chain reads e = [1, 2, 1], dim = 4; "
+            "the Rees algebra e = [1, 3, 1], dim = 3")
 
 
 class TestReductions:

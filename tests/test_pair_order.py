@@ -18,6 +18,12 @@ are homogeneous, so ``buchberger`` sends them to the signature kernel; the
 pair loop is pinned on them by calling ``_buchberger`` itself, with its
 figures unchanged.
 
+An input generator's sugar is its largest term degree, not its leading
+term's: the ``input_sugar`` pin has a generator whose leading term under the
+block order, x*t, sits below its degree-3 term, and leading terms that share
+t, so a pair there is no coprime one. Each elimination the program builds
+leads with a term of largest degree, where the two readings agree.
+
 The signature kernel is pinned by its own counts: the J-pairs it treats
 (one regular reduction each, the generators included) and how many of
 those reduce to zero.
@@ -31,7 +37,8 @@ import random
 import pytest
 
 from mixmult import DEGREVLEX, groebner
-from mixmult.groebner import _buchberger, _lift, _packed, _tagged_ring, buchberger, eliminate
+from mixmult.groebner import (MonomialOrder, _buchberger, _lift, _packed, _tagged_ring,
+                              buchberger, eliminate)
 from mixmult.instances import bigraded_ring
 from mixmult.problemfile import parse_problem
 from mixmult.rings import monomials_of_bidegree
@@ -81,6 +88,15 @@ def _tagged_intersection():
     return eliminate(gens, I.ring)
 
 
+def _input_sugar():
+    pf = parse_problem("field F 32003\nring R vars x:1 y:1 z:1 t:1\n"
+                       "ideal I in R = y^3 + x*t ; z*t^2 - y^2\n")
+    I = pf.ideals["I"]
+    gens = [g.terms for g in I.gens]
+    order = MonomialOrder.elimination((3,))  # t above x, y, z
+    return _packed(lambda pk: _buchberger(gens, I.ring.field, pk), order, 4, gens)
+
+
 def _forms(nx, ny, bidegree, count):
     """``count`` dense random forms of one bidegree in nx + ny variables."""
     R = bigraded_ring(nx, ny)
@@ -98,7 +114,8 @@ def _forms_21():
     (_three_component, (0, hashlib.sha1(b"[]").hexdigest())),
     (_tagged_intersection, (21, "835a1495b034ccf3858b52bf7f03acb26bbfcb19")),
     (_forms_21, (199, "9031017cf5cd621b1ca57cabaf1900167308b0b9")),
-], ids=["three_component", "tagged_intersection", "forms_21"])
+    (_input_sugar, (10, "f4e7c2877805eabd09cdfccf9eef91a1268dec8b")),
+], ids=["three_component", "tagged_intersection", "forms_21", "input_sugar"])
 def test_pair_order_is_pinned(run, expected, monkeypatch):
     assert _trace_buchberger(monkeypatch, run) == expected
 

@@ -13,9 +13,8 @@ import sys
 import time
 
 from mixmult import (FieldSpec, Ideal, Ring, RunConfig, bezout_check, degrees_report,
-                     e_table_full, e_value_via_criterion, make_join,
-                     mixed_report, rees_and_diagonal, rees_bigraded_crosscheck,
-                     sv_degrees)
+                     e_table_full, e_value_via_criterion, make_join, rees_and_diagonal,
+                     rees_report, sv_degrees)
 from mixmult.instances import (ideal_fixtures, three_component_example,
                                two_component_vanishing)
 
@@ -41,16 +40,13 @@ def main(seed: int = 0) -> None:
 
     print("\n== ideal mixed multiplicities ==")
     for fx in ideal_fixtures():
-        rep = mixed_report(fx.setting, config)
+        rep = rees_report(fx.setting, config)
         rees, diag = rees_and_diagonal(fx.setting, rep)
         line = (f"{fx.name:16s} e={rep.e} rho={rep.rho} s(J)={rep.spread} "
                 f"ht(J)={rep.height} rees={rees}")
         if diag is not None:
             line += f" diagonal-degree={diag}"
         print(line)
-        if fx.setting.defining.is_zero and fx.setting.equigenerated:
-            cross = rees_bigraded_crosscheck(fx.setting)
-            print(f"{'':16s} regraded-Rees diagonal={cross.diagonal()}")
 
     print("\n== intersection cycle degrees ==")
     F = FieldSpec(32003)

@@ -17,9 +17,8 @@ from .hilbert import (ETable, HilbertPoly2, HilbertSeries2, e_table,
                       total_multiplicity)
 from .ideal_mixed import (GradedSetting, MixedIdealReport, SatChain, analytic_spread,
                           height_of, is_reduction_of, mixed_report, order_of,
-                          rees_and_diagonal, rees_bigraded_crosscheck,
-                          rees_presentation, rees_report,
-                          reduction_invariance_check, sat_chain)
+                          rees_and_diagonal, rees_diagonal, rees_presentation,
+                          rees_report, reduction_invariance_check, sat_chain)
 from .problemfile import ProblemFile, parse_problem
 from .rings import Bidegree, Poly, Ring, monomials_of_bidegree, swap_ring
 from .sv_cycles import SVReport, bezout_check, make_join, sv_degrees

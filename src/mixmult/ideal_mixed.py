@@ -1,41 +1,32 @@
 """Mixed multiplicities e_i(I|J) of an m-primary ideal I and an arbitrary
 homogeneous ideal J in a standard graded algebra A = k[x]/I_A.
 
-Two routes, both for J generated in one degree d.
+One route answers, for I = m and J generated in one degree d
+(``rees_report``): R(m|J) = (+) m^v J^u / m^(v+1) J^u has (u, v)-piece
+(J^u)_(ud+v), so it is the Rees algebra A[Jt] with f t^u in bidegree
+(u, deg f - ud). One elimination (``rees_presentation``, built once per
+setting as ``GradedSetting.presentation``) gives both the analytic spread
+l(J), as the Krull dimension of its fiber (``analytic_spread``), and every
+e_i, as the top diagonal of its bigraded Hilbert series (``rees_diagonal``),
+with no random draw, over any field.
 
-The Rees route (``rees_report``, the CLI's default): R(m|J) =
-(+) m^v J^u / m^(v+1) J^u has (u, v)-piece (J^u)_(ud+v), so it is the Rees
-algebra A[Jt] with f t^u in bidegree (u, deg f - ud). One elimination
-(``rees_presentation``) and one bigraded Hilbert series give every e_i as a
-top-diagonal coefficient, with no random draw, over any field.
-
-The chain route (``mixed_report``, the CLI's ``--verify``): saturate out J,
-repeatedly add a certified-generic element of J and saturate again,
+The saturation chain (``mixed_report``, the CLI's ``--verify`` only)
+saturates out J, repeatedly adds a certified-generic element of J and
+saturates again,
 
     S_0 = I_A : J^inf,   S_k = (S_{k-1} + (a_k)) : J^inf,
 
-and read e_i off as the multiplicity of A/S_i whenever the dimension drops by
-exactly one per step; a larger drop forces that and all later values to zero.
-Each a_k is a random combination of the generators of J, which must share
-one degree, and is certified to be a non-zerodivisor modulo S_{k-1} before
-being accepted. Regular is not general enough for the multiplicities: over
-F 3 a chain has read e_2 = 1 where the Rees route and a rank count give 2.
+and reads e_i off as the multiplicity of A/S_i whenever the dimension drops
+by exactly one per step; a larger drop forces that and all later values to
+zero. Each a_k is a random combination of the generators of J, certified
+to be a non-zerodivisor modulo S_{k-1} (``is_nzd``: HS(A/(S + (a))) =
+(1 - t^d) HS(A/S) exactly when a of degree d is regular modulo S). Regular
+is not general enough for the multiplicities: over F 3 a chain has read
+e_2 = 1 where the Rees route and a rank count give 2.
 
-The chain and its positivity window [ht J - 1, l(J)) rest on three
-certificates, none of which needs an elimination:
-
-- non-zerodivisor (``is_nzd``): HS(A/(S + (a))) = (1 - t^d) HS(A/S) holds
-  exactly when a of degree d is regular modulo S;
-- analytic spread l(J) (``analytic_spread``): for J equigenerated in a
-  polynomial ring, a Jacobian of rank min(s, n) at one point, which bounds
-  the transcendence degree of the generators from below over a perfect
-  field; otherwise the Rees presentation;
-- height (``height_of``): dim A - dim A/J for a polynomial ring A;
-  otherwise a certified chain of generic elements avoiding minimal primes.
-
-Both routes check the positivity window; the Rees route reads the
-analytic spread off the same presentation when the Jacobian cannot certify
-it, so a command builds it once (``GradedSetting.presentation``).
+Both check the positivity window [ht J - 1, l(J)), with the height
+(``height_of``) dim A - dim A/J for a polynomial ring A, and otherwise a
+certified chain of generic elements avoiding minimal primes.
 """
 
 from __future__ import annotations
@@ -48,10 +39,9 @@ from typing import Optional
 from .bigraded import BigradedAlgebra, e_table_full, random_combination
 from .config import RunConfig, certified_search
 from .errors import GenericityExhausted, InputError, MathInvariantError
-from .fields import DEFAULT_PRIME
 from .groebner import (Ideal, _lift, _tagged_ring, eliminate, ideal_power, ideal_product,
                        ideal_sum, in_radical, is_nzd, krull_dim, saturation)
-from .hilbert import ETable, total_multiplicity
+from .hilbert import total_multiplicity
 from .rings import Poly, Ring
 
 
@@ -67,6 +57,7 @@ class GradedSetting:
     defining: Ideal
     J: Ideal
     primary: Optional[Ideal] = None  # None means the maximal graded ideal
+    _heights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if any(d != (1, 0) for d in self.ring.bidegrees):
@@ -114,6 +105,12 @@ class GradedSetting:
     def equigenerated(self) -> bool:
         return len(self.generator_degrees) == 1
 
+    def height(self, config: RunConfig) -> int:
+        """``height_of`` under ``config``, run once per setting and config."""
+        if config not in self._heights:
+            self._heights[config] = height_of(self, config)
+        return self._heights[config]
+
     def working_degree(self) -> int:
         """The largest generator degree, where generic elements are drawn."""
         return self.generator_degrees[-1]
@@ -128,10 +125,6 @@ def generic_element(setting: GradedSetting, rng: random.Random,
 # ---------------------------------------------------------------------------
 # analytic spread and the Rees presentation
 # ---------------------------------------------------------------------------
-
-# Seed of the Jacobian's evaluation point: fixed, and apart from the chain's
-# and the height's generators, so the spread never moves their draws.
-_JACOBIAN_SEED = 0x7AC0B1
 
 
 def rees_presentation(setting: GradedSetting) -> tuple[Ring, Ideal]:
@@ -157,75 +150,16 @@ def rees_presentation(setting: GradedSetting) -> tuple[Ring, Ideal]:
     return present_ring, eliminate(lifted, present_ring)
 
 
-def _jacobian_rank(gens: tuple[Poly, ...], ring: Ring) -> int:
-    """Rank of the Jacobian matrix of ``gens`` at one point of k^n drawn
-    from a private generator with a fixed seed, by Gaussian elimination."""
-    field = ring.field
-    rng = random.Random(_JACOBIAN_SEED)
-    span = field.p or DEFAULT_PRIME
-    top = max(g.total_exp_degree() for g in gens)
-    powers = []  # powers[v][k] = point_v ** k
-    for _ in range(ring.nvars):
-        x = field.coerce(rng.randrange(span))
-        row = [field.one]
-        for _ in range(top):
-            row.append(field.mul(row[-1], x))
-        powers.append(row)
-    rows = []
-    for g in gens:
-        row = [field.zero] * ring.nvars
-        for e, c in g.terms.items():
-            for v, k in enumerate(e):
-                if k:
-                    term = field.mul(c, field.coerce(k))
-                    for w, kw in enumerate(e):
-                        term = field.mul(term, powers[w][kw - (w == v)])
-                    row[v] = field.add(row[v], term)
-        rows.append(row)
-    rank = 0
-    for col in range(ring.nvars):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = field.inv(rows[rank][col])
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col]:
-                c = field.mul(rows[i][col], inv)
-                rows[i] = [field.sub(a, field.mul(c, b)) for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
 def analytic_spread(setting: GradedSetting) -> int:
-    """Dimension of the special fiber F(J) = A[Jt] / m A[Jt].
-
-    Two routes:
-
-    - A a polynomial ring and J generated by s nonzero forms g of one
-      degree: then F(J) is k[g_1..g_s], so the spread is the transcendence
-      degree of the g over k, at most min(s, n). Over a perfect field (Q and
-      every F_p) the rank of the Jacobian matrix over k(x) is at most that
-      degree (k(g) is separably generated, so the dg_i span at most that
-      many dimensions), and the rank at a point is at most the rank over
-      k(x). A rank of min(s, n) at one point therefore certifies the spread
-      with no Groebner basis.
-    - otherwise, including a lower rank (a dependent or p-th-power J, or an
-      unlucky point): the Krull dimension of the fiber of the Rees
-      presentation, one block-order elimination.
-    """
-    gens = setting.J.gens
-    full_rank = min(len(gens), setting.ring.nvars)
-    if (setting.defining.is_zero and setting.equigenerated
-            and _jacobian_rank(gens, setting.ring) == full_rank):
-        return full_rank
-    return _spread_by_rees(setting)
-
-
-def _spread_by_rees(setting: GradedSetting) -> int:
-    """Krull dimension of the fiber of the Rees presentation modulo m."""
+    """Dimension of the special fiber F(J) = A[Jt] / m A[Jt]: the Krull
+    dimension of the Rees presentation modulo the x. That ideal is the x
+    plus the x-free parts of the presentation's generators, whose basis is
+    cheaper to find than one of the presentation plus the x."""
     pring, pres = setting.presentation
-    return krull_dim(ideal_sum(pres, [pring.var(i) for i in range(setting.ring.nvars)]))
+    nx = setting.ring.nvars
+    fiber = [Poly(pring, {e: c for e, c in g.terms.items() if not any(e[:nx])}, _trusted=True)
+             for g in pres.gens]
+    return krull_dim(Ideal(pring, [pring.var(i) for i in range(nx)] + fiber))
 
 
 def order_of(setting: GradedSetting) -> int:
@@ -264,8 +198,7 @@ class SatChain:
 
 def _require_one_degree(setting: GradedSetting) -> None:
     if len(setting.generator_degrees) > 1:
-        raise InputError("the chain needs J generated in one degree; its generators "
-                         "have degrees "
+        raise InputError("J must be generated in one degree; its generators have degrees "
                          + ", ".join(str(d) for d in setting.generator_degrees))
 
 
@@ -276,7 +209,7 @@ def sat_chain(setting: GradedSetting, config: RunConfig = RunConfig()) -> SatCha
     J must be generated in one degree: lifted to a common degree, the
     elements would be generic in the truncation of J there, whose mixed
     multiplicities are not those of J. That is checked before the spread,
-    which may cost an elimination.
+    which costs an elimination.
     """
     _require_one_degree(setting)
     length = max(setting.spread - 1, 0)
@@ -347,7 +280,7 @@ def _window(setting: GradedSetting, e: list[int], config: RunConfig,
         )
     if setting.defining.is_zero and rho < len(e) - 1:
         raise short
-    ht = height_of(setting, config)
+    ht = setting.height(config)
     if not (ht - 1 <= rho < len(e)):
         raise MathInvariantError(
             f"rho = {rho} escapes [height-1, spread) = [{ht - 1}, {len(e)})"
@@ -382,25 +315,16 @@ def mixed_report(setting: GradedSetting, config: RunConfig = RunConfig()) -> Mix
 
 
 def rees_report(setting: GradedSetting, config: RunConfig = RunConfig()) -> MixedIdealReport:
-    """e_i(m|J) off the top diagonal of R(m|J) (``rees_bigraded_crosscheck``)
-    padded or cut to l(J) entries. Nothing is drawn (but a height over a
-    quotient ring, under ``config``), so a nonzero entry cut off, or an e_i
-    that vanishes below l(J) - 1 over a polynomial ring, is a bug. The
-    Hilbert polynomial of R(m|J) has degree dim A/(0 : J^inf) - 1.
-    """
-    _require_one_degree(setting)
-    table = rees_bigraded_crosscheck(setting)
-    if table.r is None:
-        raise InputError("J is nilpotent modulo the defining ideal")
-    spread = setting.spread
-    diagonal = table.diagonal()
-    if any(diagonal[spread:]):
-        raise MathInvariantError(f"nonzero e_i at i >= l(J) = {spread}: {diagonal}")
-    e = (diagonal + [0] * spread)[:spread]
+    """e_i(m|J) off the top diagonal of R(m|J) (``rees_diagonal``), l(J)
+    entries. Nothing is drawn (but a height over a quotient ring, under
+    ``config``), so an e_i that vanishes below l(J) - 1 over a polynomial
+    ring is a bug."""
+    e, dim_a = rees_diagonal(setting, None)
+    spread = len(e)
     rho, ht = _window(setting, e, config, MathInvariantError(
         f"e = {e} vanishes below l(J) - 1 = {spread - 1} over a polynomial ring"
     ))
-    return MixedIdealReport(table.r + 1, spread, ht, e, rho)
+    return MixedIdealReport(dim_a, spread, ht, e, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +382,7 @@ def _height_by_chain(setting: GradedSetting, config: RunConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Rees multiplicity, diagonal degree, bigraded cross-check
+# the Rees diagonal, Rees multiplicity and diagonal degree
 # ---------------------------------------------------------------------------
 
 
@@ -477,22 +401,35 @@ def rees_and_diagonal(
     return rees, diag
 
 
-def rees_bigraded_crosscheck(setting: GradedSetting) -> ETable:
-    """e_i(m|J) with no random draw: the bigraded pipeline on the Rees
-    presentation; the top diagonal is e_0, e_1, ... (zero from l(J) on).
+def rees_diagonal(setting: GradedSetting,
+                  length: Optional[int]) -> tuple[list[int], int]:
+    """(e_0(m|J), ..., e_(length-1)(m|J)), and dim A/(0 : J^inf), off the
+    top diagonal of the bigraded Hilbert polynomial of R(m|J), with no
+    random draw. ``length`` None means l(J).
 
-    Needs I = m and J generated in one degree c: with T in bidegree (1,0) and
-    x in (0,1), m^v J^u / m^(v+1) J^u = (J^u)_(uc+v), so R(m|J) is A[Jt] in
-    the grading ``rees_presentation`` gives it, for any standard graded A.
+    Needs I = m and J generated in one degree c (refused before the
+    presentation is built): with T in bidegree (1,0) and x in (0,1),
+    m^v J^u / m^(v+1) J^u = (J^u)_(uc+v), so R(m|J) is A[Jt] in the grading
+    ``rees_presentation`` gives it, for any standard graded A. Its Hilbert
+    polynomial has degree dim A/(0 : J^inf) - 1, and vanishes when J is
+    nilpotent. The diagonal is padded with zeros or cut to ``length``
+    entries; e_i = 0 for i >= l(J), so a nonzero entry cut off is a bug.
     """
+    _require_one_degree(setting)
     if setting.primary is not None and not setting.primary.same_ideal(setting.maximal_ideal):
-        raise InputError("cross-check needs the maximal ideal as distinguished ideal")
-    if not setting.equigenerated:
-        raise InputError("cross-check needs an equigenerated ideal")
+        raise InputError("the Rees route needs the maximal ideal as distinguished ideal")
     pring, pres = setting.presentation
     if any(g.bidegree() is None for g in pres.gens):
         raise MathInvariantError("Rees presentation failed to be bihomogeneous")
-    return e_table_full(BigradedAlgebra(pring, pres))
+    table = e_table_full(BigradedAlgebra(pring, pres))
+    if table.r is None:
+        raise InputError("J is nilpotent modulo the defining ideal")
+    if length is None:
+        length = setting.spread
+    diagonal = table.diagonal()
+    if any(diagonal[length:]):
+        raise MathInvariantError(f"nonzero e_i at i >= l(J), cut at {length}: {diagonal}")
+    return (diagonal + [0] * length)[:length], table.r + 1
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +464,4 @@ def reduction_invariance_check(
     if setting.ring != other.ring or not setting.defining.same_ideal(other.defining):
         raise InputError("settings must share ambient data")
     is_reduction_of(setting.J, other.J)
-    r1 = mixed_report(setting, config)
-    r2 = mixed_report(other, config)
-    return r1.e == r2.e
+    return rees_report(setting, config).e == rees_report(other, config).e

@@ -14,7 +14,7 @@ from .bigraded import (degrees_report, e_positivity, e_table_full,
 from .config import RunConfig
 from .groebner import Ideal, ideal_sum, krull_dim, saturation
 from .hilbert import hilbert_function, polynomial_of, series_of
-from .ideal_mixed import mixed_report, reduction_invariance_check
+from .ideal_mixed import reduction_invariance_check, rees_report
 from .instances import (graded_ring, ideal_fixtures, random_bigraded_algebra,
                         random_ideal_pair, reduction_pairs, rigidity_instances,
                         three_component_example, trivial_plane,
@@ -223,7 +223,7 @@ def suite_rigidity(config: RunConfig) -> SuiteResult:
                         f"{inst.label}: e_({i},{rep.r - i}) = {diag[i]} not positive")
     for fx in ideal_fixtures():
         try:
-            rep = mixed_report(fx.setting, config)
+            rep = rees_report(fx.setting, config)
             res.ok()
             if fx.labels.first_chain_condition:
                 res.require(all(v > 0 for v in rep.e),
@@ -258,7 +258,7 @@ def suite_fixtures(config: RunConfig) -> SuiteResult:
                 "vanishing example dims")
 
     for fx in ideal_fixtures():
-        rep = mixed_report(fx.setting, config)
+        rep = rees_report(fx.setting, config)
         if fx.expected_e is not None:
             res.require(rep.e == fx.expected_e, f"{fx.name} e-vector {rep.e}")
         if fx.expected_spread is not None:

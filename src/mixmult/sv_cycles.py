@@ -7,9 +7,8 @@ the difference e_{i-1}(m|J) - e_i(m|J), so the degrees telescope to e_0.
 
 The join is a ``GradedSetting``: the ambient ring, I_X + I_Y lifted into it,
 and J. The e_i come off the diagonal of the Rees algebra A[Jt] graded as
-R(m|J) (``rees_bigraded_crosscheck``) with no random draw, so a negative
-cycle degree is a bug: ``sv_degrees`` raises ``MathInvariantError`` (exit 2
-in the CLI).
+R(m|J) (``rees_diagonal``) with no random draw, so a negative cycle degree
+is a bug: ``sv_degrees`` raises ``MathInvariantError`` (exit 2 in the CLI).
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import Optional
 
 from .errors import InputError, MathInvariantError
 from .groebner import Ideal
-from .ideal_mixed import GradedSetting, rees_bigraded_crosscheck
+from .ideal_mixed import GradedSetting, rees_diagonal
 from .rings import Poly, Ring
 
 
@@ -61,13 +60,10 @@ class SVReport:
 
 def sv_degrees(join: GradedSetting) -> SVReport:
     """deg v_i = e_{i-1} - e_i for i = 1..n+1, off the Rees diagonal of the
-    join (``make_join``) padded or cut to e_0..e_{n+1}. A cut entry is zero:
-    e_i = 0 for i >= l(J), and the n+1 diagonal forms give l(J) <= n+1."""
+    join (``make_join``) padded or cut to e_0..e_{n+1}: the n+1 diagonal
+    forms give l(J) <= n+1."""
     size = len(join.J.gens) + 1
-    e_full = rees_bigraded_crosscheck(join).diagonal()
-    if any(e_full[size:]):
-        raise MathInvariantError(f"nonzero e_i beyond i = {size - 1}: {e_full}")
-    e_full = (e_full + [0] * size)[:size]
+    e_full, _ = rees_diagonal(join, size)
     degs = [e_full[i - 1] - e_full[i] for i in range(1, size)]
     if min(degs) < 0:
         raise MathInvariantError(f"negative cycle degree in {degs}")

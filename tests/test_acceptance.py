@@ -11,7 +11,7 @@ import time
 from conftest import closed_form_oracles
 from mixmult import (FieldSpec, Ideal, Ring, RunConfig, bezout_check, degrees_report,
                      e_table_full, e_value_via_criterion, make_join,
-                     mixed_report, rees_and_diagonal, rees_bigraded_crosscheck,
+                     mixed_report, rees_and_diagonal, rees_diagonal,
                      sv_degrees, order_of)
 from mixmult.instances import (three_component_example, three_coordinate_points,
                                twisted_cubic, two_component_vanishing,
@@ -65,8 +65,7 @@ def test_criterion_4_twisted_cubic():
     fx = twisted_cubic()
     rep = mixed_report(fx.setting, RunConfig(seed=11))
     ok = rep.e == [1, 2, 1]
-    table = rees_bigraded_crosscheck(fx.setting)
-    ok = ok and table.diagonal() == [1, 2, 1, 0]
+    ok = ok and rees_diagonal(fx.setting, 4) == ([1, 2, 1, 0], 4)
     rees, diag = rees_and_diagonal(fx.setting, rep)
     ok = ok and rees == 4 and diag == 10
     oracle = closed_form_oracles(fx.setting, fx.labels)

@@ -1,11 +1,12 @@
-"""The three certificates behind ``ideal-mixed``, each against the route it
-replaced.
+"""The invariants behind ``ideal-mixed``, each against an oracle or known
+values.
 
 - ``is_nzd`` decides regularity by Hilbert series; the oracle is the colon
   test I : f = I.
-- ``analytic_spread`` reads l(J) off a Jacobian rank for J equigenerated in
-  a polynomial ring and falls back to the Rees presentation otherwise; the
-  oracle is the Rees route itself, and a spy records which route ran.
+- ``analytic_spread`` is the Krull dimension of the fiber of the Rees
+  presentation, on every input; it is checked against known spreads, among
+  them p-th powers, where a Jacobian rank would read too low. The rank
+  oracle of ``tests/test_rank_oracle.py`` checks it on random ideals.
 - ``height_of`` is dim A - dim A/J for a polynomial ring; the oracle is the
   certified random chain that stays for other ambient rings.
 """
@@ -20,7 +21,7 @@ import mixmult.ideal_mixed as ideal_mixed
 from mixmult import (FieldSpec, GradedSetting, Ideal, InputError, Poly, height_of,
                      ideal_quotient, is_nzd)
 from mixmult.config import RunConfig
-from mixmult.ideal_mixed import _height_by_chain, _spread_by_rees, analytic_spread
+from mixmult.ideal_mixed import _height_by_chain, analytic_spread
 from mixmult.instances import (graded_ring, ideal_fixtures, random_bigraded_algebra,
                                random_ideal_pair, reduction_pairs)
 from mixmult.rings import monomials_of_bidegree
@@ -102,39 +103,16 @@ class TestNonZeroDivisor:
 # ---------------------------------------------------------------------------
 
 
-@pytest.fixture
-def spread_route(monkeypatch):
-    """The route of the last ``analytic_spread`` call: "jacobian" or "rees"."""
-    seen = {}
-    real_rank, real_rees = ideal_mixed._jacobian_rank, ideal_mixed.rees_presentation
-
-    def rank(*args):
-        seen["route"] = "jacobian"
-        return real_rank(*args)
-
-    def rees(*args):
-        seen["route"] = "rees"
-        return real_rees(*args)
-
-    monkeypatch.setattr(ideal_mixed, "_jacobian_rank", rank)
-    monkeypatch.setattr(ideal_mixed, "rees_presentation", rees)
-    return seen
-
-
-def _spread(setting: GradedSetting, seen: dict) -> tuple[int, str]:
-    seen.clear()
-    value = analytic_spread(setting)
-    return value, seen["route"]
-
-
 def _polynomial_setting(ring, gens) -> GradedSetting:
     return GradedSetting(ring, Ideal(ring), Ideal(ring, gens))
 
 
 class TestSpread:
-    def test_seeded_equigenerated_ideals_agree_with_rees(self, spread_route):
+    def test_seeded_equigenerated_ideals_agree_with_rees(self):
+        # the spreads on which the Jacobian certificate and the fiber agreed
+        expected = [2, 3, 1, 2, 1, 2, 2, 2, 2, 2, 4, 2, 2, 1, 1, 2]
         rng = random.Random(1503)
-        routes = []
+        values = []
         for _ in range(16):
             ring = graded_ring(tuple(f"z{i}" for i in range(rng.randint(2, 4))), name="SP")
             d = rng.randint(1, 2)
@@ -142,47 +120,38 @@ class TestSpread:
             if rng.random() < 0.3 and len(gens) >= 2:
                 gens.append(gens[0] + gens[1])  # a dependent generator
             setting = _polynomial_setting(ring, gens)
-            value, route = _spread(setting, spread_route)
-            expected = _spread_by_rees(_polynomial_setting(ring, gens))
-            assert value == expected, [str(g) for g in gens]
-            bound = min(len(setting.J.gens), ring.nvars)
-            # the Jacobian route only ever certifies the upper bound
-            assert route == "rees" or value == bound
-            routes.append(route)
-        assert set(routes) == {"jacobian", "rees"}
+            value = analytic_spread(setting)
+            assert value <= min(len(setting.J.gens), ring.nvars), [str(g) for g in gens]
+            values.append(value)
+        assert values == expected
 
-    def test_spread_below_the_bound_falls_back(self, spread_route):
+    def test_spread_below_the_bound_falls_back(self):
         ring = graded_ring(("x", "y", "z"), name="QF")
         x, y, _ = ring.gens()
         # l = 2 < min(s, n) = 3
-        assert _spread(_polynomial_setting(ring, [x * x, x * y, y * y]), spread_route) \
-            == (2, "rees")
+        assert analytic_spread(_polynomial_setting(ring, [x * x, x * y, y * y])) == 2
 
-    def test_pth_powers_fall_back(self, spread_route):
-        ring = graded_ring(("x", "y", "z"), FieldSpec(3), name="P3")
-        x, y, _ = ring.gens()
-        # every partial derivative of x^3 and y^3 vanishes over F_3
-        assert ideal_mixed._jacobian_rank([x ** 3, y ** 3], ring) == 0
-        assert _spread(_polynomial_setting(ring, [x ** 3, y ** 3]), spread_route) \
-            == (2, "rees")
-        ring5 = graded_ring(("x", "y", "z"), FieldSpec(5), name="P5")
-        x, y, _ = ring5.gens()
-        assert _spread(_polynomial_setting(ring5, [x ** 3, y ** 3]), spread_route) \
-            == (2, "jacobian")
+    def test_pth_powers_fall_back(self):
+        # every partial derivative of x^3 and y^3 vanishes over F_3; the
+        # fiber k[x^3, y^3] still has dimension 2, over F_3 and F_5 alike
+        for p in (3, 5):
+            ring = graded_ring(("x", "y", "z"), FieldSpec(p), name=f"P{p}")
+            x, y, _ = ring.gens()
+            assert analytic_spread(_polynomial_setting(ring, [x ** 3, y ** 3])) == 2
 
-    def test_rationals(self, spread_route):
+    def test_rationals(self):
         ring = graded_ring(("a", "b", "c", "d"), FieldSpec(), name="TQ")
         a, b, c, d = ring.gens()
         J = [a * c - b * b, a * d - b * c, b * d - c * c]
-        assert _spread(_polynomial_setting(ring, J), spread_route) == (3, "jacobian")
+        assert analytic_spread(_polynomial_setting(ring, J)) == 3
 
-    def test_other_hypotheses_fall_back(self, spread_route):
+    def test_other_hypotheses_fall_back(self):
         planes = ideal_fixtures()[0]
         assert planes.setting.defining.gens  # not a polynomial ring
-        assert _spread(planes.setting, spread_route) == (planes.expected_spread, "rees")
+        assert analytic_spread(planes.setting) == planes.expected_spread
         ring = graded_ring(("x", "y"), name="NE")
         x, y = ring.gens()
-        assert _spread(_polynomial_setting(ring, [x, y * y]), spread_route) == (2, "rees")
+        assert analytic_spread(_polynomial_setting(ring, [x, y * y])) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import pytest
 import mixmult.bigraded as bigraded
 import mixmult.ideal_mixed as ideal_mixed
 import mixmult.selftest as selftest
-import mixmult.sv_cycles as sv_cycles
 from mixmult.cli import main
 from mixmult.config import RunConfig, certified_search
 from mixmult.errors import GenericityExhausted
@@ -85,7 +84,7 @@ class TestExhaustionThroughTheCli:
 
     def test_sv_negative_rees_difference_exits_two(self, capsys, monkeypatch):
         # nothing is drawn, so a negative degree is a bug (2), not bad luck (3)
-        monkeypatch.setattr(sv_cycles, "rees_bigraded_crosscheck",
+        monkeypatch.setattr(ideal_mixed, "e_table_full",
                             lambda setting: ETable(3, {(0, 3): 1, (1, 2): 5}))
         code, out, err = run_cli(capsys, "sv", "--file", str(PROBLEMS / "two_lines.mix"),
                                  "--x", "X", "--y", "Y", "--seed", "7")

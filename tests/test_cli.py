@@ -196,7 +196,7 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "ideal-mixed", "--file", str(path),
                                  "--ideal", "J")
         assert code == 1 and out == ""
-        assert err == ("error: the chain needs J generated in one degree; its "
+        assert err == ("error: J must be generated in one degree; its "
                        "generators have degrees 2, 3, 4\n")
 
     @pytest.mark.parametrize("text", ["ring R vars x:(2,0) y:(0,1)\nideal I in R = x*y\n",

@@ -5,8 +5,8 @@ outside m^{v+1} J^u = m M are the minimal generators of M. Their number
 H(u, v) is a polynomial of total degree 2 for large u and v, and its mixed
 second differences are the mixed multiplicities:
 e_i(m|J) = Delta_u^i Delta_v^(2-i) H. The count shares no code with the
-chain, so it checks ``ideal-mixed`` on equigenerated ideals, and it shows
-why the chain refuses the others.
+Groebner stack, so it checks ``ideal-mixed`` on equigenerated ideals, and
+it shows why ``ideal-mixed`` refuses the others.
 """
 
 from __future__ import annotations
@@ -137,5 +137,5 @@ def test_chain_refuses_an_ideal_not_generated_in_one_degree(capsys, tmp_path,
     code = _ideal_mixed(tmp_path, gens)
     out = capsys.readouterr()
     assert code == 1 and out.out == ""
-    assert out.err == ("error: the chain needs J generated in one degree; its "
+    assert out.err == ("error: J must be generated in one degree; its "
                        f"generators have degrees {degrees}\n")

@@ -14,7 +14,7 @@ from conftest import closed_form_oracles
 from mixmult import (ETable, FieldSpec, GradedSetting, Ideal, InputError, MathInvariantError,
                      Ring, RunConfig, analytic_spread, height_of, ideal_power,
                      is_reduction_of, mixed_report, order_of, rees_and_diagonal,
-                     rees_bigraded_crosscheck, rees_presentation, rees_report,
+                     rees_diagonal, rees_presentation, rees_report,
                      reduction_invariance_check, sat_chain)
 from mixmult.cli import main
 from mixmult.instances import (InstanceLabels, ideal_fixtures, maximal_ideal_plane,
@@ -193,26 +193,23 @@ class TestReesNumbers:
 class TestBigradedCrosscheck:
     def test_maximal_ideal_smallest(self):
         setting = maximal_ideal_plane().setting
-        table = rees_bigraded_crosscheck(setting)
         rep = mixed_report(setting, RunConfig(seed=3))
-        expected = rep.e + [0] * (table.r + 1 - len(rep.e))
-        assert table.diagonal() == expected
+        expected = rep.e + [0] * (rep.dim_a - len(rep.e))
+        assert rees_diagonal(setting, rep.dim_a) == (expected, rep.dim_a)
 
     def test_squares_ideal(self):
         R = Ring("SQ", ("x", "y"), ((1, 0),) * 2, F)
         x, y = R.gens()
         setting = GradedSetting(R, Ideal(R), Ideal(R, [x * x, y * y]))
-        table = rees_bigraded_crosscheck(setting)
         rep = mixed_report(setting, RunConfig(seed=9))
-        expected = rep.e + [0] * (table.r + 1 - len(rep.e))
-        assert table.diagonal() == expected
+        expected = rep.e + [0] * (rep.dim_a - len(rep.e))
+        assert rees_diagonal(setting, rep.dim_a) == (expected, rep.dim_a)
 
     def test_twisted_cubic(self, cubic):
-        table = rees_bigraded_crosscheck(cubic.setting)
         rep = mixed_report(cubic.setting, RunConfig(seed=11))
-        expected = rep.e + [0] * (table.r + 1 - len(rep.e))
-        assert table.diagonal() == expected
-        assert table.r == rep.dim_a - 1
+        expected = rep.e + [0] * (rep.dim_a - len(rep.e))
+        assert rees_diagonal(cubic.setting, rep.dim_a) == (expected, rep.dim_a)
+        assert rees_diagonal(cubic.setting, None) == (rep.e, rep.dim_a)
 
     def test_presentation_is_graded_as_r_m_j(self, cubic):
         # x in bidegree (0,1), T_l in (1,0), named like the elimination tags
@@ -227,25 +224,26 @@ class TestBigradedCrosscheck:
         for names in (("x", "y"), ("T1", "T2")):
             R = Ring("TN", names, ((1, 0),) * 2, F)
             a, b = R.gens()
-            tables.append(rees_bigraded_crosscheck(
-                GradedSetting(R, Ideal(R), Ideal(R, [a * a, a * b]))))
-        assert tables[0].diagonal() == tables[1].diagonal() == [1, 1]
+            tables.append(rees_diagonal(
+                GradedSetting(R, Ideal(R), Ideal(R, [a * a, a * b])), 2))
+        assert tables[0] == tables[1] == ([1, 1], 2)
 
     def test_non_equigenerated_rejected(self):
         R = Ring("NE", ("x", "y", "z"), ((1, 0),) * 3, F)
         x, y, z = R.gens()
         setting = GradedSetting(R, Ideal(R), Ideal(R, [x, y * z]))
-        with pytest.raises(InputError):
-            rees_bigraded_crosscheck(setting)
+        with pytest.raises(InputError, match="^J must be generated in one degree; its "
+                                             "generators have degrees 1, 2$"):
+            rees_diagonal(setting, 3)
 
     def test_distinguished_ideal_other_than_m_rejected(self):
         R = Ring("DI", ("x", "y"), ((1, 0),) * 2, F)
         x, y = R.gens()
         squares = GradedSetting(R, Ideal(R), Ideal(R, [x]), primary=Ideal(R, [x * x, y * y]))
         with pytest.raises(InputError, match="maximal ideal"):
-            rees_bigraded_crosscheck(squares)
+            rees_diagonal(squares, 2)
         maximal = GradedSetting(R, Ideal(R), Ideal(R, [x]), primary=Ideal(R, [x, y]))
-        assert rees_bigraded_crosscheck(maximal).diagonal() == [1, 0]
+        assert rees_diagonal(maximal, 2) == ([1, 0], 2)
 
     def test_two_routes_agree_on_five_fixtures(self, cubic, points, planes):
         plane2 = Ring("CC2", ("x", "y"), ((1, 0),) * 2, F)
@@ -262,11 +260,9 @@ class TestBigradedCrosscheck:
             planes.setting,  # a quotient ambient ring
         ]
         for idx, setting in enumerate(settings):
-            table = rees_bigraded_crosscheck(setting)
             rep = mixed_report(setting, RunConfig(seed=17 + idx))
-            expected = rep.e + [0] * (table.r + 1 - len(rep.e))
-            assert table.diagonal() == expected, idx
-            assert table.r == rep.dim_a - 1, idx
+            expected = rep.e + [0] * (rep.dim_a - len(rep.e))
+            assert rees_diagonal(setting, rep.dim_a) == (expected, rep.dim_a), idx
 
 
 class TestReesReport:
@@ -293,13 +289,19 @@ class TestReesReport:
         (ETable(2, {(0, 2): 1, (1, 1): 2, (2, 0): 0}), "vanishes below l(J) - 1"),
     ], ids=["cut", "short"])
     def test_a_wrong_diagonal_is_a_bug(self, monkeypatch, cubic, table, message):
-        monkeypatch.setattr(ideal_mixed, "rees_bigraded_crosscheck", lambda setting: table)
+        monkeypatch.setattr(ideal_mixed, "e_table_full", lambda setting: table)
         with pytest.raises(MathInvariantError, match=re.escape(message)):
             rees_report(cubic.setting)
 
-    @pytest.mark.parametrize("command", ["ideal-mixed", "rees-mult", "diagonal-degree"])
-    def test_one_presentation_per_command(self, monkeypatch, capsys, command):
-        # with a defining ideal the spread needs the presentation too
+    @pytest.mark.parametrize("command,stem,extra", [
+        ("ideal-mixed", "pair_of_planes", ["--ambient", "amb"]),
+        ("rees-mult", "pair_of_planes", ["--ambient", "amb"]),
+        ("diagonal-degree", "pair_of_planes", ["--ambient", "amb"]),
+        ("ideal-mixed", "twisted_cubic", []),
+        ("ideal-mixed", "pair_of_planes", ["--ambient", "amb", "--verify"]),
+    ], ids=["ideal-mixed", "rees-mult", "diagonal-degree", "polynomial-ring", "verify"])
+    def test_one_presentation_per_command(self, monkeypatch, capsys, command, stem, extra):
+        # the spread and the diagonal both read it, with or without the chain
         calls = []
         real = ideal_mixed.rees_presentation
 
@@ -308,14 +310,51 @@ class TestReesReport:
             return real(setting)
 
         monkeypatch.setattr(ideal_mixed, "rees_presentation", counting)
-        main([command, "--file", str(PROBLEMS / "pair_of_planes.mix"), "--ideal", "J",
-              "--ambient", "amb"])
+        main([command, "--file", str(PROBLEMS / f"{stem}.mix"), "--ideal", "J", *extra])
         capsys.readouterr()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("argv,chains", [
+        (["ideal-mixed", "--file", str(PROBLEMS / "pair_of_planes.mix"), "--ideal", "J",
+          "--ambient", "amb"], 0),
+        (["rees-mult", "--file", str(PROBLEMS / "twisted_cubic.mix"), "--ideal", "J"], 0),
+        (["diagonal-degree", "--file", str(PROBLEMS / "three_points.mix"), "--ideal", "J"],
+         0),
+        (["sv", "--file", str(PROBLEMS / "two_conics.mix"), "--x", "X", "--y", "Y"], 0),
+        (["selftest"], 0),
+        (["ideal-mixed", "--file", str(PROBLEMS / "twisted_cubic.mix"), "--ideal", "J",
+          "--verify"], 1),
+    ], ids=["ideal-mixed", "rees-mult", "diagonal-degree", "sv", "selftest", "verify"])
+    def test_only_verify_runs_the_chain(self, monkeypatch, capsys, argv, chains):
+        calls = []
+        real = ideal_mixed.sat_chain
+
+        def counting(setting, config):
+            calls.append(config)
+            return real(setting, config)
+
+        monkeypatch.setattr(ideal_mixed, "sat_chain", counting)
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(calls) == chains
+
+    def test_verify_runs_the_height_chain_once(self, monkeypatch, capsys):
+        calls = []
+        real = ideal_mixed._height_by_chain
+
+        def counting(setting, config):
+            calls.append(config)
+            return real(setting, config)
+
+        monkeypatch.setattr(ideal_mixed, "_height_by_chain", counting)
+        assert main(["ideal-mixed", "--file", str(PROBLEMS / "pair_of_planes.mix"),
+                     "--ideal", "J", "--ambient", "amb", "--verify"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["height"] == "1"
         assert len(calls) == 1
 
     def test_verify_refuses_a_chain_that_disagrees(self, monkeypatch, capsys):
         wrong = ETable(2, {(0, 2): 1, (1, 1): 3, (2, 0): 1})
-        monkeypatch.setattr(ideal_mixed, "rees_bigraded_crosscheck", lambda setting: wrong)
+        monkeypatch.setattr(ideal_mixed, "e_table_full", lambda setting: wrong)
         argv = ["ideal-mixed", "--file", str(PROBLEMS / "twisted_cubic.mix"), "--ideal", "J"]
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["result"]["e"] == ["1", "3", "1"]

@@ -11,7 +11,8 @@ against:
 - the ``e`` that ``ideal-mixed`` prints, on the Rees route and under
   ``--verify`` (over F 32003; see below for F 2 and F 3):
   e_i = Delta_u^i Delta_v^(r-i) H wherever H is the Hilbert polynomial,
-  here r = 2 for three variables;
+  here r = 2 for three variables; and its ``spread``, the number of
+  positive e_i;
 - the monomial count of ``tests/test_count_oracle.py``.
 """
 
@@ -154,8 +155,12 @@ def test_ideal_mixed_agrees_with_the_rank(tmp_path_factory, case):
 
     code, out = _ideal_mixed(path)
     assert code == 0
-    e = [int(v) for v in json.loads(out)["result"]["e"]]
+    result = json.loads(out)["result"]
+    e = [int(v) for v in result["e"]]
     assert e + [0] * (3 - len(e)) == expected
+    # e_i > 0 exactly for i < l(J) over a polynomial ring: the rank oracle
+    # counts the spread with no Groebner basis
+    assert result["spread"] == str(sum(v > 0 for v in expected))
     # over F 2 and F 3 the chain's draws can fall short of generic: it runs
     # out of them (exit 3), or it reads other values, as the chain over F 3
     # did at seed 0 on z^2 + y*z + y^2 + x*z + x*y ; z^2 ; y^2 + z^2, e_2 = 1

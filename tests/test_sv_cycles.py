@@ -6,9 +6,9 @@ import json
 
 import pytest
 
-import mixmult.sv_cycles as sv_cycles
+import mixmult.ideal_mixed as ideal_mixed
 from mixmult import (ETable, FieldSpec, Ideal, InputError, MathInvariantError, Ring,
-                     bezout_check, make_join, rees_bigraded_crosscheck, sv_degrees)
+                     bezout_check, make_join, rees_diagonal, sv_degrees)
 from mixmult.cli import main
 
 F = FieldSpec(32003)
@@ -115,8 +115,8 @@ class TestReesRoute:
         px, py = proj_space("x", 3), proj_space("y", 3)
         join = make_join(Ideal(px, [px.var("x3")]), Ideal(py, [py.var("y0")]))
         # A has dimension 6, so the diagonal has 6 entries: one more than n + 2
-        diagonal = rees_bigraded_crosscheck(join).diagonal()
-        assert len(diagonal) == 6 and diagonal[:5] == [1, 1, 1, 1, 0]
+        diagonal, dim = rees_diagonal(join, 6)
+        assert dim == 6 and diagonal[:5] == [1, 1, 1, 1, 0]
         rep = sv_degrees(join)
         assert rep.degrees == [0, 0, 0, 1]
         assert rep.e_list == [1, 1, 1, 1, 0]
@@ -126,7 +126,7 @@ class TestReesRoute:
         # the points (1:0:0) and (0:1:0): A has dimension 2, so two entries
         join = make_join(Ideal(px, [px.var("x1"), px.var("x2")]),
                          Ideal(py, [py.var("y0"), py.var("y2")]))
-        assert rees_bigraded_crosscheck(join).diagonal() == [1, 1]
+        assert rees_diagonal(join, 2) == ([1, 1], 2)
         rep = sv_degrees(join)
         assert rep.degrees == [0, 1, 0]
         assert rep.e_list == [1, 1, 0, 0]
@@ -141,7 +141,7 @@ class TestReesRoute:
         assert bezout_check(rep, 2, 2)
 
     def test_a_nonzero_entry_past_n_plus_one_is_refused(self, monkeypatch):
-        monkeypatch.setattr(sv_cycles, "rees_bigraded_crosscheck",
+        monkeypatch.setattr(ideal_mixed, "e_table_full",
                             lambda setting: ETable(4, {(0, 4): 1, (4, 0): 1}))
         with pytest.raises(MathInvariantError):
             sv_degrees(make_join(line_x(), line_y()))

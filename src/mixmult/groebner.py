@@ -511,10 +511,11 @@ class Ideal:
     The basis is the degrevlex one ``buchberger`` returns, read as it lists
     it. Handles are immutable, so a cached basis can never go stale. A
     handle also caches its sums (``ideal_sum``: a sum asked for twice is one
-    handle), its saturations (itself where saturated) and its Krull dimension.
+    handle), its saturations (itself where saturated), its Krull dimension
+    and its Hilbert series (``hilbert.series_of``).
     """
 
-    __slots__ = ("ring", "gens", "_gb", "_dim", "_satcache", "_sums")
+    __slots__ = ("ring", "gens", "_gb", "_dim", "_series", "_satcache", "_sums")
 
     def __init__(self, ring: Ring, gens: Iterable[Poly] = ()):
         self.ring = ring
@@ -527,6 +528,7 @@ class Ideal:
         self.gens = tuple(cleaned)
         self._gb = None
         self._dim = None
+        self._series = None
         self._satcache: dict = {}
         self._sums: dict = {}
 
@@ -867,7 +869,12 @@ def krull_dim(I: Ideal) -> int:
     """Krull dimension of ring/I; -1 for the unit ideal, nvars for the zero ideal.
 
     Computed on the leading-term ideal: the largest variable subset S such
-    that no minimal generator of LT(I) has support inside S.
+    that no minimal generator of LT(I) has support inside S, by branch and
+    bound. ``best(avail, floor)`` is the largest such S inside ``avail`` when
+    that exceeds ``floor``, and otherwise an upper bound on it of at most
+    ``floor``. The bound is |avail| minus a greedy packing of disjoint
+    supports inside ``avail``, since S misses a variable of each. Exact
+    values and proven bounds are memoised apart.
     """
     if I._dim is not None:
         return I._dim
@@ -881,22 +888,41 @@ def krull_dim(I: Ideal) -> int:
     # shortest first, so each branch is on the fewest variables
     bits = {s: [1 << v for v in range(I.ring.nvars) if s >> v & 1] for s in minimal}
     blockers = sorted(bits.items(), key=lambda item: (len(item[1]), item[1]))
-    memo: dict = {}
+    exact: dict = {}
+    bound: dict = {}
 
-    def best(avail: int) -> int:
-        hit = memo.get(avail)
+    def best(avail: int, floor: int) -> int:
+        hit = exact.get(avail)
         if hit is not None:
             return hit
+        known = bound.get(avail, avail.bit_count())
+        if known <= floor:
+            return known
+        cap, used, branch = avail.bit_count(), 0, None
         for s, vs in blockers:
-            if s & avail == s:
-                value = max(best(avail ^ v) for v in vs)
-                break
-        else:
-            value = avail.bit_count()
-        memo[avail] = value
-        return value
+            if s & avail == s and not s & used:
+                cap, used, branch = cap - 1, used | s, branch or vs
+        if branch is None:
+            exact[avail] = cap
+            return cap
+        cap = min(cap, known)
+        top, high = floor, cap
+        if cap > floor:
+            high = -1
+            for v in branch:
+                got = best(avail ^ v, top)
+                if got > top:
+                    top = got
+                    if top == cap:
+                        break
+                high = max(high, got)
+        if top > floor:
+            exact[avail] = top
+            return top
+        bound[avail] = high
+        return high
 
-    I._dim = best((1 << I.ring.nvars) - 1)
+    I._dim = best((1 << I.ring.nvars) - 1, -1)
     return I._dim
 
 

@@ -22,89 +22,71 @@ over prod_v (1 - t^deg v) comes from a recursion on minimal generators:
   stay minimal among themselves, and only a generator free of x can be
   divided by one of them.
 
-Each node is memoised on its generator set. Hilbert data depends only on the
-ideal, so any fixed monomial order works; degrevlex is used throughout.
+Each generator is one int (``_Layout``): n exponent fields and two fields
+for its bidegree, each field with a guard bit on top, wide enough for the lcm
+of all generators. Then M : x is one subtraction per generator, h divides e
+when e - h sets no guard bit, the support of m is the guard bits of
+m + (all ones below each exponent guard), and summing supports counts the
+generators on each variable. Inside the recursion a numerator is a dict keyed
+by one int a << width | b for t1^a t2^b, read off the two top fields; the lcm
+bounds every such degree, so keys add without carries. Each node is memoised
+on its layout and generator set, and ``series_of`` keeps the series on the
+ideal handle. Hilbert data depends only on the ideal, so any fixed monomial
+order works; degrevlex is used throughout.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import compress
-from operator import le
+from operator import mul
 from typing import Optional
 
 from .errors import InputError, MathInvariantError
 from .groebner import Ideal, ideal_sum, krull_dim
-from .rings import Bidegree, Exponent, Poly, Ring, monomials_of_bidegree
+from .rings import Bidegree, Poly, Ring, monomials_of_bidegree
 
 Numerator = dict  # (a, b) -> int, over prod_v (1 - t1^d1 t2^d2)
 
 _numerator_memo: dict = {}
 
 
-def _num_sub(a: Numerator, b: Numerator) -> Numerator:
-    out = dict(a)
-    for k, v in b.items():
-        nv = out.get(k, 0) - v
-        if nv:
-            out[k] = nv
-        else:
-            out.pop(k, None)
-    return out
+class _Layout:
+    """Monomials of one ring as ints of n + 2 fields of ``width`` bits, each
+    with a guard bit on top. Field v holds x_v and the two top fields the
+    bidegree (a above b), so ``m >> top`` is the numerator key a << width | b
+    of t1^a t2^b. A quotient by x_v is one subtraction of ``units[v]``."""
+
+    __slots__ = ("key", "width", "units", "top", "ones", "guard")
+
+    def __init__(self, bidegs: tuple[Bidegree, ...], width: int):
+        n = len(bidegs)
+        self.key = f"{width}:{bidegs}"  # a str keeps its hash
+        self.width = width
+        self.top = n * width
+        self.units = [1 << v * width | (a << width | b) << self.top
+                      for v, (a, b) in enumerate(bidegs)]
+        half = 1 << width - 1
+        self.ones = sum(half - 1 << v * width for v in range(n))
+        self.guard = sum(half << k * width for k in range(n + 2))
 
 
-def _num_add_shifted(a: Numerator, b: Numerator, shift: Bidegree) -> Numerator:
-    out = dict(a)
-    for (p, q), v in b.items():
-        k = (p + shift[0], q + shift[1])
-        nv = out.get(k, 0) + v
-        if nv:
-            out[k] = nv
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _num_mul(a: Numerator, b: Numerator) -> Numerator:
-    out: Numerator = {}
-    for (p, q), v in a.items():
-        for (r, s), w in b.items():
-            k = (p + r, q + s)
-            nv = out.get(k, 0) + v * w
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
-    return out
-
-
-def _numerator(bidegs: tuple[Bidegree, ...], gens: frozenset) -> Numerator:
-    """Series numerator of a monomial ideal given by minimal generators."""
-    key = (bidegs, gens)
-    hit = _numerator_memo.get(key)
-    if hit is not None:
-        return hit
-    result = _numerator_uncached(bidegs, gens)
-    _numerator_memo[key] = result
-    return result
-
-
-def _mono_bideg(bidegs, e: Exponent) -> Bidegree:
-    return (
-        sum(x * d[0] for x, d in zip(e, bidegs)),
-        sum(x * d[1] for x, d in zip(e, bidegs)),
-    )
-
-
-def _components(gens: frozenset) -> list:
-    """The generators grouped by the connected components of their supports
-    in the variable graph, where one generator joins all of its variables."""
-    parts: list = []  # [variable mask, generators], masks pairwise disjoint
-    bits = [1 << i for i in range(len(next(iter(gens))))]
-    for e in gens:
-        mask = sum(compress(bits, e))
-        joined = [mask, [e]]
+def _numerator(lay: _Layout, gens: frozenset) -> dict:
+    """Series numerator, keyed a << width | b, of the monomial ideal with
+    packed minimal generators ``gens``."""
+    key = (lay.key, gens)
+    out = _numerator_memo.get(key)
+    if out is not None:
+        return out
+    if not gens or 0 in gens:
+        _numerator_memo[key] = out = {} if gens else {0: 1}
+        return out
+    top, guard = lay.top, lay.guard
+    # the guard bits of a generator's nonzero exponents: its support
+    masks = [(g + lay.ones) & guard for g in gens]
+    parts: list = []  # [support, generators], supports pairwise disjoint
+    for g, mask in zip(gens, masks):
+        joined = [mask, [g]]
         rest = [joined]
         for part in parts:
             if part[0] & mask:
@@ -113,43 +95,49 @@ def _components(gens: frozenset) -> list:
             else:
                 rest.append(part)
         parts = rest
-    return [part[1] for part in parts]
-
-
-def _numerator_uncached(bidegs, gens: frozenset) -> Numerator:
-    if not gens:
-        return {(0, 0): 1}
-    if any(not any(e) for e in gens):
-        return {}
-    parts = _components(gens)
     if len(parts) > 1 or len(gens) == 1:
         # generators on disjoint variables: the quotient is a tensor product,
         # and a lone generator m gives the factor 1 - t^deg m
-        out: Numerator = {(0, 0): 1}
-        for part in parts:
-            factor = ({(0, 0): 1, _mono_bideg(bidegs, part[0]): -1} if len(part) == 1
-                      else _numerator(bidegs, frozenset(part)))
-            out = _num_mul(out, factor)
+        out = {0: 1}
+        for _, part in parts:
+            if len(part) == 1:
+                d = part[0] >> top
+                prod = dict(out)
+                for k, c in out.items():
+                    prod[k + d] = prod.get(k + d, 0) - c
+            else:
+                prod = {}
+                for k2, c2 in _numerator(lay, frozenset(part)).items():
+                    for k, c in out.items():
+                        prod[k + k2] = prod.get(k + k2, 0) + c * c2
+            out = {k: c for k, c in prod.items() if c}
+        _numerator_memo[key] = out
         return out
-    # pivot: the variable that most generators contain
-    n = len(bidegs)
-    counts = [len(col) - col.count(0) for col in zip(*gens)]
-    v = max(range(n), key=lambda i: (counts[i], -i))
+    # pivot: the variable that most generators contain, counted field by field
+    w = lay.width
+    total = sum(masks) >> w - 1
+    counts = [total >> s & (1 << w) - 1 for s in range(0, top, w)]
+    v = counts.index(max(counts))
+    bit, unit, field = 1 << v * w + w - 1, lay.units[v], (1 << w) - 1 << v * w
     # M + (x_v) is x_v next to the generators free of it
-    free = [e for e in gens if not e[v]]
-    head = _numerator(bidegs, frozenset(free))
+    free = [g for g, mask in zip(gens, masks) if not mask & bit]
+    head = _numerator(lay, frozenset(free))
     # M : x_v: the shifted generators stay minimal among themselves, and only
     # a generator free of x_v can be divided by one of them, namely by one
-    # that no longer contains x_v
-    shifted = [e[:v] + (e[v] - 1,) + e[v + 1:] for e in gens if e[v]]
-    freed = [h for h in shifted if not h[v]]
-    colon = frozenset(shifted + [
-        e for e in free
-        if not any(all(map(le, h, e)) for h in freed)
-    ])
-    tail = _numerator(bidegs, colon)
+    # that no longer contains x_v; h divides e when e - h trips no guard bit
+    shifted = [g - unit for g, mask in zip(gens, masks) if mask & bit]
+    freed = [h for h in shifted if not h & field]
+    tail = _numerator(lay, frozenset(shifted + [
+        e for e in free if all((e - h) & guard for h in freed)]))
     # N(M) = (1 - t^d) N(free part) + t^d N(M : x_v), d = deg x_v
-    return _num_add_shifted(head, _num_sub(tail, head), bidegs[v])
+    d = unit >> top
+    out = dict(head)
+    for k, c in tail.items():
+        out[k + d] = out.get(k + d, 0) + c
+    for k, c in head.items():
+        out[k + d] = out.get(k + d, 0) - c
+    _numerator_memo[key] = out = {k: c for k, c in out.items() if c}
+    return out
 
 
 @dataclass
@@ -188,13 +176,26 @@ def _count(w: int, k: int) -> int:
 
 
 def series_of(I: Ideal) -> HilbertSeries2:
-    """Bigraded Hilbert series of ring/I for a (bi)homogeneous ideal."""
-    for g in I.gens:
-        if g.bidegree() is None:
-            raise InputError(f"inhomogeneous generator: {g}")
-    # the leading terms of a reduced basis are the minimal generators
-    lead = frozenset(I.leading_exponents())
-    return HilbertSeries2(I.ring, _numerator(I.ring.bidegrees, lead))
+    """Bigraded Hilbert series of ring/I for a (bi)homogeneous ideal, kept
+    on the handle."""
+    if I._series is None:
+        for g in I.gens:
+            if g.bidegree() is None:
+                raise InputError(f"inhomogeneous generator: {g}")
+        # the leading terms of a reduced basis are the minimal generators;
+        # the bidegree of their lcm bounds every degree the recursion meets,
+        # and a pivot count is at most their number
+        lead = I.leading_exponents()
+        lcm = [max(col) for col in zip(*lead)]
+        need = max([*lcm, *I.ring.monomial_bidegree(lcm)])
+        width = 8
+        while need >> width - 1 or len(lead) >> width:
+            width *= 2
+        lay = _Layout(I.ring.bidegrees, width)
+        num = _numerator(lay, frozenset(sum(map(mul, e, lay.units)) for e in lead))
+        low = (1 << width) - 1
+        I._series = HilbertSeries2(I.ring, {(k >> width, k & low): c for k, c in num.items()})
+    return I._series
 
 
 def colon_numerator(I: Ideal, f: Poly) -> Numerator:
@@ -213,8 +214,11 @@ def colon_numerator(I: Ideal, f: Poly) -> Numerator:
     if d is None:
         raise InputError("colon series expects a homogeneous element")
     base = series_of(I).numerator
-    return _num_add_shifted(_num_sub(series_of(ideal_sum(I, [f])).numerator, base),
-                            base, d)
+    out = dict(series_of(ideal_sum(I, [f])).numerator)
+    for (a, b), c in base.items():
+        out[a, b] = out.get((a, b), 0) - c
+        out[a + d[0], b + d[1]] = out.get((a + d[0], b + d[1]), 0) + c
+    return {k: c for k, c in out.items() if c}
 
 
 def hilbert_function(I: Ideal, u: int, v: int) -> int:

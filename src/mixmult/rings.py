@@ -83,8 +83,10 @@ class Ring:
 
     def var(self, which) -> "Poly":
         i = which if isinstance(which, int) else self.var_index(which)
-        exp = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Poly(self, {exp: self.field.one})
+        if not 0 <= i < self.nvars:
+            raise InputError(f"no variable {i} in ring {self.name}")
+        return Poly(self, {(0,) * i + (1,) + (0,) * (self.nvars - 1 - i): self.field.one},
+                    _trusted=True)
 
     def gens(self) -> list["Poly"]:
         return [self.var(i) for i in range(self.nvars)]
@@ -154,7 +156,7 @@ class Poly:
     # -- arithmetic -------------------------------------------------------------
 
     def _check_ring(self, other: "Poly"):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise InputError(
                 f"ring mismatch: {self.ring.name} vs {other.ring.name}"
             )

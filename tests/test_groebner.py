@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import homogeneous_membership_oracle, truncated_membership_oracle
 from mixmult import (DEGREVLEX, FieldSpec, Ideal, InputError, MonomialOrder, Poly, Ring,
@@ -467,6 +469,18 @@ class TestDimension:
             brute = max((k for k in range(n + 1) for S in combinations(range(n), k)
                          if not any(s <= set(S) for s in supports)), default=-1)
             assert krull_dim(I) == brute
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(1, (1 << n) - 1), max_size=14))))
+    def test_branch_and_bound_matches_every_subset(self, drawn):
+        n, supports = drawn
+        R = Ring("R", tuple(f"v{i}" for i in range(n)), ((1, 0),) * n, F)
+        I = Ideal(R, [Poly(R, {tuple(s >> v & 1 for v in range(n)): 1}) for s in supports])
+        # the largest variable set, as a bitmask, that contains no support
+        brute = max(S.bit_count() for S in range(1 << n)
+                    if not any(s & S == s for s in supports))
+        assert krull_dim(I) == brute
 
     def test_dim_matches_series_pole_order(self):
         from mixmult import total_multiplicity

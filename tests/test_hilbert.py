@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import random
+from itertools import combinations
 from operator import le
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixmult import (FieldSpec, Ideal, InputError, MathInvariantError, Poly, Ring,
                      e_table, hilbert_function, ideal_intersection, krull_dim,
                      polynomial_of, series_of, total_multiplicity)
 from mixmult import hilbert
+from mixmult.cli import main
 from mixmult.hilbert import HilbertPoly2, HilbertSeries2, gbinom
 from mixmult.instances import random_bigraded_algebra
 
@@ -213,19 +220,40 @@ def random_monomial_ideal(rng: random.Random) -> Ideal:
     return Ideal(R, gens)
 
 
+def unpacked(lay, gens) -> list:
+    """The exponent tuples of packed monomials, read field by field."""
+    w, low = lay.width, (1 << lay.width - 1) - 1
+    return [tuple(g >> s & low for s in range(0, lay.top, w)) for g in gens]
+
+
+def components(gens: list) -> list:
+    """The exponent tuples grouped by the connected components of their
+    supports, where one generator joins all of its variables."""
+    parts: list = []  # [variable set, generators]
+    for e in gens:
+        joined = [{v for v, x in enumerate(e) if x}, [e]]
+        rest = [joined]
+        for part in parts:
+            if part[0] & joined[0]:
+                joined[0] |= part[0]
+                joined[1] += part[1]
+            else:
+                rest.append(part)
+        parts = rest
+    return [part[1] for part in parts]
+
+
 class TestMonomialRecursion:
     def test_series_matches_the_count_up_to_stability(self, monkeypatch):
         monkeypatch.setattr(hilbert, "_numerator_memo", {})
-        splits = []
-        components = hilbert._components
+        calls = []
+        numerator = hilbert._numerator
 
-        def spy(gens):
-            parts = components(gens)
-            if len(parts) > 1 and any(len(p) > 1 for p in parts):
-                splits.append(len(parts))
-            return parts
+        def spy(lay, gens):
+            calls.append(frozenset(unpacked(lay, gens)))
+            return numerator(lay, gens)
 
-        monkeypatch.setattr(hilbert, "_components", spy)
+        monkeypatch.setattr(hilbert, "_numerator", spy)
         rng = random.Random(1808)
         for _ in range(200):
             I = random_monomial_ideal(rng)
@@ -237,17 +265,25 @@ class TestMonomialRecursion:
                     assert S.coefficient(u, v) == value
                     if u >= P.u_star and v >= P.v_star:
                         assert P(u, v) == value
-        assert splits  # the product rule for disjoint supports ran
+        # the product rule for disjoint supports ran: a node whose supports
+        # fall apart recursed on each part of several generators by itself
+        seen = set(calls)
+        splits = [parts for parts in map(components, map(list, seen))
+                  if len(parts) > 1 and any(len(p) > 1 for p in parts)]
+        assert splits
+        for parts in splits:
+            assert all(frozenset(p) in seen for p in parts if len(p) > 1)
 
     def test_every_recursion_node_gets_minimal_generators(self, monkeypatch):
         monkeypatch.setattr(hilbert, "_numerator_memo", {})
         numerator = hilbert._numerator
         seen = []
 
-        def spy(bidegs, gens):
-            assert not any(o != e and all(map(le, o, e)) for o in gens for e in gens)
+        def spy(lay, gens):
+            exps = unpacked(lay, gens)
+            assert not any(o != e and all(map(le, o, e)) for o in exps for e in exps)
             seen.append(len(gens))
-            return numerator(bidegs, gens)
+            return numerator(lay, gens)
 
         monkeypatch.setattr(hilbert, "_numerator", spy)
         rng = random.Random(5)
@@ -259,6 +295,110 @@ class TestMonomialRecursion:
             exps = {tuple(rng.randint(0, 2) for _ in range(2 * n)) for _ in range(30)}
             series_of(Ideal(R, [Poly(R, {e: 1}) for e in exps if any(e)]))
         assert max(seen) >= 10
+
+
+def taylor_numerator(ring: Ring, gens: list) -> dict:
+    """N(M) = sum over subsets S of the generators of (-1)^|S| t^deg lcm(S),
+    from the Taylor resolution; any generating set will do."""
+    out: dict = {}
+    for k in range(len(gens) + 1):
+        for subset in combinations(gens, k):
+            lcm = tuple(map(max, *subset)) if k > 1 else (subset[0] if k else (0,) * ring.nvars)
+            d = ring.monomial_bidegree(lcm)
+            out[d] = out.get(d, 0) + (-1) ** k
+    return {d: c for d, c in out.items() if c}
+
+
+def expand(ring: Ring, numerator: dict, box: int) -> dict:
+    """The series coefficients of bidegree (u, v), u, v < box: the numerator
+    times 1 / (1 - t^d) for each variable degree d, as running sums."""
+    h = {(u, v): numerator.get((u, v), 0) for u in range(box) for v in range(box)}
+    for a, b in ring.bidegrees:
+        for u in range(a, box):
+            for v in range(b, box):
+                h[u, v] += h[u - a, v - b]
+    return h
+
+
+_DEGREES = [(1, 0), (0, 1), (2, 1), (1, 2), (0, 3), (1, 1)]
+_BIG = [128, 200, 255, 256, 2 ** 15 - 1, 2 ** 15, 40000]
+
+
+@st.composite
+def monomial_ideals(draw):
+    """A ring of 1-4 variables of mixed bidegrees, and up to six generators:
+    mixed ones with small exponents, pure powers of small or large exponent
+    (fields of 8, 16 and 32 bits), and at times the constant 1."""
+    n = draw(st.integers(1, 4))
+    bidegs = tuple(draw(st.sampled_from(_DEGREES)) for _ in range(n))
+    R = Ring("R", tuple(f"v{i}" for i in range(n)), bidegs, F)
+    gens = set()
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["mixed", "mixed", "power", "big", "one"]))
+        if kind == "one":
+            gens.add((0,) * n)
+            continue
+        exp = [0] * n
+        if kind == "mixed":
+            for v in range(n):
+                exp[v] = draw(st.integers(0, 3))
+        else:
+            exp[draw(st.integers(0, n - 1))] = draw(
+                st.integers(1, 4) if kind == "power" else st.sampled_from(_BIG))
+        gens.add(tuple(exp))
+    return R, sorted(gens)
+
+
+class TestSeriesProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(monomial_ideals())
+    def test_series_agrees_with_taylor_and_the_count(self, drawn):
+        R, gens = drawn
+        I = Ideal(R, [Poly(R, {e: 1}) for e in gens])
+        num = series_of(I).numerator
+        assert num == taylor_numerator(R, gens)
+        if (0,) * R.nvars in gens:
+            assert num == {}
+        elif not gens:
+            assert num == {(0, 0): 1}
+        for (u, v), c in expand(R, num, 7).items():
+            assert hilbert_function(I, u, v) == c
+
+
+class TestOneRecursionPerHandle:
+    def test_a_hilbert_command_runs_the_root_once(self, monkeypatch):
+        monkeypatch.setattr(hilbert, "_numerator_memo", {})
+        numerator = hilbert._numerator
+        depth, roots = [0], []
+
+        def spy(lay, gens):
+            if not depth[0]:
+                roots.append(gens)
+            depth[0] += 1
+            try:
+                return numerator(lay, gens)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(hilbert, "_numerator", spy)
+        monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["hilbert", "--file", "problems/three_component.mix",
+                         "--ideal", "I"]) == 0
+        assert '"multiplicity"' in out.getvalue()  # total_multiplicity ran
+        assert len(roots) == 1
+
+    def test_colon_numerator_reuses_the_series_of_the_handle(self, monkeypatch):
+        R = plane()
+        x, y = R.gens()
+        I = Ideal(R, [x * y])
+        S = series_of(I)
+        # (I : x)/I = (y)/(xy) = y k[y], shifted by deg x = (1, 0)
+        torsion = hilbert.colon_numerator(I, x)
+        assert torsion == {(1, 1): 1, (2, 1): -1}
+        monkeypatch.setattr(hilbert, "_numerator", None)  # no recursion may run
+        assert series_of(I) is S
+        assert hilbert.colon_numerator(I, x) == torsion
 
 
 class TestGradingSwap:

@@ -59,6 +59,13 @@ class TestArithmetic:
         with pytest.raises(InputError):
             a + other.var(0)
 
+    def test_variable_index_outside_the_ring_rejected(self):
+        R = Ring("R", ("x", "y"), ((1, 0), (0, 1)), GF)
+        assert R.var(1) == R.monomial((0, 1))
+        for i in (2, 5, -1):
+            with pytest.raises(InputError):
+                R.var(i)
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_ring_axioms(self, data):

@@ -17,16 +17,30 @@ loop with the coprime and chain criteria and sugar selection (Giovini, Mora,
 Niesi, Robbiano and Traverso, "One sugar cube, please", ISSAC 1991): an input
 generator's sugar is its largest term degree, the S-pair of f_i and f_j has
 the larger of sugar_i + deg lcm - deg LT(f_i) and the same for j, and its
-remainder keeps that sugar. S-pairs wait in a heap keyed by their sugar, then
-their lcm, and equal keys leave in the order they were made. On homogeneous
-input the sugar is the degree of the lcm, which degrevlex compares first
-anyway, so there the order is the normal strategy's. The signature kernel's
-guard-bit argument needs homogeneity: there no field of a signature exceeds
-the degree of its polynomial. Both loops end in one minimalise-and-tail-
-reduce pass (``_reduced_basis``), and the reduced basis is unique, so either
-returns the same dicts.
-Monomial-ideal fast paths cover the operations that dominate the workloads
-here and return handles preset with the basis that path finds.
+remainder keeps that sugar. The degree is weighted when the caller passes
+weights, as the Rees presentation does (x and t weigh 1, T_j weighs
+deg g_j + 1); they grade the work ring only, not the order. S-pairs wait in
+a heap keyed by their sugar, then their lcm, and equal keys leave in the
+order they were made. On input homogeneous for that degree the sugar is the
+degree of the lcm, so the order is the normal strategy's in its grading.
+For such input a caller may also pass ``hilbert(lts, D)``, the leading
+terms degree D still lacks: its monomials outside those of ``lts`` less the
+Hilbert function (Traverso, "Hilbert functions and the Buchberger
+algorithm", J. Symbolic Comput. 22, 1996). It is counted when the first
+pair of degree D that survives the criteria leaves, with the basis complete
+below D; each nonzero remainder supplies one, and once none is missing the
+degree's other pairs reduce to zero and are dropped unreduced. A negative
+count raises ``MathInvariantError``. A count costs about a reduction for
+each leading term it has not yet taken in, and a drop saves one per pair,
+so a degree is counted only where more of its pairs wait than that
+(``_waiting``); the smallest inputs never count.
+
+The signature kernel's guard-bit argument needs homogeneity: there no field
+of a signature exceeds the degree of its polynomial. Both loops end in one
+minimalise-and-tail-reduce pass (``_reduced_basis``), and the reduced basis
+is unique, so either returns the same dicts, whatever the weights and the
+drop. Monomial-ideal fast paths cover the operations that dominate the
+workloads here and return handles preset with the basis that path finds.
 
 Inside the loop and in normal forms a monomial in n variables is one int
 (packed exponent vectors: Monagan-Pearce, "Polynomial division using dynamic
@@ -75,7 +89,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations_with_replacement, count
+from math import inf
 from operator import add, itemgetter, le, mul, sub
 from typing import Callable, Iterable, Sequence, Union
 
@@ -298,12 +314,22 @@ def _spoly(f: tuple, g: tuple) -> dict:
     return acc
 
 
-def buchberger(gens: Iterable[dict], field: FieldSpec, order: MonomialOrder) -> list[dict]:
+def buchberger(gens: Iterable[dict], field: FieldSpec, order: MonomialOrder,
+               weights: Sequence[int] | None = None,
+               hilbert: Callable[[list, int], int] | None = None) -> list[dict]:
     """Reduced Groebner basis of the ideal generated by ``gens`` (term dicts).
 
     Returns monic generators sorted by ascending leading monomial, each dict
     listing its leading monomial first (``Ideal`` relies on this); [] for the
     zero ideal and [{0: 1}] for the unit ideal.
+
+    ``weights`` (one positive int per variable) and ``hilbert`` only steer
+    the pair loop (``_buchberger``): its sugar reads the weighted degree,
+    and ``hilbert(lts, D)``, the number of monomials of weighted degree D
+    outside the monomial ideal of the exponents ``lts`` less the Hilbert
+    function of the ideal of ``gens`` in degree D, lets it drop the pairs
+    of a degree once its leading terms are complete. Neither changes the
+    basis returned.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -314,7 +340,7 @@ def buchberger(gens: Iterable[dict], field: FieldSpec, order: MonomialOrder) -> 
     elif all(len(set(map(sum, g))) == 1 for g in gens):
         work = _signature_basis
     else:
-        work = _buchberger
+        work = partial(_buchberger, weights=weights, hilbert=hilbert)
     return _packed(lambda pk: work(gens, field, pk), order, nvars, gens)
 
 
@@ -329,8 +355,17 @@ def _monomial_basis(gens: list[dict], field: FieldSpec, pk: _Packing) -> list[di
     return [{pk.unpack(m): field.one} for m in kept]
 
 
-def _buchberger(gens: list[dict], field: FieldSpec, pk: _Packing) -> list[dict]:
+def _buchberger(gens: list[dict], field: FieldSpec, pk: _Packing,
+                weights: Sequence[int] | None = None,
+                hilbert: Callable[[list, int], int] | None = None) -> list[dict]:
     guard = pk.guard
+    if weights is None:
+        degree: Callable[[Exponent], int] = sum
+    else:
+        def degree(e: Exponent) -> int:
+            return sum(map(mul, e, weights))
+    if hilbert is not None and any(len(set(map(degree, g))) > 1 for g in gens):
+        hilbert = None  # the Hilbert function only counts homogeneous input
     unit = [{(0,) * len(pk.weights): field.one}]
     basis: list[tuple[int, tuple]] = []  # reducers: (packed leading monomial, tail)
     lts: list[Exponent] = []
@@ -351,20 +386,23 @@ def _buchberger(gens: list[dict], field: FieldSpec, pk: _Packing) -> list[dict]:
         k = len(basis)
         basis.append(_reducer(_monic(h, field)))
         lts.append(pk.unpack(lt))
-        excess.append(sugar - sum(lts[k]))
+        excess.append(sugar - degree(lts[k]))
         for i in range(k):
             key = frozenset((i, k))
             lcm = _elcm(lts[i], lts[k])
             packed = pending[key] = pk.pack(lcm)
-            pair_sugar = sum(lcm) + max(excess[i], excess[k])
+            pair_sugar = degree(lcm) + max(excess[i], excess[k])
             heapq.heappush(queue, (pair_sugar, packed, next(tick), key))
         return False
 
     for g in gens:
         r = _reduce_full(pk.pack_terms(g), basis, field, guard, memo)
-        if r and push(r, max(map(sum, g))):
+        if r and push(r, max(map(degree, g))):
             return unit
 
+    # the degree being treated, its leading terms still to come (inf: not
+    # counted), and how many leading terms the last count took in
+    level, missing, counted = -1, inf, 0
     while queue:
         sugar, _, _, key = heapq.heappop(queue)
         lcm = pending.pop(key)
@@ -379,13 +417,40 @@ def _buchberger(gens: list[dict], field: FieldSpec, pk: _Packing) -> list[dict]:
                     and frozenset((i, k)) not in pending and frozenset((j, k)) not in pending:
                 break
         else:
+            if hilbert is not None and sugar != level:
+                level, missing = sugar, inf
+                # a count costs about a reduction per leading term it takes
+                # in, and the drop saves one per pair: count where more
+                # pairs of the degree wait than that
+                if _waiting(queue, sugar, len(lts) - counted):
+                    missing, counted = hilbert(lts, sugar), len(lts)
+                    if missing < 0:
+                        raise MathInvariantError(
+                            f"{-missing} more leading terms in degree {sugar} "
+                            "than the Hilbert function allows")
+            if not missing:
+                continue  # degree complete: the pair reduces to zero
             s = _spoly((lts[i], basis[i][1], lcm - basis[i][0]),
                        (lts[j], basis[j][1], lcm - basis[j][0]))
             r = _reduce_full(s, basis, field, guard, memo)
-            if r and push(r, sugar):
-                return unit
+            if r:
+                if push(r, sugar):
+                    return unit
+                missing -= 1
 
     return _reduced_basis(basis, field, pk)
+
+
+def _waiting(queue: list, sugar: int, n: int) -> bool:
+    """True when the heap ``queue`` holds at least n pairs of ``sugar``, its
+    smallest: they are the root's subtree of entries of that sugar."""
+    stack = [0] if queue else []
+    while stack and n > 0:
+        k = stack.pop()
+        if queue[k][0] == sugar:
+            n -= 1
+            stack += [c for c in (2 * k + 1, 2 * k + 2) if c < len(queue)]
+    return n <= 0
 
 
 def _reduced_basis(basis: list[tuple[int, tuple]], field: FieldSpec, pk: _Packing) -> list[dict]:
@@ -630,7 +695,8 @@ def _preset(ring: Ring, basis: list[dict]) -> Ideal:
     return result
 
 
-def eliminate(gens: Sequence[Poly], base: Ring) -> Ideal:
+def eliminate(gens: Sequence[Poly], base: Ring, weights: Sequence[int] | None = None,
+              hilbert: Callable[[list, int], int] | None = None) -> Ideal:
     """The ideal of ``gens`` meet k[base], for ``gens`` in a ring that
     extends ``base`` by trailing variables.
 
@@ -638,12 +704,14 @@ def eliminate(gens: Sequence[Poly], base: Ring) -> Ideal:
     variables, which ranks any monomial with one above all without: the
     elements whose leading monomial is free of them are, in order, the
     reduced degrevlex basis of the result, preset rather than computed again.
+    ``weights`` and ``hilbert`` go to ``buchberger``.
     """
     if not gens:
         return Ideal(base)
     n, ext = base.nvars, gens[0].ring
     block = tuple(range(n, ext.nvars))
-    basis = buchberger([g.terms for g in gens], ext.field, MonomialOrder.elimination(block))
+    basis = buchberger([g.terms for g in gens], ext.field, MonomialOrder.elimination(block),
+                       weights, hilbert)
     return _preset(base, [{e[:n]: c for e, c in h.items()}
                           for h in basis if not any(next(iter(h))[n:])])
 

@@ -33,6 +33,10 @@ bounds every such degree, so keys add without carries. Each node is memoised
 on its layout and generator set, and ``series_of`` keeps the series on the
 ideal handle. Hilbert data depends only on the ideal, so any fixed monomial
 order works; degrevlex is used throughout.
+
+``StandardCount`` serves the Hilbert-driven pair drop of ``groebner``: it
+counts the monomials of one weighted degree outside the leading terms of a
+basis still being built, with one numerator, of a colon, per leading term.
 """
 
 from __future__ import annotations
@@ -40,11 +44,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import mul
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import InputError, MathInvariantError
-from .groebner import Ideal, ideal_sum, krull_dim
-from .rings import Bidegree, Poly, Ring, monomials_of_bidegree
+from .groebner import Ideal, _divisible, ideal_sum, krull_dim
+from .rings import Bidegree, Exponent, Poly, Ring, monomials_of_bidegree
 
 Numerator = dict  # (a, b) -> int, over prod_v (1 - t1^d1 t2^d2)
 
@@ -53,33 +57,34 @@ _numerator_memo: dict = {}
 
 class _Layout:
     """Monomials of one ring as ints of n + 2 fields of ``width`` bits, each
-    with a guard bit on top. Field v holds x_v and the two top fields the
-    bidegree (a above b), so ``m >> top`` is the numerator key a << width | b
-    of t1^a t2^b. A quotient by x_v is one subtraction of ``units[v]``."""
+    with a guard bit on top. Field v holds x_v (``scaled``: x_v times its
+    degree a + b) and the two top fields the bidegree (a above b), so
+    ``m >> top`` is the numerator key a << width | b of t1^a t2^b. A
+    quotient by x_v is one subtraction of ``units[v]``."""
 
     __slots__ = ("key", "width", "units", "top", "ones", "guard")
 
-    def __init__(self, bidegs: tuple[Bidegree, ...], width: int):
+    def __init__(self, bidegs: tuple[Bidegree, ...], width: int, scaled: bool = False):
         n = len(bidegs)
-        self.key = f"{width}:{bidegs}"  # a str keeps its hash
+        self.key = f"{width}:{scaled}:{bidegs}"  # a str keeps its hash
         self.width = width
         self.top = n * width
-        self.units = [1 << v * width | (a << width | b) << self.top
+        self.units = [(a + b if scaled else 1) << v * width | (a << width | b) << self.top
                       for v, (a, b) in enumerate(bidegs)]
         half = 1 << width - 1
         self.ones = sum(half - 1 << v * width for v in range(n))
         self.guard = sum(half << k * width for k in range(n + 2))
 
 
-def _numerator(lay: _Layout, gens: frozenset) -> dict:
+def _numerator(lay: _Layout, gens: frozenset, memo: dict) -> dict:
     """Series numerator, keyed a << width | b, of the monomial ideal with
-    packed minimal generators ``gens``."""
+    packed minimal generators ``gens``, memoised in ``memo``."""
     key = (lay.key, gens)
-    out = _numerator_memo.get(key)
+    out = memo.get(key)
     if out is not None:
         return out
     if not gens or 0 in gens:
-        _numerator_memo[key] = out = {} if gens else {0: 1}
+        memo[key] = out = {} if gens else {0: 1}
         return out
     top, guard = lay.top, lay.guard
     # the guard bits of a generator's nonzero exponents: its support
@@ -107,11 +112,11 @@ def _numerator(lay: _Layout, gens: frozenset) -> dict:
                     prod[k + d] = prod.get(k + d, 0) - c
             else:
                 prod = {}
-                for k2, c2 in _numerator(lay, frozenset(part)).items():
+                for k2, c2 in _numerator(lay, frozenset(part), memo).items():
                     for k, c in out.items():
                         prod[k + k2] = prod.get(k + k2, 0) + c * c2
             out = {k: c for k, c in prod.items() if c}
-        _numerator_memo[key] = out
+        memo[key] = out
         return out
     # pivot: the variable that most generators contain, counted field by field
     w = lay.width
@@ -121,14 +126,14 @@ def _numerator(lay: _Layout, gens: frozenset) -> dict:
     bit, unit, field = 1 << v * w + w - 1, lay.units[v], (1 << w) - 1 << v * w
     # M + (x_v) is x_v next to the generators free of it
     free = [g for g, mask in zip(gens, masks) if not mask & bit]
-    head = _numerator(lay, frozenset(free))
+    head = _numerator(lay, frozenset(free), memo)
     # M : x_v: the shifted generators stay minimal among themselves, and only
     # a generator free of x_v can be divided by one of them, namely by one
     # that no longer contains x_v; h divides e when e - h trips no guard bit
     shifted = [g - unit for g, mask in zip(gens, masks) if mask & bit]
     freed = [h for h in shifted if not h & field]
     tail = _numerator(lay, frozenset(shifted + [
-        e for e in free if all((e - h) & guard for h in freed)]))
+        e for e in free if all((e - h) & guard for h in freed)]), memo)
     # N(M) = (1 - t^d) N(free part) + t^d N(M : x_v), d = deg x_v
     d = unit >> top
     out = dict(head)
@@ -136,7 +141,128 @@ def _numerator(lay: _Layout, gens: frozenset) -> dict:
         out[k + d] = out.get(k + d, 0) + c
     for k, c in head.items():
         out[k + d] = out.get(k + d, 0) - c
-    _numerator_memo[key] = out = {k: c for k, c in out.items() if c}
+    memo[key] = out = {k: c for k, c in out.items() if c}
+    return out
+
+
+class StandardCount:
+    """``count(lts, D)``: how many monomials of weighted degree D, x_v
+    weighing ``weights[v]``, lie outside the monomial ideal M of the
+    exponent tuples ``lts``.
+
+    Incremental for a list that grows at the end, as a Buchberger loop's
+    leading terms do. Adding m to M adds m times the monomials outside
+    M : m, so N(M + (m)) = N(M) - t^deg m N(M : m): one numerator per new
+    leading term, kept by weighted degree. Monomials are packed ``scaled``
+    (field v holds the degree of the power of x_v), so g : m is a
+    saturating subtraction of the exponent fields and its degree, the sum
+    of those fields, one product. A minimal generator of M prime to m is
+    its own colon and divides no other colon, so only the others are
+    compared. A generator set with no shared variable has the product of
+    the 1 - t^deg g as its numerator; any other goes to ``_numerator``.
+    A count is the numerator against the monomial counts of the ring. A
+    list that does not extend the last one starts the count afresh.
+    """
+
+    def __init__(self, weights: Sequence[int]):
+        self.weights = tuple(weights)
+        self.ambient = [1]  # monomials of the ring by weighted degree
+        self.memo: dict = {}  # of ``_numerator``, keyed by layout too
+        self._restart()
+
+    def _restart(self) -> None:
+        self.seen: list[Exponent] = []
+        self.num: dict = {0: 1}  # N(M) by weighted degree
+        self.lay: Optional[_Layout] = None  # packed when the first term comes
+
+    def _relayout(self, width: int) -> None:
+        self.lay = lay = _Layout(tuple((w, 0) for w in self.weights), width, scaled=True)
+        self.gens: list[int] = []  # minimal: ascending, a divisor comes first
+        for g in sorted({sum(map(mul, e, lay.units)) for e in self.seen}):
+            if not _divisible(g, self.gens, lay.guard):
+                self.gens.append(g)
+        self.spread = sum(1 << v * width for v in range(len(self.weights)))
+        self.high = lay.ones + self.spread  # the guard bits of the exponent fields
+
+    def __call__(self, lts: Sequence[Exponent], D: int) -> int:
+        if list(lts[:len(self.seen)]) != self.seen:
+            self._restart()
+        seen = self.seen
+        for m in lts[len(seen):]:
+            self._add(m)
+            seen.append(m)
+        ambient = self.ambient
+        if len(ambient) <= D:  # grown to twice the degree asked for
+            ambient[:] = [1] + [0] * 2 * D
+            for w in self.weights:
+                for k in range(w, 2 * D + 1):
+                    ambient[k] += ambient[k - w]
+        return sum(c * ambient[D - k] for k, c in self.num.items() if k <= D)
+
+    def _add(self, m: Exponent) -> None:
+        d = sum(map(mul, m, self.weights))
+        width = self.lay.width if self.lay else 8
+        while d >> width - 1:
+            width *= 2
+        if not self.lay or width != self.lay.width:
+            self._relayout(width)
+        lay, gens, high = self.lay, self.gens, self.high
+        guard, w, low = lay.guard, lay.width, lay.ones
+        packed = sum(map(mul, m, lay.units))
+        me, support = packed & low, (packed + low) & high
+        sumshift, degshift, field = lay.top - w, lay.top + w, (1 << w) - 1
+        # only a generator that shares a variable with m can divide it or
+        # be divided by it
+        moved, kept, multiples = set(), [], []
+        for g in gens:
+            if (g + low) & support:
+                if not (g - packed) & guard:
+                    multiples.append(g)
+                # g : m: subtract with every exponent guard set, keep the
+                # fields whose guard survived; the degree is their sum
+                t = (g & low | high) - me
+                keep = t & high
+                c = t & keep - (keep >> w - 1)
+                moved.add(c | (c * self.spread >> sumshift & field) << degshift)
+            else:
+                kept.append(g)
+        if 0 in moved:
+            return  # m lies in M already
+        divisors: list[int] = []
+        for c in sorted(moved):
+            if not _divisible(c, divisors, guard):
+                divisors.append(c)
+        kept = divisors + [g for g in kept if not _divisible(g, divisors, guard)]
+        masks = [(c + low) & high for c in kept]
+        covered = shared = 0  # the variables of some generator, of two
+        for mask in masks:
+            shared |= covered & mask
+            covered |= mask
+        part, tied = {0: 1}, []
+        for c, mask in zip(kept, masks):
+            if mask & shared:
+                tied.append(c)
+            else:  # a generator alone on its variables: a factor 1 - t^deg c
+                e = c >> degshift
+                for k, x in list(part.items()):
+                    part[k + e] = part.get(k + e, 0) - x
+        if tied:
+            part = _times(part, _numerator(lay, frozenset(tied), self.memo), w)
+        num = self.num
+        for k, c in part.items():
+            num[k + d] = num.get(k + d, 0) - c
+        if multiples:
+            gens = [g for g in gens if g not in multiples]
+        self.gens = gens + [packed]
+
+
+def _times(p: dict, q: dict, width: int) -> dict:
+    """p times q, p keyed by degree and q by ``_numerator``'s a << width."""
+    out: dict = {}
+    for k2, c2 in q.items():
+        k2 >>= width
+        for k, c in p.items():
+            out[k + k2] = out.get(k + k2, 0) + c * c2
     return out
 
 
@@ -192,7 +318,8 @@ def series_of(I: Ideal) -> HilbertSeries2:
         while need >> width - 1 or len(lead) >> width:
             width *= 2
         lay = _Layout(I.ring.bidegrees, width)
-        num = _numerator(lay, frozenset(sum(map(mul, e, lay.units)) for e in lead))
+        num = _numerator(lay, frozenset(sum(map(mul, e, lay.units)) for e in lead),
+                         _numerator_memo)
         low = (1 << width) - 1
         I._series = HilbertSeries2(I.ring, {(k >> width, k & low): c for k, c in num.items()})
     return I._series

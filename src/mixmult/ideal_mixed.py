@@ -34,6 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import comb
 from typing import Optional
 
 from .bigraded import BigradedAlgebra, e_table_full, random_combination
@@ -41,7 +42,7 @@ from .config import RunConfig, certified_search
 from .errors import GenericityExhausted, InputError, MathInvariantError
 from .groebner import (Ideal, _lift, _tagged_ring, eliminate, ideal_power, ideal_product,
                        ideal_sum, in_radical, is_nzd, krull_dim, saturation)
-from .hilbert import total_multiplicity
+from .hilbert import StandardCount, series_of, total_multiplicity
 from .rings import Poly, Ring
 
 
@@ -131,9 +132,19 @@ def rees_presentation(setting: GradedSetting) -> tuple[Ring, Ideal]:
     """Presentation ideal of the Rees algebra A[Jt] inside k[x, T], in the
     grading of R(m|J): x in bidegree (0,1), T_l in (1,0).
 
-    Computed by eliminating t from I_A + (T_l - t * g_l). The T are named
-    ``#T1..#Ts``, like the elimination tags, so no parsed variable clashes
-    with them. The result is bihomogeneous when J is generated in one degree.
+    Computed by eliminating t from L = I_A + (T_l - t * g_l). The T are
+    named ``#T1..#Ts``, like the elimination tags, so no parsed variable
+    clashes with them. The result is bihomogeneous when J is generated in
+    one degree.
+
+    L is homogeneous when x and t weigh 1 and T_l weighs deg g_l + 1, and
+    T_l -> t * g_l gives k[x, T, t]/L = A[t], so its Hilbert series is
+    HS_A(z)/(1 - z), known before any basis. The elimination gets both: the
+    weights for its sugar, and the leading terms still missing in each
+    degree (the monomials there outside the leading terms found so far, by
+    ``StandardCount``, less dim A[t]_D), so that it drops the remaining
+    pairs of a degree once none is missing. With HS_A = N_A(z)/(1 - z)^n,
+    dim A[t]_D is the sum over the terms c z^a of N_A of c * C(D - a + n, n).
     """
     ring = setting.ring
     gens = setting.J.gens
@@ -147,7 +158,15 @@ def rees_presentation(setting: GradedSetting) -> tuple[Ring, Ideal]:
     t = work.var(work.nvars - 1)
     lifted = [_lift(g, work) for g in setting.defining.gens]
     lifted += [work.var(ring.nvars + k) - t * _lift(g, work) for k, g in enumerate(gens)]
-    return present_ring, eliminate(lifted, present_ring)
+    weights = [1] * ring.nvars + [g.total_exp_degree() + 1 for g in gens] + [1]
+    count, n = StandardCount(weights), ring.nvars
+
+    def missing(lts: list, D: int) -> int:
+        series = series_of(setting.defining).numerator  # kept on the handle
+        return count(lts, D) - sum(c * comb(D - a + n, n) for (a, _), c in series.items()
+                                   if a <= D)
+
+    return present_ring, eliminate(lifted, present_ring, weights, missing)
 
 
 def analytic_spread(setting: GradedSetting) -> int:

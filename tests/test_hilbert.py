@@ -249,9 +249,9 @@ class TestMonomialRecursion:
         calls = []
         numerator = hilbert._numerator
 
-        def spy(lay, gens):
+        def spy(lay, gens, *memo):
             calls.append(frozenset(unpacked(lay, gens)))
-            return numerator(lay, gens)
+            return numerator(lay, gens, *memo)
 
         monkeypatch.setattr(hilbert, "_numerator", spy)
         rng = random.Random(1808)
@@ -279,11 +279,11 @@ class TestMonomialRecursion:
         numerator = hilbert._numerator
         seen = []
 
-        def spy(lay, gens):
+        def spy(lay, gens, *memo):
             exps = unpacked(lay, gens)
             assert not any(o != e and all(map(le, o, e)) for o in exps for e in exps)
             seen.append(len(gens))
-            return numerator(lay, gens)
+            return numerator(lay, gens, *memo)
 
         monkeypatch.setattr(hilbert, "_numerator", spy)
         rng = random.Random(5)
@@ -371,12 +371,12 @@ class TestOneRecursionPerHandle:
         numerator = hilbert._numerator
         depth, roots = [0], []
 
-        def spy(lay, gens):
+        def spy(lay, gens, *memo):
             if not depth[0]:
                 roots.append(gens)
             depth[0] += 1
             try:
-                return numerator(lay, gens)
+                return numerator(lay, gens, *memo)
             finally:
                 depth[0] -= 1
 

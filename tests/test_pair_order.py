@@ -27,18 +27,28 @@ leads with a term of largest degree, where the two readings agree.
 The signature kernel is pinned by its own counts: the J-pairs it treats
 (one regular reduction each, the generators included) and how many of
 those reduce to zero.
+
+The Rees presentation's elimination is pinned with the weighted sugar alone
+(x and t weigh 1, each T_j weighs 3) on the twisted cubic, whose pair order
+differs from the one sugar by plain degree gives, and as
+``rees_presentation`` runs it, the pairs that the Hilbert function shows
+reduce to zero dropped as well, on the rational normal quintic. There the
+reductions and zero reductions are pinned for all three: plain sugar,
+weighted sugar, and the drop.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
-from mixmult import DEGREVLEX, groebner
+from mixmult import DEGREVLEX, GradedSetting, Ideal, groebner, ideal_mixed
 from mixmult.groebner import (MonomialOrder, _buchberger, _lift, _packed, _tagged_ring,
                               buchberger, eliminate)
+from mixmult.ideal_mixed import rees_presentation
 from mixmult.instances import bigraded_ring
 from mixmult.problemfile import parse_problem
 from mixmult.rings import monomials_of_bidegree
@@ -120,6 +130,38 @@ def test_pair_order_is_pinned(run, expected, monkeypatch):
     assert _trace_buchberger(monkeypatch, run) == expected
 
 
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _rees(monkeypatch, path: str, keep: int):
+    """The Rees presentation of the ideal J of the problem file ``path``,
+    its elimination given the first ``keep`` of the weights and the Hilbert
+    count."""
+    J = parse_problem((_ROOT / path).read_text()).ideals["J"]
+    setting = GradedSetting(J.ring, Ideal(J.ring), J)
+    real = ideal_mixed.eliminate
+    monkeypatch.setattr(ideal_mixed, "eliminate",
+                        lambda gens, base, *steering: real(gens, base, *steering[:keep]))
+    return lambda: rees_presentation(setting)
+
+
+_WEIGHTED_SUGAR = (16, "eaf5a4f3994966b05c091399bc8c9fd98aa16b05")
+
+
+@pytest.mark.parametrize("path,keep,expected", [
+    ("problems/twisted_cubic.mix", 1, _WEIGHTED_SUGAR),
+    ("tests/inputs/rnc5.mix", 2, (458, "1704d1d6fe47d53fad028399f2b94a494ba75052")),
+], ids=["weighted_sugar", "hilbert_drop"])
+def test_rees_presentation_pair_order_is_pinned(path, keep, expected, monkeypatch):
+    run = _rees(monkeypatch, path, keep)
+    assert _trace_buchberger(monkeypatch, run) == expected
+
+
+def test_the_sugar_pin_fails_on_plain_degrees(monkeypatch):
+    run = _rees(monkeypatch, "problems/twisted_cubic.mix", 0)
+    assert _trace_buchberger(monkeypatch, run) != _WEIGHTED_SUGAR
+
+
 _REDUCE_FULL = groebner._reduce_full
 
 
@@ -149,6 +191,18 @@ def test_signature_kernel_counts_are_pinned(shape, expected, monkeypatch):
     counts = _reduction_counts(
         monkeypatch, lambda: buchberger(gens, R.field, DEGREVLEX), regular=True)
     assert counts == expected
+
+
+@pytest.mark.parametrize("keep,expected", [
+    (0, (1031, 818)),
+    (1, (843, 651)),
+    (2, (458, 266)),
+], ids=["plain_sugar", "weighted_sugar", "hilbert_drop"])
+def test_rees_quintic_zero_reductions_are_pinned(keep, expected, monkeypatch):
+    # (reductions, zero reductions) of the rational normal quintic's Rees
+    # presentation, its final tail reduction included
+    run = _rees(monkeypatch, "tests/inputs/rnc5.mix", keep)
+    assert _reduction_counts(monkeypatch, run, regular=False) == expected
 
 
 def test_signature_kernel_skips_most_zero_reductions_of_a_regular_sequence(monkeypatch):

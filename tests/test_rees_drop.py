@@ -1,0 +1,191 @@
+"""The Hilbert-driven pair drop of the Rees presentation.
+
+``rees_presentation`` hands the pair loop the weights of its grading and the
+number of leading terms still missing in each weighted degree, and the loop
+drops the remaining pairs of a degree once none is missing. A wrong count
+drops a needed pair and gives a wrong basis, so every basis here is compared
+with the plain elimination of the same generators: no weights, no drop.
+The inputs have Hilbert series 1/(1 - z)^(n+2) (rational normal curves, an
+ideal generated in degrees 2 to 4) and others (a quotient ring A, the ``sv``
+joins), over F 32003, F 2 and F 3.
+The loop counts a degree only where more pairs wait than the count must
+take in new leading terms, so the smallest inputs never count.
+"""
+
+from __future__ import annotations
+
+import heapq
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from mixmult import GradedSetting, Ideal, groebner, ideal_mixed
+from mixmult.errors import MathInvariantError
+from mixmult.groebner import buchberger
+from mixmult.hilbert import StandardCount
+from mixmult.ideal_mixed import rees_presentation
+from mixmult.problemfile import parse_problem
+from mixmult.sv_cycles import make_join
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import families  # noqa: E402
+
+
+def _parse(name: str, field: str = "F 32003"):
+    return parse_problem(_over((ROOT / name).read_text(), field))
+
+
+def _setting(pf, ideal: str, ambient: str | None = None) -> GradedSetting:
+    J = pf.ideals[ideal]
+    return GradedSetting(J.ring, pf.ideals[ambient] if ambient else Ideal(J.ring), J)
+
+
+def _join(pf, x: str, y: str) -> GradedSetting:
+    return make_join(pf.ideals[x], pf.ideals[y])
+
+
+def _curve(d: int) -> GradedSetting:
+    return _setting(parse_problem(families.rational_normal_curve(random.Random(1), d)), "J")
+
+
+def _over(text: str, field: str) -> str:
+    return text.replace("field F 32003", f"field {field}")
+
+
+SETTINGS = {
+    "rnc3": lambda: _curve(3),
+    "rnc4": lambda: _curve(4),
+    "rnc5": lambda: _setting(_parse("tests/inputs/rnc5.mix"), "J"),
+    "pair_of_planes_amb": lambda: _setting(_parse("problems/pair_of_planes.mix"), "J", "amb"),
+    "two_conics": lambda: _join(_parse("problems/two_conics.mix"), "X", "Y"),
+    "two_lines": lambda: _join(_parse("problems/two_lines.mix"), "X", "Y"),
+    "join22": lambda: _join(parse_problem(families.plane_curve_join(random.Random(1), 2, 2)),
+                            "X", "Y"),
+    "join33": lambda: _join(_parse("tests/inputs/join33.mix"), "X", "Y"),
+    "conic_line_join": lambda: _join(
+        parse_problem(families.improper_join(random.Random(1), 2, 1, 1)), "X", "Y"),
+    "rnc4_F2": lambda: _setting(parse_problem(
+        _over(families.rational_normal_curve(random.Random(1), 4), "F 2")), "J"),
+    "rnc4_F3": lambda: _setting(parse_problem(
+        _over(families.rational_normal_curve(random.Random(1), 4), "F 3")), "J"),
+    "join33_F2": lambda: _join(_parse("tests/inputs/join33.mix", "F 2"), "X", "Y"),
+    "join33_F3": lambda: _join(_parse("tests/inputs/join33.mix", "F 3"), "X", "Y"),
+    "pair_of_planes_amb_F3": lambda: _setting(_parse("problems/pair_of_planes.mix", "F 3"),
+                                              "J", "amb"),
+    # J generated in degrees 2, 3 and 4: T_j weighs deg g_j + 1
+    "mixed_degrees": lambda: _setting(parse_problem(
+        "field F 32003\nring R vars x:1 y:1 z:1 w:1\n"
+        "ideal J in R = x^2 - y*w ; y^3 + z^2*w ; x*z*w - y^2*z ; z^4 + x^3*w\n"), "J"),
+    "twisted_cubic_F2": lambda: _setting(_parse("problems/twisted_cubic.mix", "F 2"), "J"),
+    "three_points_F3": lambda: _setting(_parse("problems/three_points.mix", "F 3"), "J"),
+}
+# so few pairs wait in each degree that no count would pay for itself
+BELOW_THE_GATE = {"rnc3", "twisted_cubic_F2", "three_points_F3"}
+
+
+def _elimination(setting: GradedSetting, monkeypatch):
+    """The generators, order, weights and count of missing leading terms
+    that ``rees_presentation`` hands ``eliminate``, as ``buchberger`` takes
+    them, after checking that the presentation is the plain elimination."""
+    real = groebner.eliminate
+    seen: list = []
+
+    def spy(gens, base, weights, missing):
+        seen.append((gens, base, weights, missing))
+        return real(gens, base, weights, missing)
+
+    monkeypatch.setattr(ideal_mixed, "eliminate", spy)
+    _, presented = rees_presentation(setting)
+    (gens, base, weights, missing), = seen
+    assert presented.gens == real(gens, base).gens
+    order = groebner.MonomialOrder.elimination(range(base.nvars, gens[0].ring.nvars))
+    return [g.terms for g in gens], gens[0].ring.field, order, weights, missing
+
+
+@pytest.mark.parametrize("name", SETTINGS)
+def test_the_drop_keeps_the_reduced_basis(name, monkeypatch):
+    # the whole block-order basis, the elements with t included
+    gens, field, order, weights, missing = _elimination(SETTINGS[name](), monkeypatch)
+    counted: list = []
+
+    def count(lts, D):
+        counted.append(D)
+        return missing(lts, D)
+
+    assert buchberger(gens, field, order, weights, count) == buchberger(gens, field, order)
+    # every input is homogeneous for the weights, so the drop runs wherever
+    # enough pairs wait
+    assert bool(counted) == (name not in BELOW_THE_GATE)
+
+
+@pytest.mark.parametrize("name", ["rnc4", "pair_of_planes_amb", "two_conics", "join22",
+                                  "rnc4_F2", "join33_F3"])
+def test_a_hilbert_function_one_too_large_is_caught(name, monkeypatch):
+    # one leading term fewer missing in every degree: a complete degree reads
+    # -1 and raises, and an incomplete one loses a needed pair. The other
+    # direction only keeps pairs the loop could drop: slower, never wrong.
+    gens, field, order, weights, missing = _elimination(SETTINGS[name](), monkeypatch)
+    try:
+        dropped = buchberger(gens, field, order, weights, lambda lts, D: missing(lts, D) - 1)
+    except MathInvariantError:
+        return
+    assert dropped != buchberger(gens, field, order)
+
+
+def test_a_negative_missing_count_raises(monkeypatch):
+    gens, field, order, weights, _ = _elimination(SETTINGS["rnc4"](), monkeypatch)
+    count = StandardCount(weights)
+    # the monomials outside the leading terms against a Hilbert function of
+    # 10^6 more in every degree: fewer than it allows
+    with pytest.raises(MathInvariantError, match="more leading terms"):
+        buchberger(gens, field, order, weights, lambda lts, D: count(lts, D) - 10**6)
+    # a count that never reads a degree complete drops nothing
+    assert buchberger(gens, field, order, weights, lambda lts, D: 10**6) \
+        == buchberger(gens, field, order)
+
+
+def test_waiting_counts_the_pairs_of_the_smallest_sugar():
+    queue: list = []
+    for sugar in (5, 3, 3, 7, 3, 4, 3, 6, 3):
+        heapq.heappush(queue, (sugar,))
+    assert groebner._waiting(queue, 3, 5) and not groebner._waiting(queue, 3, 6)
+    assert groebner._waiting(queue, 3, 0) and groebner._waiting([], 3, 0)
+    assert not groebner._waiting([], 3, 1)
+
+
+class TestStandardCount:
+    def test_counts_monomials_outside_by_brute_force(self):
+        weights = (1, 2, 1, 3)
+        rng = random.Random(7)
+        lts = [tuple(rng.randint(0, 3) for _ in weights) for _ in range(12)]
+        count = StandardCount(weights)
+
+        def brute(gens, D):
+            total = 0
+            for a in range(D + 1):
+                for b in range(D // 2 + 1):
+                    for c in range(D + 1):
+                        rest = D - a - 2 * b - c
+                        if rest < 0 or rest % 3:
+                            continue
+                        e = (a, b, c, rest // 3)
+                        total += not any(all(x <= y for x, y in zip(g, e)) for g in gens)
+            return total
+
+        for k in range(len(lts) + 1):
+            for D in (0, 3, 7, 11):
+                assert count(lts[:k], D) == brute(lts[:k], D)
+
+    def test_a_list_that_does_not_extend_the_last_starts_afresh(self):
+        count = StandardCount((1, 1))
+        assert count([(1, 0)], 3) == 1  # only y^3
+        assert count([(0, 1)], 3) == 1  # only x^3, not the count of (x, y)
+        assert count([(0, 1), (2, 0)], 3) == 0
+
+    def test_wide_exponents_repack(self):
+        count = StandardCount((1, 1))
+        assert count([(200, 0)], 250) == 200  # x^a y^(250-a) for a < 200
+        assert count([(200, 0), (0, 300)], 400) == 99  # 100 < a < 200

@@ -5,42 +5,44 @@ intersection / quotient / saturation, elimination behind fresh tag variables,
 radical membership, zero-divisor tests (by Hilbert series, see ``is_nzd``),
 and Krull dimension of quotients.
 
-``buchberger`` picks a kernel by its input. Generators that are all
-monomials need no pairs: their reduced basis is their minimal monomials.
-Generators that are each homogeneous (every basis under a Hilbert series,
-``gb`` or a Bayer step) go to signature-based Buchberger in the Schreyer
-order (``_signature_basis``; Gao, Volny and Wang, Math. Comp. 2016), which
-drops J-pairs by syzygy and rewrite criteria before reducing them, so a
-regular sequence costs few zero reductions. Anything else (every
-Rabinowitsch part, intersection and Rees presentation) goes to a Buchberger
-loop with the coprime and chain criteria and sugar selection (Giovini, Mora,
-Niesi, Robbiano and Traverso, "One sugar cube, please", ISSAC 1991): an input
-generator's sugar is its largest term degree, the S-pair of f_i and f_j has
-the larger of sugar_i + deg lcm - deg LT(f_i) and the same for j, and its
-remainder keeps that sugar. The degree is weighted when the caller passes
-weights, as the Rees presentation does (x and t weigh 1, T_j weighs
-deg g_j + 1); they grade the work ring only, not the order. S-pairs wait in
-a heap keyed by their sugar, then their lcm, and equal keys leave in the
-order they were made. On input homogeneous for that degree the sugar is the
-degree of the lcm, so the order is the normal strategy's in its grading.
-For such input a caller may also pass ``hilbert(lts, D)``, the leading
-terms degree D still lacks: its monomials outside those of ``lts`` less the
-Hilbert function (Traverso, "Hilbert functions and the Buchberger
-algorithm", J. Symbolic Comput. 22, 1996). It is counted when the first
-pair of degree D that survives the criteria leaves, with the basis complete
-below D; each nonzero remainder supplies one, and once none is missing the
-degree's other pairs reduce to zero and are dropped unreduced. A negative
-count raises ``MathInvariantError``. A count costs about a reduction for
-each leading term it has not yet taken in, and a drop saves one per pair,
-so a degree is counted only where more of its pairs wait than that
-(``_waiting``); the smallest inputs never count.
+``buchberger`` picks a kernel by its input. Generators that are all monomials
+are a Groebner basis already and need no pairs: they go straight to the final
+pass as reducers with no tail. Generators that are each homogeneous (every
+basis under a Hilbert series, ``gb`` or a Bayer step) go to signature-based
+Buchberger in the Schreyer order (``_signature_basis``; Gao, Volny and Wang,
+Math. Comp. 2016), which drops J-pairs by syzygy and rewrite criteria before
+reducing them, so a regular sequence costs few zero reductions. Anything else
+(every Rabinowitsch part, intersection and Rees presentation) goes to a
+Buchberger loop with the coprime and chain criteria and sugar selection
+(Giovini, Mora, Niesi, Robbiano and Traverso, "One sugar cube, please", ISSAC
+1991): an input generator's sugar is its largest term degree, the S-pair of
+f_i and f_j has the larger of sugar_i + deg lcm - deg LT(f_i) and the same
+for j, and its remainder keeps that sugar. The degree is weighted when the
+caller passes weights, as the Rees presentation does (x and t weigh 1, T_j
+weighs deg g_j + 1); they grade the work ring only, not the order. S-pairs
+wait in a heap keyed by their sugar, then their lcm, and equal keys leave in
+the order they were made. On input homogeneous for that degree the sugar is
+the degree of the lcm, so the order is the normal strategy's in its grading.
+For such input a caller may also pass ``hilbert(lts, D)``, the leading terms
+degree D still lacks: its monomials outside those of ``lts`` less the Hilbert
+function (Traverso, "Hilbert functions and the Buchberger algorithm", J.
+Symbolic Comput. 22, 1996). It is counted when the first pair of degree D
+that survives the criteria leaves, with the basis complete below D; each
+nonzero remainder supplies one, and once none is missing the degree's other
+pairs reduce to zero and are dropped unreduced. A negative count raises
+``MathInvariantError``. A count costs about a reduction for each leading term
+it has not yet taken in, and a drop saves one per pair, so a degree is
+counted only where more of its pairs wait than that, the one just popped
+included: the loop keeps a count of the queued pairs of each sugar. The
+smallest inputs never count.
 
 The signature kernel's guard-bit argument needs homogeneity: there no field
-of a signature exceeds the degree of its polynomial. Both loops end in one
-minimalise-and-tail-reduce pass (``_reduced_basis``), and the reduced basis
-is unique, so either returns the same dicts, whatever the weights and the
-drop. Monomial-ideal fast paths cover the operations that dominate the
-workloads here and return handles preset with the basis that path finds.
+of a signature exceeds the degree of its polynomial. Every kernel ends in
+one minimalise-and-tail-reduce pass (``_reduced_basis``), which leaves an
+empty tail as it is, and the reduced basis is unique, so each returns the
+same dicts, whatever the weights and the drop. Monomial-ideal fast paths
+cover the operations that dominate the workloads here and return handles
+preset with the basis that path finds.
 
 Inside the loop and in normal forms a monomial in n variables is one int
 (packed exponent vectors: Monagan-Pearce, "Polynomial division using dynamic
@@ -88,11 +90,12 @@ Intersections are tag eliminations too; ``eliminate`` is the one primitive.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations_with_replacement, count
 from math import inf
-from operator import add, itemgetter, le, mul, sub
+from operator import add, le, mul, sub
 from typing import Callable, Iterable, Sequence, Union
 
 from .errors import InputError, MathInvariantError
@@ -218,6 +221,17 @@ def _divisible(m: int, divisors: Iterable[int], mask: int) -> bool:
     return False
 
 
+def _minimal(monomials: Iterable[int], guard: int) -> list[int]:
+    """The minimal ones among the packed ``monomials``, ascending: taken in
+    ascending order, a monomial is kept when no kept one divides it, so of
+    equal ones only the first."""
+    kept: list[int] = []
+    for m in sorted(monomials):
+        if not _divisible(m, kept, guard):
+            kept.append(m)
+    return kept
+
+
 def _monic(terms: dict, field: FieldSpec) -> dict:
     lc = terms[max(terms)]
     if lc == field.one:
@@ -336,23 +350,14 @@ def buchberger(gens: Iterable[dict], field: FieldSpec, order: MonomialOrder,
         return []
     nvars = len(next(iter(gens[0])))
     if all(len(g) == 1 for g in gens):
-        work = _monomial_basis
-    elif all(len(set(map(sum, g))) == 1 for g in gens):
+        # monomials are a Groebner basis already: reducers with no tail
+        return _packed(lambda pk: _reduced_basis(
+            [(pk.pack(e), ()) for g in gens for e in g], field, pk), order, nvars, gens)
+    if all(len(set(map(sum, g))) == 1 for g in gens):
         work = _signature_basis
     else:
         work = partial(_buchberger, weights=weights, hilbert=hilbert)
     return _packed(lambda pk: work(gens, field, pk), order, nvars, gens)
-
-
-def _monomial_basis(gens: list[dict], field: FieldSpec, pk: _Packing) -> list[dict]:
-    """The reduced basis of an ideal of monomials: its minimal generators.
-    Ascending, a monomial is kept when no kept one divides it."""
-    guard = pk.guard
-    kept: list[int] = []
-    for m in sorted({pk.pack(e) for g in gens for e in g}):
-        if not _divisible(m, kept, guard):
-            kept.append(m)
-    return [{pk.unpack(m): field.one} for m in kept]
 
 
 def _buchberger(gens: list[dict], field: FieldSpec, pk: _Packing,
@@ -372,10 +377,11 @@ def _buchberger(gens: list[dict], field: FieldSpec, pk: _Packing,
     # each element's sugar less the degree of its leading monomial
     excess: list[int] = []
     memo: dict = {}  # divisor memo of _reduce_full over the growing basis
-    pending: dict[frozenset, int] = {}
-    # (sugar, packed lcm, creation tick, pair): pops the smallest sugar
+    pending: set[tuple[int, int]] = set()  # the queued pairs (i, j), i < j
+    # (sugar, packed lcm, creation tick, i, j): pops the smallest sugar
     # first, then the smallest lcm, equal ones in creation order
     queue: list = []
+    queued: Counter = Counter()  # the queued pairs by sugar
     tick = count()
 
     def push(h: dict, sugar: int) -> bool:
@@ -388,11 +394,11 @@ def _buchberger(gens: list[dict], field: FieldSpec, pk: _Packing,
         lts.append(pk.unpack(lt))
         excess.append(sugar - degree(lts[k]))
         for i in range(k):
-            key = frozenset((i, k))
             lcm = _elcm(lts[i], lts[k])
-            packed = pending[key] = pk.pack(lcm)
             pair_sugar = degree(lcm) + max(excess[i], excess[k])
-            heapq.heappush(queue, (pair_sugar, packed, next(tick), key))
+            heapq.heappush(queue, (pair_sugar, pk.pack(lcm), next(tick), i, k))
+            pending.add((i, k))
+            queued[pair_sugar] += 1
         return False
 
     for g in gens:
@@ -404,9 +410,9 @@ def _buchberger(gens: list[dict], field: FieldSpec, pk: _Packing,
     # counted), and how many leading terms the last count took in
     level, missing, counted = -1, inf, 0
     while queue:
-        sugar, _, _, key = heapq.heappop(queue)
-        lcm = pending.pop(key)
-        i, j = tuple(key)
+        sugar, lcm, _, i, j = heapq.heappop(queue)
+        pending.remove((i, j))
+        queued[sugar] -= 1
         # coprime criterion: disjoint leading supports reduce to zero
         if lcm == basis[i][0] + basis[j][0]:
             continue
@@ -414,7 +420,8 @@ def _buchberger(gens: list[dict], field: FieldSpec, pk: _Packing,
         # pairs were already treated
         for k, (m, _) in enumerate(basis):
             if k != i and k != j and not (lcm - m) & guard \
-                    and frozenset((i, k)) not in pending and frozenset((j, k)) not in pending:
+                    and (min(i, k), max(i, k)) not in pending \
+                    and (min(j, k), max(j, k)) not in pending:
                 break
         else:
             if hilbert is not None and sugar != level:
@@ -422,7 +429,7 @@ def _buchberger(gens: list[dict], field: FieldSpec, pk: _Packing,
                 # a count costs about a reduction per leading term it takes
                 # in, and the drop saves one per pair: count where more
                 # pairs of the degree wait than that
-                if _waiting(queue, sugar, len(lts) - counted):
+                if queued[sugar] >= len(lts) - counted:
                     missing, counted = hilbert(lts, sugar), len(lts)
                     if missing < 0:
                         raise MathInvariantError(
@@ -441,38 +448,23 @@ def _buchberger(gens: list[dict], field: FieldSpec, pk: _Packing,
     return _reduced_basis(basis, field, pk)
 
 
-def _waiting(queue: list, sugar: int, n: int) -> bool:
-    """True when the heap ``queue`` holds at least n pairs of ``sugar``, its
-    smallest: they are the root's subtree of entries of that sugar."""
-    stack = [0] if queue else []
-    while stack and n > 0:
-        k = stack.pop()
-        if queue[k][0] == sugar:
-            n -= 1
-            stack += [c for c in (2 * k + 1, 2 * k + 2) if c < len(queue)]
-    return n <= 0
-
-
 def _reduced_basis(basis: list[tuple[int, tuple]], field: FieldSpec, pk: _Packing) -> list[dict]:
     """The reduced basis of the ideal that the monic reducers ``basis``, a
     Groebner basis, generate, as ``buchberger`` returns it: unique, so the
-    same from either kernel."""
+    same from every kernel."""
     guard = pk.guard
-    # minimalize: ascending, keep an element when no kept leading term
-    # divides its own (equal leading terms included)
-    H: list[tuple[int, tuple]] = []
-    kept: list[int] = []
-    for lt, t in sorted(basis, key=itemgetter(0)):
-        if not _divisible(lt, kept, guard):
-            kept.append(lt)
-            H.append((lt, t))
+    # minimalize: of equal leading terms the first element's tail (reversed,
+    # the first is written last), then the leading terms that are minimal
+    tails = dict(reversed(basis))
+    H = [(lt, tails[lt]) for lt in _minimal(tails, guard)]
 
     # tail-reduce each against all of H, one memo for the pass: no leading
     # term divides a smaller monomial, so an element never reduces its own
     # tail, and the leading terms stay minimal and monic
     memo: dict = {}
     for i, (lt, t) in enumerate(H):
-        H[i] = (lt, tuple(_reduce_full(t, H, field, guard, memo).items()))
+        if t:
+            H[i] = (lt, tuple(_reduce_full(t, H, field, guard, memo).items()))
 
     one = field.one
     return [pk.unpack_terms(dict(((lt, one),) + t)) for lt, t in H]
@@ -871,23 +863,19 @@ def _rabinowitsch(I: Ideal, g: Poly) -> list[Poly]:
     return [_lift(f, ext) for f in I.gens] + [ext.one() - t * _lift(g, ext)]
 
 
-def _saturate_by(I: Ideal, g: Poly, homogeneous: bool, memo: dict) -> Ideal:
-    """I : g^inf for one nonzero g. ``memo`` maps a tuple of variables to
-    the generators of I saturated by each of them in turn, so monomials
-    with a common support prefix share their Bayer steps."""
+def _saturate_by(I: Ideal, g: Poly, homogeneous: bool) -> Ideal:
+    """I : g^inf for one nonzero g: for a monomial g and a homogeneous I,
+    one Bayer step per variable of g, each on the last one's generators;
+    otherwise one Rabinowitsch elimination."""
     if g.is_constant:
         return I
     if not (homogeneous and len(g.terms) == 1):
         return eliminate(_rabinowitsch(I, g), I.ring)
-    prefix: tuple[int, ...] = ()
-    gens = memo.setdefault((), [f.terms for f in I.gens])
+    gens = start = [f.terms for f in I.gens]
     for v, e in enumerate(next(iter(g.terms))):
         if e:
-            prev, prefix = gens, prefix + (v,)
-            gens = memo.get(prefix)
-            if gens is None:
-                gens = memo[prefix] = _bayer_step(prev, v, I.ring.field)
-    if gens is memo[()]:
+            gens = _bayer_step(gens, v, I.ring.field)
+    if gens is start:
         return I
     return Ideal(I.ring, [Poly(I.ring, h, _trusted=True) for h in gens])
 
@@ -916,12 +904,11 @@ def saturation(I: Ideal, J: Union[Poly, Ideal]) -> Ideal:
     if cached is not None:
         return cached
     homogeneous = all(len({sum(e) for e in f.terms}) == 1 for f in I.gens)
-    memo: dict = {}
     meet = None
     for g in J.gens:
         if meet is not None and I.contains_ideal(Ideal(I.ring, [g * k for k in meet.gens])):
             continue  # meet <= I : g <= I : g^inf, so the intersection stays meet
-        part = _saturate_by(I, g, homogeneous, memo)
+        part = _saturate_by(I, g, homogeneous)
         if meet is None or part is I:
             meet = part
         elif not part.same_ideal(meet):

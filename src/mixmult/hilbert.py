@@ -47,7 +47,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .errors import InputError, MathInvariantError
-from .groebner import Ideal, _divisible, ideal_sum, krull_dim
+from .groebner import Ideal, _divisible, _minimal, ideal_sum, krull_dim
 from .rings import Bidegree, Exponent, Poly, Ring, monomials_of_bidegree
 
 Numerator = dict  # (a, b) -> int, over prod_v (1 - t1^d1 t2^d2)
@@ -177,10 +177,7 @@ class StandardCount:
 
     def _relayout(self, width: int) -> None:
         self.lay = lay = _Layout(tuple((w, 0) for w in self.weights), width, scaled=True)
-        self.gens: list[int] = []  # minimal: ascending, a divisor comes first
-        for g in sorted({sum(map(mul, e, lay.units)) for e in self.seen}):
-            if not _divisible(g, self.gens, lay.guard):
-                self.gens.append(g)
+        self.gens = _minimal([sum(map(mul, e, lay.units)) for e in self.seen], lay.guard)
         self.spread = sum(1 << v * width for v in range(len(self.weights)))
         self.high = lay.ones + self.spread  # the guard bits of the exponent fields
 
@@ -228,10 +225,7 @@ class StandardCount:
                 kept.append(g)
         if 0 in moved:
             return  # m lies in M already
-        divisors: list[int] = []
-        for c in sorted(moved):
-            if not _divisible(c, divisors, guard):
-                divisors.append(c)
+        divisors = _minimal(moved, guard)
         kept = divisors + [g for g in kept if not _divisible(g, divisors, guard)]
         masks = [(c + low) & high for c in kept]
         covered = shared = 0  # the variables of some generator, of two

@@ -413,10 +413,8 @@ def rees_and_diagonal(
     rees = sum(report.e)
     diag = None
     if setting.defining.is_zero and setting.equigenerated:
-        import math
-
         n = setting.ring.nvars - 1
-        diag = sum(math.comb(n, i) * v for i, v in enumerate(report.e))
+        diag = sum(comb(n, i) * v for i, v in enumerate(report.e))
     return rees, diag
 
 

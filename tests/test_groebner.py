@@ -148,6 +148,15 @@ class TestOutputContract:
                     self.check(gens, field, order)
 
     def test_monomial_inputs(self):
+        # x*y^2 twice with two coefficients, x^2*y^2*z its multiple, 7*z^3:
+        # the minimal monomials, monic and ascending in every order here
+        c = F.coerce
+        gens = [{(1, 2, 0, 0): c(3)}, {(2, 2, 1, 0): c(4)}, {(1, 2, 0, 0): c(5)},
+                {(0, 0, 3, 0): c(7)}]
+        for order in self.ORDERS:
+            assert self.check(gens, F, order) == [{(0, 0, 3, 0): F.one}, {(1, 2, 0, 0): F.one}]
+            assert self.check(gens + [{(0, 0, 0, 0): c(2)}], F, order) \
+                == [{(0, 0, 0, 0): F.one}]
         rng = random.Random(29)
         for _ in range(20):
             gens = [{tuple(rng.randrange(4) for _ in range(4)): F.one}

@@ -24,6 +24,12 @@ block order, x*t, sits below its degree-3 term, and leading terms that share
 t, so a pair there is no coprime one. Each elimination the program builds
 leads with a term of largest degree, where the two readings agree.
 
+The ``chain_companion`` pin is a small inhomogeneous block-order input on
+which a companion pair (k, i) of the pair (i, j), k < i, still waits when
+(i, j) leaves: a chain criterion that looked the pair up unordered would
+drop (i, j) there, and the loop would return a wrong basis of 4 elements
+after 9 reductions.
+
 The signature kernel is pinned by its own counts: the J-pairs it treats
 (one regular reduction each, the generators included) and how many of
 those reduce to zero.
@@ -45,7 +51,7 @@ from pathlib import Path
 
 import pytest
 
-from mixmult import DEGREVLEX, GradedSetting, Ideal, groebner, ideal_mixed
+from mixmult import DEGREVLEX, FieldSpec, GradedSetting, Ideal, groebner, ideal_mixed
 from mixmult.groebner import (MonomialOrder, _buchberger, _lift, _packed, _tagged_ring,
                               buchberger, eliminate)
 from mixmult.ideal_mixed import rees_presentation
@@ -107,6 +113,13 @@ def _input_sugar():
     return _packed(lambda pk: _buchberger(gens, I.ring.field, pk), order, 4, gens)
 
 
+def _chain_companion():
+    gens = [{(1, 0, 1, 2): 7067, (3, 3, 3, 0): 8270},
+            {(2, 1, 3, 2): 9547, (3, 2, 0, 3): 7612, (2, 3, 2, 3): 10090, (1, 3, 1, 2): 30543},
+            {(1, 1, 1, 1): 29045, (1, 2, 1, 2): 15947, (1, 2, 3, 0): 16948}]
+    return buchberger(gens, FieldSpec(32003), MonomialOrder.elimination((3,)))
+
+
 def _forms(nx, ny, bidegree, count):
     """``count`` dense random forms of one bidegree in nx + ny variables."""
     R = bigraded_ring(nx, ny)
@@ -125,7 +138,9 @@ def _forms_21():
     (_tagged_intersection, (21, "835a1495b034ccf3858b52bf7f03acb26bbfcb19")),
     (_forms_21, (199, "9031017cf5cd621b1ca57cabaf1900167308b0b9")),
     (_input_sugar, (10, "f4e7c2877805eabd09cdfccf9eef91a1268dec8b")),
-], ids=["three_component", "tagged_intersection", "forms_21", "input_sugar"])
+    (_chain_companion, (186, "2e110a159d75be19b7a9fafd9cc7b8682516a284")),
+], ids=["three_component", "tagged_intersection", "forms_21", "input_sugar",
+        "chain_companion"])
 def test_pair_order_is_pinned(run, expected, monkeypatch):
     assert _trace_buchberger(monkeypatch, run) == expected
 

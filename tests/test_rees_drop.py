@@ -14,7 +14,6 @@ take in new leading terms, so the smallest inputs never count.
 
 from __future__ import annotations
 
-import heapq
 import random
 import sys
 from pathlib import Path
@@ -147,13 +146,26 @@ def test_a_negative_missing_count_raises(monkeypatch):
         == buchberger(gens, field, order)
 
 
-def test_waiting_counts_the_pairs_of_the_smallest_sugar():
-    queue: list = []
-    for sugar in (5, 3, 3, 7, 3, 4, 3, 6, 3):
-        heapq.heappush(queue, (sugar,))
-    assert groebner._waiting(queue, 3, 5) and not groebner._waiting(queue, 3, 6)
-    assert groebner._waiting(queue, 3, 0) and groebner._waiting([], 3, 0)
-    assert not groebner._waiting([], 3, 1)
+def test_the_gate_counts_where_enough_pairs_wait(monkeypatch):
+    # the degrees the loop counts, pinned: a degree is counted where at
+    # least as many pairs of it wait, besides the one just popped, as the
+    # count has new leading terms to take in. Over F 2 the quartic has
+    # degrees (5 and 9) where the two are equal.
+    expected = {
+        "rnc4": [4, 5, 6, 7, 8, 9, 10, 12, 13, 15, 16, 18, 19, 21],
+        "rnc5": [4, 5, 6, 7, 8, 9, 10, 12, 13, 15, 16, 18, 19, 21],
+        "rnc4_F2": [4, 5, 6, 7, 8, 9],
+    }
+    for name, degrees in expected.items():
+        gens, field, order, weights, missing = _elimination(SETTINGS[name](), monkeypatch)
+        counted: list = []
+
+        def count(lts, D):
+            counted.append(D)
+            return missing(lts, D)
+
+        buchberger(gens, field, order, weights, count)
+        assert counted == degrees, name
 
 
 class TestStandardCount:

@@ -38,11 +38,14 @@ smallest inputs never count.
 
 The signature kernel's guard-bit argument needs homogeneity: there no field
 of a signature exceeds the degree of its polynomial. Every kernel ends in
-one minimalise-and-tail-reduce pass (``_reduced_basis``), which leaves an
-empty tail as it is, and the reduced basis is unique, so each returns the
-same dicts, whatever the weights and the drop. Monomial-ideal fast paths
-cover the operations that dominate the workloads here and return handles
-preset with the basis that path finds.
+one final pass (``_reduced_basis``): it minimalises the whole basis, then
+tail-reduces the elements it returns, leaving an empty tail as it is. The
+reduced basis is unique, so each kernel returns the same dicts, whatever the
+weights and the drop. ``eliminate`` asks only for the elements whose leading
+monomial is free of the block variables (``block_free``), so the pass
+reduces no tail that it would discard. Monomial-ideal fast paths cover the
+operations that dominate the workloads here and return handles preset with
+the basis that path finds.
 
 Inside the loop and in normal forms a monomial in n variables is one int
 (packed exponent vectors: Monagan-Pearce, "Polynomial division using dynamic
@@ -138,9 +141,10 @@ class _Packing:
     """Exponent tuples as ints of 2 * nvars fields of ``width`` bits. Field i
     holds x_i; the high fields hold, most significant first, the degree, then
     x_1 + ... + x_{n-1}, down to x_1 (for a block order: the same within the
-    block, then within the rest)."""
+    block, then within the rest). ``block`` masks the block's exponent
+    fields."""
 
-    __slots__ = ("weights", "shifts", "mask", "half", "guard")
+    __slots__ = ("weights", "shifts", "mask", "half", "guard", "block")
 
     def __init__(self, order: MonomialOrder, nvars: int, width: int):
         rest = [v for v in range(nvars) if v not in order.block]
@@ -156,6 +160,7 @@ class _Packing:
         self.half = 1 << (width - 1)
         self.mask = self.half - 1
         self.guard = sum(self.half << (k * width) for k in range(2 * nvars))
+        self.block = sum(self.mask << (v * width) for v in order.block)
 
     def pack(self, exp: Exponent) -> int:
         if sum(exp) >= self.half:  # no field value exceeds the degree
@@ -330,12 +335,16 @@ def _spoly(f: tuple, g: tuple) -> dict:
 
 def buchberger(gens: Iterable[dict], field: FieldSpec, order: MonomialOrder,
                weights: Sequence[int] | None = None,
-               hilbert: Callable[[list, int], int] | None = None) -> list[dict]:
+               hilbert: Callable[[list, int], int] | None = None, *,
+               block_free: bool = False) -> list[dict]:
     """Reduced Groebner basis of the ideal generated by ``gens`` (term dicts).
 
     Returns monic generators sorted by ascending leading monomial, each dict
     listing its leading monomial first (``Ideal`` relies on this); [] for the
-    zero ideal and [{0: 1}] for the unit ideal.
+    zero ideal and [{0: 1}] for the unit ideal. With ``block_free`` only the
+    elements whose leading monomial is free of the block variables of
+    ``order``: the reduced basis of the ideal meet the ring of the others,
+    as ``eliminate`` reads it.
 
     ``weights`` (one positive int per variable) and ``hilbert`` only steer
     the pair loop (``_buchberger``): its sugar reads the weighted degree,
@@ -351,24 +360,33 @@ def buchberger(gens: Iterable[dict], field: FieldSpec, order: MonomialOrder,
     nvars = len(next(iter(gens[0])))
     if all(len(g) == 1 for g in gens):
         # monomials are a Groebner basis already: reducers with no tail
-        return _packed(lambda pk: _reduced_basis(
-            [(pk.pack(e), ()) for g in gens for e in g], field, pk), order, nvars, gens)
-    if all(len(set(map(sum, g))) == 1 for g in gens):
+        def work(gens: list[dict], field: FieldSpec, pk: _Packing, omit: int) -> list[dict]:
+            return _reduced_basis([(pk.pack(e), ()) for g in gens for e in g], field, pk, omit)
+    elif all(len(set(map(sum, g))) == 1 for g in gens):
         work = _signature_basis
     else:
         work = partial(_buchberger, weights=weights, hilbert=hilbert)
-    return _packed(lambda pk: work(gens, field, pk), order, nvars, gens)
+    return _packed(lambda pk: work(gens, field, pk, omit=pk.block if block_free else 0),
+                   order, nvars, gens)
 
 
 def _buchberger(gens: list[dict], field: FieldSpec, pk: _Packing,
                 weights: Sequence[int] | None = None,
-                hilbert: Callable[[list, int], int] | None = None) -> list[dict]:
+                hilbert: Callable[[list, int], int] | None = None,
+                omit: int = 0) -> list[dict]:
     guard = pk.guard
     if weights is None:
         degree: Callable[[Exponent], int] = sum
     else:
         def degree(e: Exponent) -> int:
             return sum(map(mul, e, weights))
+    # a pair's lcm in one sum: packed in the low ``top`` bits, its degree
+    # above them. Every field of the packed lcm is below the sum of two
+    # fields under the guard bit, so it carries into no other field: the
+    # guard test is exact and the degree part is the lcm's degree
+    top = guard.bit_length()
+    lcm_weights = [p + (w << top) for p, w in zip(pk.weights, weights or [1] * len(pk.weights))]
+    low = (1 << top) - 1
     if hilbert is not None and any(len(set(map(degree, g))) > 1 for g in gens):
         hilbert = None  # the Hilbert function only counts homogeneous input
     unit = [{(0,) * len(pk.weights): field.one}]
@@ -391,14 +409,19 @@ def _buchberger(gens: list[dict], field: FieldSpec, pk: _Packing,
             return True
         k = len(basis)
         basis.append(_reducer(_monic(h, field)))
-        lts.append(pk.unpack(lt))
-        excess.append(sugar - degree(lts[k]))
-        for i in range(k):
-            lcm = _elcm(lts[i], lts[k])
-            pair_sugar = degree(lcm) + max(excess[i], excess[k])
-            heapq.heappush(queue, (pair_sugar, pk.pack(lcm), next(tick), i, k))
+        ltk = pk.unpack(lt)
+        ek = sugar - degree(ltk)
+        for i, (lti, ei) in enumerate(zip(lts, excess)):
+            both = sum(map(mul, map(max, lti, ltk), lcm_weights))
+            m = both & low
+            if m & guard:
+                raise _Overflow
+            pair_sugar = (both >> top) + max(ei, ek)
+            heapq.heappush(queue, (pair_sugar, m, next(tick), i, k))
             pending.add((i, k))
             queued[pair_sugar] += 1
+        lts.append(ltk)
+        excess.append(ek)
         return False
 
     for g in gens:
@@ -445,18 +468,25 @@ def _buchberger(gens: list[dict], field: FieldSpec, pk: _Packing,
                     return unit
                 missing -= 1
 
-    return _reduced_basis(basis, field, pk)
+    return _reduced_basis(basis, field, pk, omit)
 
 
-def _reduced_basis(basis: list[tuple[int, tuple]], field: FieldSpec, pk: _Packing) -> list[dict]:
+def _reduced_basis(basis: list[tuple[int, tuple]], field: FieldSpec, pk: _Packing,
+                   omit: int = 0) -> list[dict]:
     """The reduced basis of the ideal that the monic reducers ``basis``, a
     Groebner basis, generate, as ``buchberger`` returns it: unique, so the
-    same from every kernel."""
+    same from every kernel. Its elements whose leading monomial sets a bit
+    of the packed mask ``omit`` are left out, and their tails never
+    reduced."""
     guard = pk.guard
     # minimalize: of equal leading terms the first element's tail (reversed,
-    # the first is written last), then the leading terms that are minimal
+    # the first is written last), then the leading terms that are minimal;
+    # then keep those free of ``omit``. For the block fields of a block
+    # order that is exact: a kept leading term ranks above every monomial
+    # with a block variable, so its tail has none, and no omitted leading
+    # term divides a monomial without one
     tails = dict(reversed(basis))
-    H = [(lt, tails[lt]) for lt in _minimal(tails, guard)]
+    H = [(lt, tails[lt]) for lt in _minimal(tails, guard) if not lt & omit]
 
     # tail-reduce each against all of H, one memo for the pass: no leading
     # term divides a smaller monomial, so an element never reduces its own
@@ -470,7 +500,8 @@ def _reduced_basis(basis: list[tuple[int, tuple]], field: FieldSpec, pk: _Packin
     return [pk.unpack_terms(dict(((lt, one),) + t)) for lt, t in H]
 
 
-def _signature_basis(gens: list[dict], field: FieldSpec, pk: _Packing) -> list[dict]:
+def _signature_basis(gens: list[dict], field: FieldSpec, pk: _Packing,
+                     omit: int = 0) -> list[dict]:
     """The reduced basis of homogeneous ``gens`` by signatures (Gao, Volny
     and Wang, Math. Comp. 2016; Eder and Roune, ISSAC 2013).
 
@@ -554,7 +585,7 @@ def _signature_basis(gens: list[dict], field: FieldSpec, pk: _Packing) -> list[d
                 zs.append(z)
             else:
                 heapq.heappush(queue, (top, -origin, lcm - basis[origin][0]))
-    return _reduced_basis(basis, field, pk)
+    return _reduced_basis(basis, field, pk, omit)
 
 
 # ---------------------------------------------------------------------------
@@ -696,16 +727,17 @@ def eliminate(gens: Sequence[Poly], base: Ring, weights: Sequence[int] | None = 
     variables, which ranks any monomial with one above all without: the
     elements whose leading monomial is free of them are, in order, the
     reduced degrevlex basis of the result, preset rather than computed again.
-    ``weights`` and ``hilbert`` go to ``buchberger``.
+    ``buchberger`` returns only those (``block_free``), so the final pass
+    reduces no tail it would discard. ``weights`` and ``hilbert`` go to
+    ``buchberger``.
     """
     if not gens:
         return Ideal(base)
     n, ext = base.nvars, gens[0].ring
     block = tuple(range(n, ext.nvars))
     basis = buchberger([g.terms for g in gens], ext.field, MonomialOrder.elimination(block),
-                       weights, hilbert)
-    return _preset(base, [{e[:n]: c for e, c in h.items()}
-                          for h in basis if not any(next(iter(h))[n:])])
+                       weights, hilbert, block_free=True)
+    return _preset(base, [{e[:n]: c for e, c in h.items()} for h in basis])
 
 
 # ---------------------------------------------------------------------------

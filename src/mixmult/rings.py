@@ -9,7 +9,9 @@ dict from exponent tuples to nonzero field elements; all arithmetic is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
+from operator import mul
 from typing import Iterator, Optional, Tuple
 
 from .errors import InputError
@@ -63,10 +65,15 @@ class Ring:
         """Indices of variables of bidegree (0,1) (the "v" side)."""
         return tuple(i for i, d in enumerate(self.bidegrees) if d == (0, 1))
 
+    @cached_property
+    def degree_columns(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The first and the second degree of each variable, as two columns."""
+        first, second = zip(*self.bidegrees)
+        return first, second
+
     def monomial_bidegree(self, exp: Exponent) -> Bidegree:
-        u = sum(e * d[0] for e, d in zip(exp, self.bidegrees))
-        v = sum(e * d[1] for e, d in zip(exp, self.bidegrees))
-        return (u, v)
+        first, second = self.degree_columns
+        return (sum(map(mul, exp, first)), sum(map(mul, exp, second)))
 
     # -- element constructors --------------------------------------------------
 
@@ -144,10 +151,14 @@ class Poly:
         """
         if not self.terms:
             raise InputError("the zero polynomial has no bidegree")
-        degs = {self.ring.monomial_bidegree(e) for e in self.terms}
-        if len(degs) == 1:
-            return degs.pop()
-        return None
+        first, second = self.ring.degree_columns
+        terms = iter(self.terms)
+        e = next(terms)
+        u, v = sum(map(mul, e, first)), sum(map(mul, e, second))
+        for e in terms:
+            if sum(map(mul, e, first)) != u or sum(map(mul, e, second)) != v:
+                return None
+        return (u, v)
 
     def sorted_terms(self) -> list[tuple[Exponent, object]]:
         """Terms in descending degrevlex order (the canonical form)."""

@@ -32,10 +32,10 @@ def _spy_buchberger(monkeypatch) -> list:
     calls = []
     real = groebner.buchberger
 
-    def spy(gens, field, order, *steering):
+    def spy(gens, field, order, *steering, **kwargs):
         gens = [g for g in gens if g]
         calls.append((order, frozenset(frozenset(g.items()) for g in gens)))
-        return real(gens, field, order, *steering)
+        return real(gens, field, order, *steering, **kwargs)
 
     monkeypatch.setattr(groebner, "buchberger", spy)
     return calls

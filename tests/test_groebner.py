@@ -231,6 +231,35 @@ class TestLargeExponents:
         assert [list(h.items()) for h in basis] == [list(h.items()) for h in wide]
         assert [str(Poly(R, h)) for h in basis] == ["x^140 + 32002*y", "32002*x^20 + z"]
 
+    def test_eight_bit_start_trips_on_a_pair_lcm(self, monkeypatch):
+        # inputs of degree 61 start at 8-bit fields. No reduction trips:
+        # every element stays below degree 128, but the lcm of x^92*z and
+        # x^53*y^6*z^3 has degree 151, so the pair loop's lcm test raises
+        widths, tripped = [], []
+        real, reduce = groebner._Packing, groebner._reduce_full
+
+        def spy(order, nvars, width):
+            widths.append(width)
+            return real(order, nvars, width)
+
+        def spy_reduce(*args):
+            try:
+                return reduce(*args)
+            except groebner._Overflow:
+                tripped.append(args)
+                raise
+
+        monkeypatch.setattr(groebner, "_Packing", spy)
+        monkeypatch.setattr(groebner, "_reduce_full", spy_reduce)
+        R = kxyz()
+        x, y, z = R.gens()
+        gens = [(x**8 * y**40 * z**13 - z).terms, (x**53 * y**6 * z**3 - x**3 * y).terms]
+        basis = groebner.buchberger(gens, R.field, DEGREVLEX)
+        assert widths == [8, 16] and tripped == []
+        wide = groebner._buchberger(gens, R.field, real(DEGREVLEX, 3, 32))
+        assert [list(h.items()) for h in basis] == [list(h.items()) for h in wide]
+        assert max(sum(e) for h in basis for e in h) == 93
+
     def test_eight_bit_start_trips_in_the_signature_kernel(self, monkeypatch):
         # homogeneous inputs of degree 61 start at 8-bit fields, and the
         # pairs of the degree-121 basis element pass degree 127
@@ -243,9 +272,9 @@ class TestLargeExponents:
 
         kernel, runs = groebner._signature_basis, []
 
-        def spy_kernel(gens, field, pk):
+        def spy_kernel(gens, field, pk, **kwargs):
             runs.append(pk)
-            return kernel(gens, field, pk)
+            return kernel(gens, field, pk, **kwargs)
 
         monkeypatch.setattr(groebner, "_Packing", spy)
         monkeypatch.setattr(groebner, "_signature_basis", spy_kernel)

@@ -5,6 +5,8 @@ number of leading terms still missing in each weighted degree, and the loop
 drops the remaining pairs of a degree once none is missing. A wrong count
 drops a needed pair and gives a wrong basis, so every basis here is compared
 with the plain elimination of the same generators: no weights, no drop.
+``eliminate`` tail-reduces only the elements it keeps, so its basis is also
+compared with the block-free part of the whole block-order basis.
 The inputs have Hilbert series 1/(1 - z)^(n+2) (rational normal curves, an
 ideal generated in degrees 2 to 4) and others (a quotient ring A, the ``sv``
 joins), over F 32003, F 2 and F 3.
@@ -85,10 +87,10 @@ SETTINGS = {
 BELOW_THE_GATE = {"rnc3", "twisted_cubic_F2", "three_points_F3"}
 
 
-def _elimination(setting: GradedSetting, monkeypatch):
-    """The generators, order, weights and count of missing leading terms
-    that ``rees_presentation`` hands ``eliminate``, as ``buchberger`` takes
-    them, after checking that the presentation is the plain elimination."""
+def _arguments(setting: GradedSetting, monkeypatch):
+    """The generators, base ring, weights and count of missing leading
+    terms that ``rees_presentation`` hands ``eliminate``, after checking
+    that the presentation is the plain elimination."""
     real = groebner.eliminate
     seen: list = []
 
@@ -100,8 +102,32 @@ def _elimination(setting: GradedSetting, monkeypatch):
     _, presented = rees_presentation(setting)
     (gens, base, weights, missing), = seen
     assert presented.gens == real(gens, base).gens
-    order = groebner.MonomialOrder.elimination(range(base.nvars, gens[0].ring.nvars))
-    return [g.terms for g in gens], gens[0].ring.field, order, weights, missing
+    return gens, base, weights, missing
+
+
+def _order(gens, base) -> groebner.MonomialOrder:
+    return groebner.MonomialOrder.elimination(range(base.nvars, gens[0].ring.nvars))
+
+
+def _elimination(setting: GradedSetting, monkeypatch):
+    """The arguments of ``_arguments`` as ``buchberger`` takes them."""
+    gens, base, weights, missing = _arguments(setting, monkeypatch)
+    return [g.terms for g in gens], gens[0].ring.field, _order(gens, base), weights, missing
+
+
+@pytest.mark.parametrize("name", SETTINGS)
+def test_eliminate_keeps_the_block_free_part_of_the_whole_basis(name, monkeypatch):
+    # eliminate reduces the tails of the elements it keeps only; they must
+    # be those of the whole reduced block-order basis, in its order, with
+    # and without the weights and the count
+    gens, base, weights, missing = _arguments(SETTINGS[name](), monkeypatch)
+    n = base.nvars
+    whole = buchberger([g.terms for g in gens], base.field, _order(gens, base))
+    expected = [[(e[:n], c) for e, c in h.items()] for h in whole if not any(next(iter(h))[n:])]
+    assert expected and len(expected) < len(whole)
+    for steering in ((), (weights,), (weights, missing)):
+        kept = groebner.eliminate(gens, base, *steering).groebner()
+        assert [list(g.terms.items()) for g in kept] == expected
 
 
 @pytest.mark.parametrize("name", SETTINGS)

@@ -11,7 +11,8 @@ pass as reducers with no tail. Generators that are each homogeneous (every
 basis under a Hilbert series, ``gb`` or a Bayer step) go to signature-based
 Buchberger in the Schreyer order (``_signature_basis``; Gao, Volny and Wang,
 Math. Comp. 2016), which drops J-pairs by syzygy and rewrite criteria before
-reducing them, so a regular sequence costs few zero reductions. Anything else
+reducing them, the principal syzygy of every pair of its elements among the
+syzygies, so a regular sequence costs few zero reductions. Anything else
 (every Rabinowitsch part, intersection and Rees presentation) goes to a
 Buchberger loop with the coprime and chain criteria and sugar selection
 (Giovini, Mora, Niesi, Robbiano and Traverso, "One sugar cube, please", ISSAC
@@ -38,14 +39,18 @@ smallest inputs never count.
 
 The signature kernel's guard-bit argument needs homogeneity: there no field
 of a signature exceeds the degree of its polynomial. Every kernel ends in
-one final pass (``_reduced_basis``): it minimalises the whole basis, then
-tail-reduces the elements it returns, leaving an empty tail as it is. The
-reduced basis is unique, so each kernel returns the same dicts, whatever the
-weights and the drop. ``eliminate`` asks only for the elements whose leading
-monomial is free of the block variables (``block_free``), so the pass
-reduces no tail that it would discard. Monomial-ideal fast paths cover the
-operations that dominate the workloads here and return handles preset with
-the basis that path finds.
+one final pass of two halves: it minimalises the whole basis
+(``_MinimalBasis``, which every kernel returns), then tail-reduces and
+unpacks the elements it keeps, leaving an empty tail as it is
+(``_MinimalBasis.reduced``). The reduced basis is unique, so ``buchberger``
+returns the same dicts from each kernel, whatever the weights and the drop.
+``eliminate`` asks only for the elements whose leading monomial is free of
+the block variables (``block_free``), so the pass reduces no tail that it
+would discard. An ``Ideal`` handle keeps the minimal basis and runs the
+second half once, for the first reader of tails: leading terms are all that
+its Hilbert series, dimension and unit test read. Monomial-ideal fast paths
+cover the operations that dominate the workloads here and return handles
+preset with the basis that path finds.
 
 Inside the loop and in normal forms a monomial in n variables is one int
 (packed exponent vectors: Monagan-Pearce, "Polynomial division using dynamic
@@ -95,7 +100,6 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations_with_replacement, count
 from math import inf
 from operator import add, le, mul, sub
@@ -333,6 +337,50 @@ def _spoly(f: tuple, g: tuple) -> dict:
     return acc
 
 
+class _MinimalBasis:
+    """What a kernel returns: the minimal basis in its Groebner basis
+    ``basis`` of monic reducers, before the final tail pass. That is its
+    elements in ascending order of their packed leading monomials, with the
+    tails the kernel left them, and the packing. Elements whose leading
+    monomial sets a bit of the packed mask ``omit`` are left out.
+
+    Of equal leading terms the first element's tail is kept (reversed, the
+    first is written last), then the leading terms that are minimal, then
+    those free of ``omit``. For the block fields of a block order that is
+    exact: a kept leading term ranks above every monomial with a block
+    variable, so its tail has none, and no omitted leading term divides a
+    monomial without one."""
+
+    __slots__ = ("basis", "field", "pk")
+
+    def __init__(self, basis: list[tuple[int, tuple]], field: FieldSpec, pk: _Packing,
+                 omit: int = 0):
+        tails = dict(reversed(basis))
+        self.basis = [(lt, tails[lt]) for lt in _minimal(tails, pk.guard) if not lt & omit]
+        self.field, self.pk = field, pk
+
+    def leading_exponents(self) -> tuple[Exponent, ...]:
+        return tuple(self.pk.unpack(lt) for lt, _ in self.basis)
+
+    def reduced(self) -> list[dict]:
+        """The reduced basis, as ``buchberger`` returns it: unique, so the
+        same from every kernel. Each tail is reduced against the whole
+        minimal basis, one memo for the pass: no leading term divides a
+        smaller monomial, so an element never reduces its own tail, and the
+        leading terms stay minimal and monic. A block order's pass can trip
+        a guard bit, so ``buchberger`` runs it inside ``_packed``; under
+        degrevlex none can, so an ``Ideal`` runs it later: no term met has a
+        larger degree than its element's leading term, whose fields all
+        fit."""
+        H, field, guard = list(self.basis), self.field, self.pk.guard
+        memo: dict = {}
+        for i, (lt, t) in enumerate(H):
+            if t:
+                H[i] = (lt, tuple(_reduce_full(t, H, field, guard, memo).items()))
+        one = field.one
+        return [self.pk.unpack_terms(dict(((lt, one),) + t)) for lt, t in H]
+
+
 def buchberger(gens: Iterable[dict], field: FieldSpec, order: MonomialOrder,
                weights: Sequence[int] | None = None,
                hilbert: Callable[[list, int], int] | None = None, *,
@@ -357,23 +405,30 @@ def buchberger(gens: Iterable[dict], field: FieldSpec, order: MonomialOrder,
     gens = [g for g in gens if g]
     if not gens:
         return []
-    nvars = len(next(iter(gens[0])))
+    return _packed(lambda pk: _kernel(gens, field, pk, weights, hilbert,
+                                      pk.block if block_free else 0).reduced(),
+                   order, len(next(iter(gens[0]))), gens)
+
+
+def _kernel(gens: list[dict], field: FieldSpec, pk: _Packing,
+            weights: Sequence[int] | None = None,
+            hilbert: Callable[[list, int], int] | None = None,
+            omit: int = 0) -> _MinimalBasis:
+    """The minimal basis, before its tail pass, that the kernel suited to
+    the nonzero ``gens`` finds under the packing ``pk`` (see
+    ``buchberger``)."""
     if all(len(g) == 1 for g in gens):
         # monomials are a Groebner basis already: reducers with no tail
-        def work(gens: list[dict], field: FieldSpec, pk: _Packing, omit: int) -> list[dict]:
-            return _reduced_basis([(pk.pack(e), ()) for g in gens for e in g], field, pk, omit)
-    elif all(len(set(map(sum, g))) == 1 for g in gens):
-        work = _signature_basis
-    else:
-        work = partial(_buchberger, weights=weights, hilbert=hilbert)
-    return _packed(lambda pk: work(gens, field, pk, omit=pk.block if block_free else 0),
-                   order, nvars, gens)
+        return _MinimalBasis([(pk.pack(e), ()) for g in gens for e in g], field, pk, omit)
+    if all(len(set(map(sum, g))) == 1 for g in gens):
+        return _signature_basis(gens, field, pk, omit=omit)
+    return _buchberger(gens, field, pk, weights, hilbert, omit)
 
 
 def _buchberger(gens: list[dict], field: FieldSpec, pk: _Packing,
                 weights: Sequence[int] | None = None,
                 hilbert: Callable[[list, int], int] | None = None,
-                omit: int = 0) -> list[dict]:
+                omit: int = 0) -> _MinimalBasis:
     guard = pk.guard
     if weights is None:
         degree: Callable[[Exponent], int] = sum
@@ -389,7 +444,6 @@ def _buchberger(gens: list[dict], field: FieldSpec, pk: _Packing,
     low = (1 << top) - 1
     if hilbert is not None and any(len(set(map(degree, g))) > 1 for g in gens):
         hilbert = None  # the Hilbert function only counts homogeneous input
-    unit = [{(0,) * len(pk.weights): field.one}]
     basis: list[tuple[int, tuple]] = []  # reducers: (packed leading monomial, tail)
     lts: list[Exponent] = []
     # each element's sugar less the degree of its leading monomial
@@ -427,7 +481,7 @@ def _buchberger(gens: list[dict], field: FieldSpec, pk: _Packing,
     for g in gens:
         r = _reduce_full(pk.pack_terms(g), basis, field, guard, memo)
         if r and push(r, max(map(degree, g))):
-            return unit
+            return _MinimalBasis([(0, ())], field, pk, omit)
 
     # the degree being treated, its leading terms still to come (inf: not
     # counted), and how many leading terms the last count took in
@@ -465,45 +519,16 @@ def _buchberger(gens: list[dict], field: FieldSpec, pk: _Packing,
             r = _reduce_full(s, basis, field, guard, memo)
             if r:
                 if push(r, sugar):
-                    return unit
+                    return _MinimalBasis([(0, ())], field, pk, omit)
                 missing -= 1
 
-    return _reduced_basis(basis, field, pk, omit)
-
-
-def _reduced_basis(basis: list[tuple[int, tuple]], field: FieldSpec, pk: _Packing,
-                   omit: int = 0) -> list[dict]:
-    """The reduced basis of the ideal that the monic reducers ``basis``, a
-    Groebner basis, generate, as ``buchberger`` returns it: unique, so the
-    same from every kernel. Its elements whose leading monomial sets a bit
-    of the packed mask ``omit`` are left out, and their tails never
-    reduced."""
-    guard = pk.guard
-    # minimalize: of equal leading terms the first element's tail (reversed,
-    # the first is written last), then the leading terms that are minimal;
-    # then keep those free of ``omit``. For the block fields of a block
-    # order that is exact: a kept leading term ranks above every monomial
-    # with a block variable, so its tail has none, and no omitted leading
-    # term divides a monomial without one
-    tails = dict(reversed(basis))
-    H = [(lt, tails[lt]) for lt in _minimal(tails, guard) if not lt & omit]
-
-    # tail-reduce each against all of H, one memo for the pass: no leading
-    # term divides a smaller monomial, so an element never reduces its own
-    # tail, and the leading terms stay minimal and monic
-    memo: dict = {}
-    for i, (lt, t) in enumerate(H):
-        if t:
-            H[i] = (lt, tuple(_reduce_full(t, H, field, guard, memo).items()))
-
-    one = field.one
-    return [pk.unpack_terms(dict(((lt, one),) + t)) for lt, t in H]
+    return _MinimalBasis(basis, field, pk, omit)
 
 
 def _signature_basis(gens: list[dict], field: FieldSpec, pk: _Packing,
-                     omit: int = 0) -> list[dict]:
-    """The reduced basis of homogeneous ``gens`` by signatures (Gao, Volny
-    and Wang, Math. Comp. 2016; Eder and Roune, ISSAC 2013).
+                     omit: int = 0) -> _MinimalBasis:
+    """The minimal basis of homogeneous ``gens`` found by signatures (Gao,
+    Volny and Wang, Math. Comp. 2016; Eder and Roune, ISSAC 2013).
 
     Each element g carries a signature (m, i), the leading term m e_i of an
     a in R^s with a . gens = g, in the Schreyer order: (m, i) ranks by
@@ -516,11 +541,14 @@ def _signature_basis(gens: list[dict], field: FieldSpec, pk: _Packing,
     by multiples of smaller signature only. A J-pair is dropped unreduced
     when a syzygy signature divides its own (the Koszul ones
     (LT gens[i], j) for i < j, those of the J-pairs that reduced to zero,
-    and those of pairs with coprime leading terms or of two monomials,
-    which are syzygies themselves), or when an element added after its
-    origin has a signature dividing it (the rewrite criterion in add order,
-    which also keeps one J-pair per signature). Both are checked when a
-    J-pair is made and again when it is popped."""
+    those of pairs of two monomials, which are syzygies themselves, and the
+    principal syzygy of each pair of elements, recorded when the later one
+    is added: where the leading terms are coprime it is the J-pair's own),
+    or when an element added after its origin has a signature dividing it
+    (the rewrite criterion in add order, which also keeps one J-pair per
+    signature). Both are checked when a J-pair is made and again when it is
+    popped. A syzygy signature is recorded only when no recorded one of its
+    index divides it."""
     guard, weights = pk.guard, pk.weights
     nbits = len(gens).bit_length()
     low = (1 << nbits) - 1
@@ -532,7 +560,9 @@ def _signature_basis(gens: list[dict], field: FieldSpec, pk: _Packing,
     basis: list[tuple[int, tuple]] = []  # reducers: (packed leading monomial, tail)
     sigs: list[int] = []  # signature keys
     ratios: list[int] = []  # signature key minus the leading monomial's
-    exps: list[Exponent] = []  # leading exponents, for lcms
+    # leading exponents times their packing weights: a pair's packed lcm is
+    # the sum of the larger of each two
+    wexps: list[list[int]] = []
     supports: list[int] = []  # leading supports, as variable bitmasks
     memo: dict = {}  # divisor memo of _reduce_full over the growing basis
     # (signature key, minus the origin's index, packed multiplier); a
@@ -560,32 +590,46 @@ def _signature_basis(gens: list[dict], field: FieldSpec, pk: _Packing,
         h = _monic(r, field)
         lt = max(h)
         if not lt:
-            return [{(0,) * len(weights): one}]
+            return _MinimalBasis([(0, ())], field, pk, omit)
         k = len(basis)
         basis.append(_reducer(h))
         sigs.append(key)
         ratios.append(key - (lt << nbits))
-        exps.append(pk.unpack(lt))
-        supports.append(sum(1 << v for v, x in enumerate(exps[k]) if x))
+        e = pk.unpack(lt)
+        wexps.append(list(map(mul, e, weights)))
+        supports.append(sum(1 << v for v, x in enumerate(e) if x))
         for j in range(k):
             ltj = basis[j][0]
-            coprime = not supports[k] & supports[j]
-            lcm = lt + ltj if coprime else sum(map(mul, map(max, exps[k], exps[j]), weights))
+            lcm = lt + ltj if not supports[k] & supports[j] \
+                else sum(map(max, wexps[k], wexps[j]))
             if lcm & guard:
                 raise _Overflow
             mine = key + (lcm - lt << nbits)
             theirs = sigs[j] + (lcm - ltj << nbits)
             if mine == theirs:
-                continue
+                continue  # then so are the principal syzygy's two, below
             top, origin = (mine, k) if mine > theirs else (theirs, j)
             zs, z = syz[top & low], top >> nbits
-            if _divisible(z, zs, guard) or origin == j and not (top - key) & sigmask:
+            # a J-pair divided by a syzygy signature is dropped now rather than
+            # when popped, and the principal syzygy's, a multiple, is not new
+            if _divisible(z, zs, guard):
+                continue
+            # the principal syzygy LT(g_j) e_k - LT(g_k) e_j has, up to lower
+            # terms, the larger of its two signatures: the J-pair's times the
+            # gcd of the leading terms, the J-pair's own where they are
+            # coprime. A value with a guard bit set is not recorded: it
+            # divides no signature that fits the packing, and its difference
+            # from one would borrow across fields
+            zp = z + lt + ltj - lcm
+            if not zp & guard and not _divisible(zp, zs, guard):
+                zs.append(zp)
+            if zp == z or origin == j and not (top - key) & sigmask:
                 continue  # dropped now rather than when popped
-            if coprime or not (basis[k][1] or basis[j][1]):  # a syzygy
+            if not (basis[k][1] or basis[j][1]):  # two monomials: a syzygy
                 zs.append(z)
             else:
                 heapq.heappush(queue, (top, -origin, lcm - basis[origin][0]))
-    return _reduced_basis(basis, field, pk, omit)
+    return _MinimalBasis(basis, field, pk, omit)
 
 
 # ---------------------------------------------------------------------------
@@ -597,13 +641,19 @@ class Ideal:
     """An ideal given by generators, with a cached reduced Groebner basis.
 
     The basis is the degrevlex one ``buchberger`` returns, read as it lists
-    it. Handles are immutable, so a cached basis can never go stale. A
-    handle also caches its sums (``ideal_sum``: a sum asked for twice is one
-    handle), its saturations (itself where saturated), its Krull dimension
-    and its Hilbert series (``hilbert.series_of``).
+    it. It is found in two steps, each run once and only when asked for.
+    The kernel's minimal basis comes first and is kept: its leading terms
+    are all that ``leading_exponents``, ``is_unit`` and the readers built on
+    them (``krull_dim``, ``hilbert.series_of``) need. The final tail pass
+    runs on the first call that reads tails: ``groebner``, normal forms and
+    ``same_ideal``. Handles are immutable, so a cached basis can never go
+    stale. A handle also caches its sums (``ideal_sum``: a sum asked for
+    twice is one handle), its saturations (itself where saturated), its
+    Krull dimension and its Hilbert series (``hilbert.series_of``).
     """
 
-    __slots__ = ("ring", "gens", "_gb", "_dim", "_series", "_satcache", "_sums")
+    __slots__ = ("ring", "gens", "_gb", "_lead", "_pending", "_dim", "_series", "_satcache",
+                 "_sums")
 
     def __init__(self, ring: Ring, gens: Iterable[Poly] = ()):
         self.ring = ring
@@ -614,7 +664,9 @@ class Ideal:
             if not g.is_zero:
                 cleaned.append(g)
         self.gens = tuple(cleaned)
-        self._gb = None
+        self._gb = None if cleaned else ()
+        self._lead = None
+        self._pending = None  # the kernel's minimal basis, until its tail pass
         self._dim = None
         self._series = None
         self._satcache: dict = {}
@@ -622,11 +674,26 @@ class Ideal:
 
     # -- basis and membership ---------------------------------------------------
 
+    def _minimal_basis(self) -> _MinimalBasis:
+        if self._pending is None:
+            gens = [g.terms for g in self.gens]
+            self._pending = _packed(lambda pk: _kernel(gens, self.ring.field, pk), DEGREVLEX,
+                                    self.ring.nvars, gens)
+        return self._pending
+
     def groebner(self) -> tuple[Poly, ...]:
         if self._gb is None:
-            basis = buchberger([g.terms for g in self.gens], self.ring.field, DEGREVLEX)
+            basis = self._minimal_basis().reduced()
             self._gb = tuple(Poly(self.ring, h, _trusted=True) for h in basis)
+            self._pending = None
         return self._gb
+
+    def leading_exponents(self) -> tuple[Exponent, ...]:
+        """The leading exponents of the reduced basis, ascending."""
+        if self._lead is None:
+            self._lead = (self._minimal_basis().leading_exponents() if self._gb is None
+                          else tuple(next(iter(g.terms)) for g in self._gb))
+        return self._lead
 
     def _normal_forms(self, polys: Sequence[Poly]) -> list[dict]:
         """Normal forms of ``polys`` in turn, as term dicts, up to and
@@ -669,17 +736,14 @@ class Ideal:
 
     @property
     def is_unit(self) -> bool:
-        gb = self.groebner()
-        return len(gb) == 1 and gb[0].is_constant and not gb[0].is_zero
+        lead = self.leading_exponents()
+        return len(lead) == 1 and not any(lead[0])
 
     def same_ideal(self, other: "Ideal") -> bool:
         if self.ring != other.ring:
             raise InputError("ideals live in different rings")
         # reduced bases are unique, and both are sorted by leading monomial
         return other is self or self.groebner() == other.groebner()
-
-    def leading_exponents(self) -> tuple[Exponent, ...]:
-        return tuple(next(iter(g.terms)) for g in self.groebner())
 
     @property
     def is_monomial(self) -> bool:

@@ -182,12 +182,14 @@ def analytic_spread(setting: GradedSetting) -> int:
 
 
 def order_of(setting: GradedSetting) -> int:
-    """Smallest degree of a nonzero form in J, read off the reduced basis.
+    """Smallest degree of a nonzero form in J, read off the leading terms of
+    its reduced basis: in degrevlex each element's leading term has its
+    largest degree, so no tail is needed.
 
     The identity with the first mixed multiplicity holds for a polynomial
     ambient ring; a nonzero defining ideal makes the value merely heuristic.
     """
-    return min(g.total_exp_degree() for g in setting.J.groebner())
+    return min(map(sum, setting.J.leading_exponents()))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,8 @@ from mixmult import (DEGREVLEX, FieldSpec, Ideal, InputError, MonomialOrder, Pol
                      ideal_intersection, ideal_quotient, in_radical, is_nzd,
                      krull_dim, saturation)
 from mixmult import groebner
+from mixmult.cli import main
+from mixmult.hilbert import series_of
 from mixmult.instances import random_ideal_pair
 from test_packing import reference_sortkey
 
@@ -227,7 +230,7 @@ class TestLargeExponents:
         order = MonomialOrder.elimination((2,))
         basis = groebner.buchberger(gens, R.field, order)
         assert widths[0] == 8 < widths[-1]
-        wide = groebner._buchberger(gens, R.field, real(order, 3, 32))
+        wide = groebner._buchberger(gens, R.field, real(order, 3, 32)).reduced()
         assert [list(h.items()) for h in basis] == [list(h.items()) for h in wide]
         assert [str(Poly(R, h)) for h in basis] == ["x^140 + 32002*y", "32002*x^20 + z"]
 
@@ -256,7 +259,7 @@ class TestLargeExponents:
         gens = [(x**8 * y**40 * z**13 - z).terms, (x**53 * y**6 * z**3 - x**3 * y).terms]
         basis = groebner.buchberger(gens, R.field, DEGREVLEX)
         assert widths == [8, 16] and tripped == []
-        wide = groebner._buchberger(gens, R.field, real(DEGREVLEX, 3, 32))
+        wide = groebner._buchberger(gens, R.field, real(DEGREVLEX, 3, 32)).reduced()
         assert [list(h.items()) for h in basis] == [list(h.items()) for h in wide]
         assert max(sum(e) for h in basis for e in h) == 93
 
@@ -283,8 +286,117 @@ class TestLargeExponents:
         gens = [(x * w**60 - y**60 * z).terms, (x * y * w**59 - z**61).terms]
         basis = groebner.buchberger(gens, R.field, DEGREVLEX)
         assert widths == [8, 16] and len(runs) == 2
-        wide = groebner._buchberger(gens, R.field, real(DEGREVLEX, 4, 32))
+        wide = groebner._buchberger(gens, R.field, real(DEGREVLEX, 4, 32)).reduced()
         assert [list(h.items()) for h in basis] == [list(h.items()) for h in wide]
+
+    def test_eight_bit_start_skips_a_principal_syzygy_past_the_guard_bit(self, monkeypatch):
+        # binomials of degree 56 start at 8-bit fields and stay there, but the
+        # basis gains an element of degree 81: the principal syzygy of it and
+        # a degree-56 element has degree 137, so its signature sets the guard
+        # bit of the degree field, and the kernel must not record it
+        widths = []
+        real = groebner._Packing
+
+        def spy(order, nvars, width):
+            widths.append(width)
+            return real(order, nvars, width)
+
+        kernel, runs = groebner._signature_basis, []
+
+        def spy_kernel(gens, field, pk, **kwargs):
+            runs.append(pk)
+            return kernel(gens, field, pk, **kwargs)
+
+        monkeypatch.setattr(groebner, "_Packing", spy)
+        monkeypatch.setattr(groebner, "_signature_basis", spy_kernel)
+        R = kxyzw()
+        x, y, z, w = R.gens()
+        gens = [(x**26 * y**26 * z**4 - x**8 * y**24 * z**2 * w**22).terms,
+                (x**9 * y**23 * z * w**23 - x * y**27 * z**27 * w).terms]
+        basis = groebner.buchberger(gens, R.field, DEGREVLEX)
+        assert widths == [8] and len(runs) == 1
+        assert sorted(max(map(sum, h)) for h in basis) == [56, 56, 81]
+        wide = groebner._buchberger(gens, R.field, real(DEGREVLEX, 4, 32)).reduced()
+        assert [list(h.items()) for h in basis] == [list(h.items()) for h in wide]
+
+    def test_deferred_tails_at_eight_bits_match_a_wide_start(self, monkeypatch):
+        # trinomials of degree 36 start at 8-bit fields, and their basis of
+        # 50 elements reaches degree 91 there; the handle reads its leading
+        # terms, then tail-reduces under that packing when asked for its basis
+        widths = []
+        real = groebner._Packing
+
+        def spy(order, nvars, width):
+            widths.append(width)
+            return real(order, nvars, width)
+
+        monkeypatch.setattr(groebner, "_Packing", spy)
+        R = kxyzw()
+        x, y, z, w = R.gens()
+        gens = [x**16 * y**10 * z**4 * w**6 - x**12 * y**9 * z**9 * w**6
+                - x**3 * z**12 * w**21,
+                x**11 * y**4 * z**9 * w**12 - x**6 * y**5 * z**9 * w**16
+                - x**16 * y**12 * z**4 * w**4]
+        narrow = Ideal(R, gens)
+        lead = narrow.leading_exponents()
+        assert widths == [8] and max(map(sum, lead)) == 91
+        basis = narrow.groebner()
+        assert widths == [8]
+        monkeypatch.setattr(groebner, "_Packing",
+                            lambda order, nvars, width: real(order, nvars, 32))
+        wide = Ideal(R, gens)
+        assert wide.leading_exponents() == lead
+        assert [list(g.terms.items()) for g in wide.groebner()] == \
+            [list(g.terms.items()) for g in basis]
+
+
+class TestDeferredTailPass:
+    """A handle runs its kernel's final tail pass only for a reader of
+    tails, once: leading terms, the Hilbert series and the dimension need
+    none of it."""
+
+    @staticmethod
+    def _spy(monkeypatch) -> list:
+        runs = []
+        real = groebner._MinimalBasis.reduced
+
+        def spy(self):
+            runs.append(self)
+            return real(self)
+
+        monkeypatch.setattr(groebner._MinimalBasis, "reduced", spy)
+        return runs
+
+    def test_hilbert_command_runs_no_tail_pass(self, monkeypatch, capsys):
+        monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+        runs = self._spy(monkeypatch)
+        assert main(["hilbert", "--file", "tests/inputs/forms11_4x4.mix", "--ideal", "I",
+                     "--seed", "0"]) == 0
+        assert runs == []
+        assert capsys.readouterr().out == Path("tests/golden/forms11_4x4.hilbert.I.out").read_text()
+
+    @pytest.mark.parametrize("field", [QQ, FieldSpec(2), FieldSpec(3), F],
+                             ids=["Q", "F2", "F3", "F32003"])
+    def test_basis_after_series_runs_the_pass_once(self, field, monkeypatch):
+        R = Ring("B", ("x1", "x2", "x3", "y1", "y2", "y3"), ((1, 0),) * 3 + ((0, 1),) * 3, field)
+        x1, x2, _, y1, _, _ = R.gens()
+        rng = random.Random(5)
+        cells = [tuple(int(v in (a, b)) for v in range(6)) for a in range(3) for b in range(3, 6)]
+        forms = [Poly(R, {e: rng.randrange(-3, 4) for e in cells}) for _ in range(3)]
+        cases = {"forms": forms, "unit": [R.one()], "zero": [],
+                 "monomial": [x1 * y1, x2**2 * y1, x1 * x2 * y1**2]}
+        runs = self._spy(monkeypatch)
+        for name, gens in cases.items():
+            I = Ideal(R, gens)
+            series_of(I)
+            krull_dim(I)
+            assert runs == [], name
+            basis = I.groebner()
+            assert I.groebner() is basis
+            assert len(runs) == (1 if gens else 0), name
+            assert basis == Ideal(R, gens).groebner(), name
+            assert I.leading_exponents() == tuple(next(iter(g.terms)) for g in basis)
+            del runs[:]
 
 
 class TestNormalForm:

@@ -15,8 +15,16 @@ products of one variable of each degree kind, so this is the containment
 
 A certificate carries the ideal B its certified elements have reached. That
 is the handle ``colon_numerator`` built, basis and all, to certify the last
-element (``ideal_sum`` keeps one handle per sum), and the next element and
-the saturations of ``e_positivity`` and the multiplicity start from it.
+element (``ideal_sum`` keeps one handle per sum, and a sum's basis starts
+from its summand's), and the next element starts from it. Every element is
+certified over this unsaturated B.
+
+Saturations by Rpp start from the saturation before them, by the identity
+sat(B + (z)) = sat(sat(B) + (z)): B lies in sat(B), and sat(B) + (z) lies in
+sat(B + (z)), which is saturated. A positive cell's multiplicity is read off
+sat(sat(B) + (y_1..y_j)) for B the ideal of its (1,0)-prefix, and
+``e_table_full(verify=True)`` certifies one (1,0)-chain for all its cells and
+saturates along it, each sat_i = sat(sat_{i-1} + (x_i)).
 
 Every saturation by Rpp uses the product rule. Rpp = R1 * R2 exactly, where
 R1 and R2 are generated by the (1,0)- and the (0,1)-variables, and
@@ -290,10 +298,11 @@ def _check_top_diagonal(alg: BigradedAlgebra, i: int, j: int) -> None:
         raise InputError(f"(i, j) = {(i, j)} is not on the top diagonal of degree {report.r}")
 
 
-def _witness_dim(alg: BigradedAlgebra, cert: FilterRegularCertificate) -> int:
-    """dim of the saturated quotient by the certified elements plus all
-    (1,0)-variables: j + 1 exactly when the cell's e_ij is positive."""
-    return krull_dim(ideal_sum(alg.saturate(cert.ideal), alg.r1_ideal))
+def _witness_dim(alg: BigradedAlgebra, sat: Ideal) -> int:
+    """dim of the quotient by ``sat`` plus all (1,0)-variables, for ``sat``
+    the saturation of the defining ideal plus i certified (1,0)-elements:
+    j + 1 exactly when the cell's e_ij is positive."""
+    return krull_dim(ideal_sum(sat, alg.r1_ideal))
 
 
 def e_positivity(
@@ -306,7 +315,7 @@ def e_positivity(
     (1,0)-forms plus all (1,0)-variables have dimension j + 1?"""
     _check_top_diagonal(alg, i, j)
     cert = find_filter_regular(alg, [(1, 0)] * i, config)
-    witness_dim = _witness_dim(alg, cert)
+    witness_dim = _witness_dim(alg, alg.saturate(cert.ideal))
     return witness_dim == j + 1, witness_dim, cert
 
 
@@ -338,11 +347,12 @@ def e_value_via_criterion(
     cert_x = is_filter_regular(alg, xs)
     if not cert_x.ok:
         raise InputError("supplied sequence is not filter-regular")
-    positive = _witness_dim(alg, cert_x) == j + 1
+    sat_x = alg.saturate(cert_x.ideal)
+    positive = _witness_dim(alg, sat_x) == j + 1
     cert = is_filter_regular(alg, ys, cert_x)
     if not cert.ok:
         raise InputError("supplied sequence is not filter-regular")
-    return _saturated_multiplicity(alg, cert) if positive else 0
+    return _saturated_multiplicity(alg, cert_x, cert, sat_x) if positive else 0
 
 
 def e_value_from_prefix(
@@ -350,18 +360,32 @@ def e_value_from_prefix(
     cert_x: FilterRegularCertificate,
     j: int,
     config: RunConfig = RunConfig(),
+    sat_x: Optional[Ideal] = None,
 ) -> int:
     """e_ij of a positive cell, from the certified (1,0)-prefix of its
     positivity test: extend it by j random (0,1)-elements, drawn from
-    ``config.seed + 1`` and certified one by one, and take the multiplicity."""
+    ``config.seed + 1`` and certified one by one over ``cert_x.ideal`` and
+    the elements before, and take the multiplicity. ``sat_x`` is the
+    saturation of ``cert_x.ideal`` by Rpp when the caller holds it."""
     cert = FilterRegularCertificate(cert_x.ideal, list(cert_x.steps))
     _extend(alg, cert, [(0, 1)] * j, replace(config, seed=config.seed + 1),
             "filter-regular (0,1)-element")
-    return _saturated_multiplicity(alg, cert)
+    if sat_x is None:
+        sat_x = alg.saturate(cert_x.ideal)
+    return _saturated_multiplicity(alg, cert_x, cert, sat_x)
 
 
-def _saturated_multiplicity(alg: BigradedAlgebra, cert: FilterRegularCertificate) -> int:
-    bar = alg.saturate(cert.ideal)
+def _saturated_multiplicity(alg: BigradedAlgebra, cert_x: FilterRegularCertificate,
+                            cert: FilterRegularCertificate, sat_x: Ideal) -> int:
+    """The multiplicity of R/sat(B + (ys)), for B = ``cert_x.ideal`` and ys
+    the (0,1)-elements ``cert`` adds to it, read off sat(sat_x + (ys)) for
+    ``sat_x`` = sat(B): the same ideal, as sat(B + z) = sat(sat(B) + z).
+    Where B is saturated, sat_x + (ys) is ``cert.ideal``, basis and all."""
+    ys = cert.elements[len(cert_x.steps):]
+    if sat_x is cert_x.ideal:
+        bar = alg.saturate(cert.ideal)
+    else:
+        bar = alg.saturate(ideal_sum(sat_x, ys)) if ys else sat_x
     dim, e = total_multiplicity(bar)
     if dim != 2:
         raise MathInvariantError(
@@ -377,15 +401,29 @@ def e_table_full(
 ) -> ETable:
     """Full mixed-multiplicity table from the series route.
 
-    With ``verify`` each top-diagonal cell is recomputed through the
-    positivity criterion and the multiplicity formula, the cell at index
-    ``idx`` from seed ``config.seed + 101 * idx``; any mismatch raises.
+    With ``verify`` each top-diagonal cell (i, j) is recomputed through the
+    positivity criterion and the multiplicity formula; any mismatch raises.
+    The cells share one certified (1,0)-chain x_1, x_2, ..., cell i taking
+    its first i elements. Element k (from 0) is drawn from seed
+    ``config.seed + 101 * k`` and certified over the defining ideal plus the
+    elements before it, and a positive cell's (0,1)-elements are drawn from
+    ``config.seed + 101 * i + 1``. The saturations run along the chain:
+    sat_0 = ``alg.sat0`` and sat_i = sat(sat_{i-1} + (x_i)), the saturation
+    of the defining ideal plus x_1..x_i by sat(B + z) = sat(sat(B) + z).
     """
     table = e_table(alg.polynomial)
     if verify and table.r is not None:
-        for idx, (i, j) in enumerate(sorted(table.entries)):
-            value = e_value_via_criterion(alg, i, j,
-                                          replace(config, seed=config.seed + 101 * idx))
+        cert = FilterRegularCertificate(alg.defining)
+        sat = alg.sat0
+        for i, j in sorted(table.entries):
+            _check_top_diagonal(alg, i, j)
+            for k in range(len(cert.steps), i):
+                _extend(alg, cert, [(1, 0)], replace(config, seed=config.seed + 101 * k),
+                        "filter-regular element of bidegree {}")
+                sat = alg.saturate(ideal_sum(sat, cert.elements[-1:]))
+            positive = _witness_dim(alg, sat) == j + 1
+            value = e_value_from_prefix(alg, cert, j, replace(config, seed=config.seed + 101 * i),
+                                        sat) if positive else 0
             if value != table.entries[(i, j)]:
                 raise MathInvariantError(
                     f"criterion value {value} at {(i, j)} disagrees with "

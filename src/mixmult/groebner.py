@@ -48,9 +48,11 @@ returns the same dicts from each kernel, whatever the weights and the drop.
 the block variables (``block_free``), so the pass reduces no tail that it
 would discard. An ``Ideal`` handle keeps the minimal basis and runs the
 second half once, for the first reader of tails: leading terms are all that
-its Hilbert series, dimension and unit test read. Monomial-ideal fast paths
-cover the operations that dominate the workloads here and return handles
-preset with the basis that path finds.
+its Hilbert series, dimension and unit test read. A sum I + extra whose
+summand holds its minimal basis runs the signature kernel from that basis,
+a known prefix whose own pairs its Schreyer syzygies drop (``ideal_sum``).
+Monomial-ideal fast paths cover the operations that dominate the workloads
+here and return handles preset with the basis that path finds.
 
 Inside the loop and in normal forms a monomial in n variables is one int
 (packed exponent vectors: Monagan-Pearce, "Polynomial division using dynamic
@@ -377,8 +379,15 @@ class _MinimalBasis:
         for i, (lt, t) in enumerate(H):
             if t:
                 H[i] = (lt, tuple(_reduce_full(t, H, field, guard, memo).items()))
-        one = field.one
-        return [self.pk.unpack_terms(dict(((lt, one),) + t)) for lt, t in H]
+        return self._unpacked(H)
+
+    def polys(self) -> list[dict]:
+        """The minimal basis as term dicts, with the tails the kernel left."""
+        return self._unpacked(self.basis)
+
+    def _unpacked(self, basis: list[tuple[int, tuple]]) -> list[dict]:
+        one = self.field.one
+        return [self.pk.unpack_terms(dict(((lt, one),) + t)) for lt, t in basis]
 
 
 def buchberger(gens: Iterable[dict], field: FieldSpec, order: MonomialOrder,
@@ -410,18 +419,24 @@ def buchberger(gens: Iterable[dict], field: FieldSpec, order: MonomialOrder,
                    order, len(next(iter(gens[0]))), gens)
 
 
+def _homogeneous(gens: Iterable[dict]) -> bool:
+    return all(len(set(map(sum, g))) == 1 for g in gens)
+
+
 def _kernel(gens: list[dict], field: FieldSpec, pk: _Packing,
             weights: Sequence[int] | None = None,
             hilbert: Callable[[list, int], int] | None = None,
-            omit: int = 0) -> _MinimalBasis:
+            omit: int = 0, prefix: int = 0) -> _MinimalBasis:
     """The minimal basis, before its tail pass, that the kernel suited to
     the nonzero ``gens`` finds under the packing ``pk`` (see
-    ``buchberger``)."""
+    ``buchberger``). The first ``prefix`` of ``gens`` are known to be a
+    Groebner basis; only the signature kernel reads that (see
+    ``_signature_basis``)."""
     if all(len(g) == 1 for g in gens):
         # monomials are a Groebner basis already: reducers with no tail
         return _MinimalBasis([(pk.pack(e), ()) for g in gens for e in g], field, pk, omit)
-    if all(len(set(map(sum, g))) == 1 for g in gens):
-        return _signature_basis(gens, field, pk, omit=omit)
+    if _homogeneous(gens):
+        return _signature_basis(gens, field, pk, omit=omit, prefix=prefix)
     return _buchberger(gens, field, pk, weights, hilbert, omit)
 
 
@@ -526,7 +541,7 @@ def _buchberger(gens: list[dict], field: FieldSpec, pk: _Packing,
 
 
 def _signature_basis(gens: list[dict], field: FieldSpec, pk: _Packing,
-                     omit: int = 0) -> _MinimalBasis:
+                     omit: int = 0, prefix: int = 0) -> _MinimalBasis:
     """The minimal basis of homogeneous ``gens`` found by signatures (Gao,
     Volny and Wang, Math. Comp. 2016; Eder and Roune, ISSAC 2013).
 
@@ -548,15 +563,39 @@ def _signature_basis(gens: list[dict], field: FieldSpec, pk: _Packing,
     (the rewrite criterion in add order, which also keeps one J-pair per
     signature). Both are checked when a J-pair is made and again when it is
     popped. A syzygy signature is recorded only when no recorded one of its
-    index divides it."""
+    index divides it.
+
+    The first ``prefix`` generators must be a Groebner basis, as when an
+    ideal already holds the basis of a summand (``ideal_sum``). Then, for
+    j < i < prefix, the S-polynomial of gens[j] and gens[i] has a standard
+    representation, and the syzygy it gives has the leading term
+    (lcm(LT gens[j], LT gens[i]) / LT gens[i], i) in this order (Schreyer;
+    Eisenbud, Commutative Algebra, Thm 15.10): of its two terms at the lcm
+    the larger index ranks first, and every other term lies below the lcm.
+    Those signatures take the place of the Koszul ones of index below
+    ``prefix``. They drop every J-pair of two elements of the prefix, so the
+    prefix costs one regular reduction of each of its elements, and only
+    J-pairs that reach the other generators are reduced. A seeded
+    signature with a guard bit set raises ``_Overflow``, as a pair lcm
+    does."""
     guard, weights = pk.guard, pk.weights
     nbits = len(gens).bit_length()
     low = (1 << nbits) - 1
     sigmask = guard << nbits | low
     fs = [pk.pack_terms(g) for g in gens]
     heads = [max(f) for f in fs]
-    # syzygy signatures by index i, each as its packed m*LT(gens[i])
-    syz = [[heads[j] + h for j in range(i)] for i, h in enumerate(heads)]
+    # syzygy signatures by index i, each as its packed m*LT(gens[i]): the
+    # Schreyer ones below ``prefix``, the Koszul ones (LT gens[j], i) above
+    lead = [list(map(mul, pk.unpack(h), weights)) for h in heads[:prefix]]
+    syz = []
+    for i, h in enumerate(heads):
+        if i < prefix:
+            zs = [sum(map(max, lead[j], lead[i])) for j in range(i)]
+            if any(z & guard for z in zs):
+                raise _Overflow
+            syz.append(_minimal(zs, guard))
+        else:
+            syz.append([heads[j] + h for j in range(i)])
     basis: list[tuple[int, tuple]] = []  # reducers: (packed leading monomial, tail)
     sigs: list[int] = []  # signature keys
     ratios: list[int] = []  # signature key minus the leading monomial's
@@ -650,16 +689,20 @@ class Ideal:
     stale. A handle also caches its sums (``ideal_sum``: a sum asked for
     twice is one handle), its saturations (itself where saturated), its
     Krull dimension and its Hilbert series (``hilbert.series_of``).
+
+    A sum I + extra keeps I until its own kernel runs. If I holds its
+    minimal basis then, the kernel starts from that basis as a known
+    prefix, followed by ``extra`` (see ``ideal_sum``).
     """
 
     __slots__ = ("ring", "gens", "_gb", "_lead", "_pending", "_dim", "_series", "_satcache",
-                 "_sums")
+                 "_sums", "_summand")
 
     def __init__(self, ring: Ring, gens: Iterable[Poly] = ()):
         self.ring = ring
         cleaned = []
         for g in gens:
-            if g.ring != ring:
+            if g.ring is not ring and g.ring != ring:
                 raise InputError("generator from a different ring")
             if not g.is_zero:
                 cleaned.append(g)
@@ -671,14 +714,33 @@ class Ideal:
         self._series = None
         self._satcache: dict = {}
         self._sums: dict = {}
+        self._summand = None  # for a sum I + extra, I, until the kernel has run
 
     # -- basis and membership ---------------------------------------------------
 
+    def _kernel_input(self) -> tuple[list[dict], int]:
+        """The kernel's generators and how many of them lead as a Groebner
+        basis: for a sum I + extra whose summand I holds its basis, that
+        basis followed by ``extra``, when all are homogeneous; else the
+        generators, none of them known to be a basis."""
+        gens = [g.terms for g in self.gens]
+        I = self._summand
+        if I is not None:
+            known = I._gb if I._gb is not None else I._pending
+            if known is not None:
+                basis = [g.terms for g in known] if I._gb is not None else known.polys()
+                ext = basis + gens[len(I.gens):]
+                if _homogeneous(ext):
+                    return ext, len(basis)
+        return gens, 0
+
     def _minimal_basis(self) -> _MinimalBasis:
         if self._pending is None:
-            gens = [g.terms for g in self.gens]
-            self._pending = _packed(lambda pk: _kernel(gens, self.ring.field, pk), DEGREVLEX,
-                                    self.ring.nvars, gens)
+            gens, prefix = self._kernel_input()
+            self._pending = _packed(
+                lambda pk: _kernel(gens, self.ring.field, pk, prefix=prefix), DEGREVLEX,
+                self.ring.nvars, gens)
+            self._summand = None
         return self._pending
 
     def groebner(self) -> tuple[Poly, ...]:
@@ -702,7 +764,7 @@ class Ideal:
         the basis never changes; a guard bit tripped by any member redoes the
         whole batch with wider fields."""
         for f in polys:
-            if f.ring != self.ring:
+            if f.ring is not self.ring and f.ring != self.ring:
                 raise InputError("polynomial from a different ring")
         basis = [g.terms for g in self.groebner()]
         terms = [f.terms for f in polys]
@@ -740,7 +802,7 @@ class Ideal:
         return len(lead) == 1 and not any(lead[0])
 
     def same_ideal(self, other: "Ideal") -> bool:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise InputError("ideals live in different rings")
         # reduced bases are unique, and both are sorted by leading monomial
         return other is self or self.groebner() == other.groebner()
@@ -812,7 +874,16 @@ def eliminate(gens: Sequence[Poly], base: Ring, weights: Sequence[int] | None = 
 def ideal_sum(I: Ideal, extra: Union[Ideal, Iterable[Poly]]) -> Ideal:
     """I + extra, one handle per (I, generator tuple of ``extra``): the same
     sum asked for again is the handle built first, with what it has cached;
-    a sum that adds nothing is the other summand, I or the Ideal ``extra``."""
+    a sum that adds nothing is the other summand, I or the Ideal ``extra``.
+
+    The sum's basis starts from I's. If I holds its minimal basis when the
+    sum's kernel runs (after a reader of I's leading terms or basis), and
+    that basis and ``extra`` are homogeneous, the signature kernel takes
+    the basis as a known prefix followed by ``extra`` (see
+    ``_signature_basis``): the J-pairs within the prefix are dropped by
+    their Schreyer syzygies, and only those reaching ``extra`` are reduced.
+    Otherwise the kernel runs on the generators, as for any handle. The sum
+    drops its reference to I once its kernel has run."""
     if isinstance(extra, Ideal) and I.is_zero and extra.ring == I.ring:
         return extra
     gens = extra.gens if isinstance(extra, Ideal) else tuple(extra)
@@ -821,11 +892,12 @@ def ideal_sum(I: Ideal, extra: Union[Ideal, Iterable[Poly]]) -> Ideal:
     total = I._sums.get(gens)
     if total is None:
         total = I._sums[gens] = Ideal(I.ring, I.gens + gens)
+        total._summand = I
     return total
 
 
 def ideal_product(I: Ideal, J: Ideal) -> Ideal:
-    if I.ring != J.ring:
+    if I.ring is not J.ring and I.ring != J.ring:
         raise InputError("ideals live in different rings")
     prods = {f * g for f in I.gens for g in J.gens}
     return Ideal(I.ring, prods)
@@ -852,7 +924,7 @@ def _monomial_ideal(ring: Ring, exps: Iterable[Exponent]) -> Ideal:
 
 
 def ideal_intersection(I: Ideal, J: Ideal) -> Ideal:
-    if I.ring != J.ring:
+    if I.ring is not J.ring and I.ring != J.ring:
         raise InputError("ideals live in different rings")
     if I.is_zero or J.is_zero:
         return Ideal(I.ring)
@@ -999,7 +1071,7 @@ def saturation(I: Ideal, J: Union[Poly, Ideal]) -> Ideal:
     cached = I._satcache.get(J.gens)
     if cached is not None:
         return cached
-    homogeneous = all(len({sum(e) for e in f.terms}) == 1 for f in I.gens)
+    homogeneous = _homogeneous(f.terms for f in I.gens)
     meet = None
     for g in J.gens:
         if meet is not None and I.contains_ideal(Ideal(I.ring, [g * k for k in meet.gens])):

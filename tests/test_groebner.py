@@ -289,6 +289,37 @@ class TestLargeExponents:
         wide = groebner._buchberger(gens, R.field, real(DEGREVLEX, 4, 32)).reduced()
         assert [list(h.items()) for h in basis] == [list(h.items()) for h in wide]
 
+    def test_eight_bit_start_trips_on_a_seeded_lcm(self, monkeypatch):
+        # a Groebner basis with leading terms x^64 and y^64, then one more
+        # form, all of degree 64, packed from an 8-bit start (``_packed``
+        # starts there below degree 64). Every generator fits, but the
+        # Schreyer signature of the basis's S-pair, at the lcm x^64*y^64 of
+        # degree 128, sets the guard bit of the degree field: seeding it
+        # raises before any reduction, and the call is redone at 16 bits
+        widths, reduced_at = [], []
+        real, reduce = groebner._Packing, groebner._reduce_full
+
+        def spy(order, nvars, width):
+            widths.append(width)
+            return real(order, nvars, width)
+
+        def spy_reduce(*args):
+            reduced_at.append(widths[-1])
+            return reduce(*args)
+
+        monkeypatch.setattr(groebner, "_Packing", spy)
+        monkeypatch.setattr(groebner, "_reduce_full", spy_reduce)
+        R = kxyzw()
+        x, y, z, w = R.gens()
+        gens = [(x**64 - w**64).terms, (y**64 - w**64).terms, (x**32 * y**32 - z**64).terms]
+        narrow = groebner._packed(
+            lambda pk: groebner._signature_basis(gens, R.field, pk, prefix=2), DEGREVLEX, 4, [])
+        assert widths == [8, 16] and 8 not in reduced_at
+        wide = groebner._signature_basis(gens, R.field, real(DEGREVLEX, 4, 32), prefix=2)
+        assert [list(h.items()) for h in narrow.reduced()] == \
+            [list(h.items()) for h in wide.reduced()]
+        assert wide.reduced() == groebner.buchberger(gens, R.field, DEGREVLEX)
+
     def test_eight_bit_start_skips_a_principal_syzygy_past_the_guard_bit(self, monkeypatch):
         # binomials of degree 56 start at 8-bit fields and stay there, but the
         # basis gains an element of degree 81: the principal syzygy of it and

@@ -181,6 +181,8 @@ def _cmd_bigraded_e(args, config: RunConfig) -> str:
     certificates: dict = {}
     if (args.i is None) != (args.j is None):
         raise InputError("--i and --j must be given together")
+    if args.i is not None and args.verify:
+        raise InputError("--i and --j must not be given with --verify")
     if args.i is not None:
         positive, wdim, cert = e_positivity(alg, args.i, args.j, config)
         value = e_value_from_prefix(alg, cert, args.j, config) if positive else 0

@@ -8,9 +8,10 @@ over prod_v (1 - t^deg v) comes from a recursion on minimal generators:
 - Product rule: when the supports of the generators fall into two or more
   connected components in the variable graph, ring/M is a tensor product and
   N(M) is the product of the components' numerators (Bigatti, "Computation
-  of Hilbert-Poincare series", J. Pure Appl. Algebra 119, 1997). A lone
-  generator m gives the factor 1 - t^deg m, so pairwise coprime generators
-  give a product of such factors.
+  of Hilbert-Poincare series", J. Pure Appl. Algebra 119, 1997). One
+  bitmask pass finds the generators that share no variable with another;
+  each gives the factor 1 - t^deg m, and only the rest are merged into
+  components.
 - Pivot: otherwise split on the variable x that most generators contain,
 
       N(M) = N(M + (x)) + t^deg(x) * N(M : x).
@@ -22,21 +23,24 @@ over prod_v (1 - t^deg v) comes from a recursion on minimal generators:
   stay minimal among themselves, and only a generator free of x can be
   divided by one of them.
 
-Each generator is one int (``_Layout``): n exponent fields and two fields
-for its bidegree, each field with a guard bit on top, wide enough for the lcm
-of all generators. Then M : x is one subtraction per generator, h divides e
-when e - h sets no guard bit, the support of m is the guard bits of
-m + (all ones below each exponent guard), and summing supports counts the
-generators on each variable. Inside the recursion a numerator is a dict keyed
-by one int a << width | b for t1^a t2^b, read off the two top fields; the lcm
-bounds every such degree, so keys add without carries. Each node is memoised
-on its layout and generator set, and ``series_of`` keeps the series on the
-ideal handle. Hilbert data depends only on the ideal, so any fixed monomial
-order works; degrevlex is used throughout.
+Each generator is one int (``_Layout``) for a grading by k weight vectors:
+n exponent fields, field v holding x_v times the sum of its weights, and k
+fields for its degrees, each field with a guard bit on top, wide enough for
+the lcm of all generators. Then M : x is one subtraction per generator, h
+divides e when e - h sets no guard bit, the support of m is the guard bits
+of m + (all ones below each exponent guard), and summing supports counts
+the generators on each variable. Inside the recursion a numerator is a dict
+keyed by the k degree fields as one int (a << width | b for t1^a t2^b under
+a bigrading), read off the top of a generator; the lcm bounds every such
+degree, so keys add without carries. Each node is memoised on its layout
+and generator set, and ``series_of`` keeps the series on the ideal handle.
+Hilbert data depends only on the ideal, so any fixed monomial order works;
+degrevlex is used throughout.
 
 ``StandardCount`` serves the Hilbert-driven pair drop of ``groebner``: it
 counts the monomials of one weighted degree outside the leading terms of a
-basis still being built, with one numerator, of a colon, per leading term.
+basis still being built, with one numerator, of a colon, per leading term,
+on the layout of its one weight vector.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from typing import Optional, Sequence
 
 from .errors import InputError, MathInvariantError
 from .groebner import Ideal, _divisible, _minimal, ideal_sum, krull_dim
-from .rings import Bidegree, Exponent, Poly, Ring, monomials_of_bidegree
+from .rings import Exponent, Poly, Ring, monomials_of_bidegree
 
 Numerator = dict  # (a, b) -> int, over prod_v (1 - t1^d1 t2^d2)
 
@@ -56,29 +60,30 @@ _numerator_memo: dict = {}
 
 
 class _Layout:
-    """Monomials of one ring as ints of n + 2 fields of ``width`` bits, each
-    with a guard bit on top. Field v holds x_v (``scaled``: x_v times its
-    degree a + b) and the two top fields the bidegree (a above b), so
-    ``m >> top`` is the numerator key a << width | b of t1^a t2^b. A
+    """Monomials of n variables, graded by k weight vectors, as ints of n + k
+    fields of ``width`` bits, each with a guard bit on top. Field v holds x_v
+    times the sum of its weights, and the k top fields its degrees, the first
+    grading highest, so ``m >> top`` is the numerator key of t^deg m. A
     quotient by x_v is one subtraction of ``units[v]``."""
 
     __slots__ = ("key", "width", "units", "top", "ones", "guard")
 
-    def __init__(self, bidegs: tuple[Bidegree, ...], width: int, scaled: bool = False):
-        n = len(bidegs)
-        self.key = f"{width}:{scaled}:{bidegs}"  # a str keeps its hash
+    def __init__(self, weights: tuple[tuple[int, ...], ...], width: int):
+        n = len(weights[0])
+        self.key = f"{width}:{weights}"  # a str keeps its hash
         self.width = width
         self.top = n * width
-        self.units = [(a + b if scaled else 1) << v * width | (a << width | b) << self.top
-                      for v, (a, b) in enumerate(bidegs)]
+        self.units = [sum(ws) << v * width | sum(
+            x << f * width for f, x in enumerate(reversed(ws))) << self.top
+            for v, ws in enumerate(zip(*weights))]
         half = 1 << width - 1
         self.ones = sum(half - 1 << v * width for v in range(n))
-        self.guard = sum(half << k * width for k in range(n + 2))
+        self.guard = sum(half << f * width for f in range(n + len(weights)))
 
 
 def _numerator(lay: _Layout, gens: frozenset, memo: dict) -> dict:
-    """Series numerator, keyed a << width | b, of the monomial ideal with
-    packed minimal generators ``gens``, memoised in ``memo``."""
+    """Series numerator, keyed by ``lay``'s degree fields, of the monomial
+    ideal with packed minimal generators ``gens``, memoised in ``memo``."""
     key = (lay.key, gens)
     out = memo.get(key)
     if out is not None:
@@ -89,8 +94,16 @@ def _numerator(lay: _Layout, gens: frozenset, memo: dict) -> dict:
     top, guard = lay.top, lay.guard
     # the guard bits of a generator's nonzero exponents: its support
     masks = [(g + lay.ones) & guard for g in gens]
+    covered = shared = 0  # the variables of some generator, of two
+    for mask in masks:
+        shared |= covered & mask
+        covered |= mask
+    lone = []  # the degrees of the generators alone on their variables
     parts: list = []  # [support, generators], supports pairwise disjoint
     for g, mask in zip(gens, masks):
+        if not mask & shared:
+            lone.append(g >> top)
+            continue
         joined = [mask, [g]]
         rest = [joined]
         for part in parts:
@@ -100,23 +113,20 @@ def _numerator(lay: _Layout, gens: frozenset, memo: dict) -> dict:
             else:
                 rest.append(part)
         parts = rest
-    if len(parts) > 1 or len(gens) == 1:
+    if lone or len(parts) > 1:
         # generators on disjoint variables: the quotient is a tensor product,
         # and a lone generator m gives the factor 1 - t^deg m
         out = {0: 1}
+        for d in lone:
+            for k, c in list(out.items()):
+                out[k + d] = out.get(k + d, 0) - c
         for _, part in parts:
-            if len(part) == 1:
-                d = part[0] >> top
-                prod = dict(out)
+            prod: dict = {}
+            for k2, c2 in _numerator(lay, frozenset(part), memo).items():
                 for k, c in out.items():
-                    prod[k + d] = prod.get(k + d, 0) - c
-            else:
-                prod = {}
-                for k2, c2 in _numerator(lay, frozenset(part), memo).items():
-                    for k, c in out.items():
-                        prod[k + k2] = prod.get(k + k2, 0) + c * c2
-            out = {k: c for k, c in prod.items() if c}
-        memo[key] = out
+                    prod[k + k2] = prod.get(k + k2, 0) + c * c2
+            out = prod
+        memo[key] = out = {k: c for k, c in out.items() if c}
         return out
     # pivot: the variable that most generators contain, counted field by field
     w = lay.width
@@ -152,16 +162,14 @@ class StandardCount:
 
     Incremental for a list that grows at the end, as a Buchberger loop's
     leading terms do. Adding m to M adds m times the monomials outside
-    M : m, so N(M + (m)) = N(M) - t^deg m N(M : m): one numerator per new
-    leading term, kept by weighted degree. Monomials are packed ``scaled``
-    (field v holds the degree of the power of x_v), so g : m is a
-    saturating subtraction of the exponent fields and its degree, the sum
-    of those fields, one product. A minimal generator of M prime to m is
-    its own colon and divides no other colon, so only the others are
-    compared. A generator set with no shared variable has the product of
-    the 1 - t^deg g as its numerator; any other goes to ``_numerator``.
-    A count is the numerator against the monomial counts of the ring. A
-    list that does not extend the last one starts the count afresh.
+    M : m, so N(M + (m)) = N(M) - t^deg m N(M : m): one ``_numerator`` per
+    new leading term, on the ``_Layout`` of the one weight vector, keyed by
+    weighted degree. Field v holds the degree of the power of x_v, so g : m
+    is a saturating subtraction of the exponent fields and its degree, the
+    sum of those fields, one product. A minimal generator of M prime to m
+    is its own colon and divides no other colon, so only the others are
+    compared. A count is the numerator against the monomial counts of the
+    ring. A list that does not extend the last one starts the count afresh.
     """
 
     def __init__(self, weights: Sequence[int]):
@@ -176,7 +184,7 @@ class StandardCount:
         self.lay: Optional[_Layout] = None  # packed when the first term comes
 
     def _relayout(self, width: int) -> None:
-        self.lay = lay = _Layout(tuple((w, 0) for w in self.weights), width, scaled=True)
+        self.lay = lay = _Layout((self.weights,), width)
         self.gens = _minimal([sum(map(mul, e, lay.units)) for e in self.seen], lay.guard)
         self.spread = sum(1 << v * width for v in range(len(self.weights)))
         self.high = lay.ones + self.spread  # the guard bits of the exponent fields
@@ -204,10 +212,10 @@ class StandardCount:
         if not self.lay or width != self.lay.width:
             self._relayout(width)
         lay, gens, high = self.lay, self.gens, self.high
-        guard, w, low = lay.guard, lay.width, lay.ones
+        guard, w, low, top = lay.guard, lay.width, lay.ones, lay.top
         packed = sum(map(mul, m, lay.units))
         me, support = packed & low, (packed + low) & high
-        sumshift, degshift, field = lay.top - w, lay.top + w, (1 << w) - 1
+        sumshift, field = top - w, (1 << w) - 1
         # only a generator that shares a variable with m can divide it or
         # be divided by it
         moved, kept, multiples = set(), [], []
@@ -220,44 +228,22 @@ class StandardCount:
                 t = (g & low | high) - me
                 keep = t & high
                 c = t & keep - (keep >> w - 1)
-                moved.add(c | (c * self.spread >> sumshift & field) << degshift)
+                moved.add(c | (c * self.spread >> sumshift & field) << top)
             else:
                 kept.append(g)
         if 0 in moved:
             return  # m lies in M already
         divisors = _minimal(moved, guard)
         kept = divisors + [g for g in kept if not _divisible(g, divisors, guard)]
-        masks = [(c + low) & high for c in kept]
-        covered = shared = 0  # the variables of some generator, of two
-        for mask in masks:
-            shared |= covered & mask
-            covered |= mask
-        part, tied = {0: 1}, []
-        for c, mask in zip(kept, masks):
-            if mask & shared:
-                tied.append(c)
-            else:  # a generator alone on its variables: a factor 1 - t^deg c
-                e = c >> degshift
-                for k, x in list(part.items()):
-                    part[k + e] = part.get(k + e, 0) - x
-        if tied:
-            part = _times(part, _numerator(lay, frozenset(tied), self.memo), w)
+        if len(kept) >> w:  # a pivot count of ``_numerator`` would carry
+            self._relayout(2 * w)
+            return self._add(m)
         num = self.num
-        for k, c in part.items():
+        for k, c in _numerator(lay, frozenset(kept), self.memo).items():
             num[k + d] = num.get(k + d, 0) - c
         if multiples:
             gens = [g for g in gens if g not in multiples]
         self.gens = gens + [packed]
-
-
-def _times(p: dict, q: dict, width: int) -> dict:
-    """p times q, p keyed by degree and q by ``_numerator``'s a << width."""
-    out: dict = {}
-    for k2, c2 in q.items():
-        k2 >>= width
-        for k, c in p.items():
-            out[k + k2] = out.get(k + k2, 0) + c * c2
-    return out
 
 
 @dataclass
@@ -303,15 +289,17 @@ def series_of(I: Ideal) -> HilbertSeries2:
             if g.bidegree() is None:
                 raise InputError(f"inhomogeneous generator: {g}")
         # the leading terms of a reduced basis are the minimal generators;
-        # the bidegree of their lcm bounds every degree the recursion meets,
-        # and a pivot count is at most their number
+        # their lcm bounds every exponent field (x_v scaled by a + b) and
+        # every bidegree the recursion meets, and a pivot count is at most
+        # their number
         lead = I.leading_exponents()
         lcm = [max(col) for col in zip(*lead)]
-        need = max([*lcm, *I.ring.monomial_bidegree(lcm)])
+        need = max([*map(mul, lcm, map(sum, I.ring.bidegrees)),
+                    *I.ring.monomial_bidegree(lcm)])
         width = 8
         while need >> width - 1 or len(lead) >> width:
             width *= 2
-        lay = _Layout(I.ring.bidegrees, width)
+        lay = _Layout(I.ring.degree_columns, width)
         num = _numerator(lay, frozenset(sum(map(mul, e, lay.units)) for e in lead),
                          _numerator_memo)
         low = (1 << width) - 1

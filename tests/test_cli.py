@@ -139,6 +139,14 @@ class TestExitCodes:
                              "--i", "2")
         assert code == 1
 
+    def test_verify_with_a_cell_rejected(self, capsys):
+        # --verify recomputes the full table; a cell query has none to check
+        code, out, err = run_cli(capsys, "bigraded-e", "--file",
+                                 "problems/three_component.mix", "--ideal", "I",
+                                 "--i", "2", "--j", "2", "--verify")
+        assert code == 1 and out == ""
+        assert err == "error: --i and --j must not be given with --verify\n"
+
     def test_single_graded_bigraded_report_is_one(self, capsys):
         code, out, err = run_cli(capsys, "bigraded-report", "--file",
                                  "problems/twisted_cubic.mix", "--ideal", "J")

@@ -16,11 +16,15 @@ take in new leading terms, so the smallest inputs never count.
 
 from __future__ import annotations
 
+import itertools
 import random
 import sys
+from operator import le
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixmult import GradedSetting, Ideal, groebner, ideal_mixed
 from mixmult.errors import MathInvariantError
@@ -29,6 +33,7 @@ from mixmult.hilbert import StandardCount
 from mixmult.ideal_mixed import rees_presentation
 from mixmult.problemfile import parse_problem
 from mixmult.sv_cycles import make_join
+from test_hilbert import monomial_ideals
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -200,22 +205,9 @@ class TestStandardCount:
         rng = random.Random(7)
         lts = [tuple(rng.randint(0, 3) for _ in weights) for _ in range(12)]
         count = StandardCount(weights)
-
-        def brute(gens, D):
-            total = 0
-            for a in range(D + 1):
-                for b in range(D // 2 + 1):
-                    for c in range(D + 1):
-                        rest = D - a - 2 * b - c
-                        if rest < 0 or rest % 3:
-                            continue
-                        e = (a, b, c, rest // 3)
-                        total += not any(all(x <= y for x, y in zip(g, e)) for g in gens)
-            return total
-
         for k in range(len(lts) + 1):
             for D in (0, 3, 7, 11):
-                assert count(lts[:k], D) == brute(lts[:k], D)
+                assert count(lts[:k], D) == _outside(lts[:k], weights, D)
 
     def test_a_list_that_does_not_extend_the_last_starts_afresh(self):
         count = StandardCount((1, 1))
@@ -227,3 +219,82 @@ class TestStandardCount:
         count = StandardCount((1, 1))
         assert count([(200, 0)], 250) == 200  # x^a y^(250-a) for a < 200
         assert count([(200, 0), (0, 300)], 400) == 99  # 100 < a < 200
+
+    def test_many_generators_widen_the_pivot_counts(self):
+        # 280 generators of degree 23 on x0, x2, x4, each variable in 256 of
+        # them: at 8 bits the summed supports of the colon by x1 carry into
+        # the counts of x1, x3 and x5, and the pivot would be x1, which no
+        # generator contains
+        tri = [e for e in itertools.product(range(24), repeat=3) if sum(e) == 23]
+        inner = [e for e in tri if all(e)][:20]
+        gens = [e for e in tri if e not in inner]
+        count = StandardCount((1,) * 6)
+        lts = [(a, 0, b, 0, c, 0) for a, b, c in gens] + [(0, 1, 0, 0, 0, 0)]
+        # outside: no x1, and the part on x0, x2, x4 outside the 280
+        expected = sum((24 - sum(e) + 1) * (not any(all(map(le, g, e)) for g in gens))
+                       for e in itertools.product(range(25), repeat=3) if sum(e) <= 24)
+        assert count(lts, 24) == expected == 19590
+
+
+def _outside(gens, weights, D: int) -> int:
+    """Monomials of weighted degree D outside the ideal of ``gens``, one by one."""
+    def tuples(v, left):
+        if v == len(weights) - 1:
+            if left % weights[v] == 0:
+                yield (left // weights[v],)
+            return
+        for a in range(left // weights[v] + 1):
+            for rest in tuples(v + 1, left - a * weights[v]):
+                yield (a,) + rest
+    return sum(not any(all(map(le, g, e)) for g in gens) for e in tuples(0, D))
+
+
+@st.composite
+def weighted_lists(draw):
+    """The generators of ``monomial_ideals`` in a drawn order, with random
+    positive weights: pure powers up to 40000 make the count repack."""
+    R, gens = draw(monomial_ideals())
+    weights = draw(st.lists(st.integers(1, 3), min_size=R.nvars, max_size=R.nvars))
+    return tuple(weights), draw(st.permutations(gens))
+
+
+@st.composite
+def block_beside_lone(draw):
+    """A connected block of 2-4 mixed generators on the first 2-3 variables
+    (all contain x0), a lone mixed generator on two variables of its own and
+    a pure power of the last variable, shuffled, and at times a generator
+    that ties the lone one to the block."""
+    b = draw(st.integers(2, 3))
+    n = b + 3
+    exps = st.integers(0, 3)
+    block = [(draw(st.integers(1, 3)), *(draw(exps) for _ in range(b - 1)), 0, 0, 0)
+             for _ in range(draw(st.integers(2, 4)))]
+    lone = (0,) * b + (draw(st.integers(1, 2)), draw(st.integers(1, 2)), 0)
+    power = (0,) * (n - 1) + (draw(st.integers(1, 4)),)
+    gens = draw(st.permutations(block + [lone, power]))
+    if draw(st.booleans()):
+        gens.append((1,) + (0,) * (b - 1) + (1, 0, 0))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    return tuple(weights), gens
+
+
+class TestStandardCountProperties:
+    """``StandardCount`` against a brute-force count on every prefix of a
+    list, in every weighted degree up to 8."""
+
+    @staticmethod
+    def _check(weights, gens):
+        count = StandardCount(weights)
+        for k in range(len(gens) + 1):
+            for D in range(9):
+                assert count(gens[:k], D) == _outside(gens[:k], weights, D), (k, D)
+
+    @settings(max_examples=100, deadline=None)
+    @given(weighted_lists())
+    def test_every_prefix_against_brute_force(self, drawn):
+        self._check(*drawn)
+
+    @settings(max_examples=60, deadline=None)
+    @given(block_beside_lone())
+    def test_lone_generators_beside_a_block(self, drawn):
+        self._check(*drawn)

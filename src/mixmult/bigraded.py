@@ -289,13 +289,13 @@ def _extend(alg: BigradedAlgebra, cert: FilterRegularCertificate,
         cert.ideal = ideal_sum(cert.ideal, [z])
 
 
-def _check_top_diagonal(alg: BigradedAlgebra, i: int, j: int) -> None:
-    """Raise unless (i, j) lies on the top diagonal of a nonzero polynomial."""
-    report = alg.degrees
-    if report.r is None:
+def _check_top_diagonal(r: Optional[int], i: int, j: int) -> None:
+    """Raise unless (i, j) lies on the top diagonal of a nonzero polynomial
+    of total degree ``r`` (None when the polynomial vanishes)."""
+    if r is None:
         raise InputError("the Hilbert polynomial vanishes; no top diagonal")
-    if i < 0 or j < 0 or i + j != report.r:
-        raise InputError(f"(i, j) = {(i, j)} is not on the top diagonal of degree {report.r}")
+    if i < 0 or j < 0 or i + j != r:
+        raise InputError(f"(i, j) = {(i, j)} is not on the top diagonal of degree {r}")
 
 
 def _witness_dim(alg: BigradedAlgebra, sat: Ideal) -> int:
@@ -313,7 +313,7 @@ def e_positivity(
 ) -> tuple[bool, int, FilterRegularCertificate]:
     """Positivity test for e_ij: does the saturated quotient by i generic
     (1,0)-forms plus all (1,0)-variables have dimension j + 1?"""
-    _check_top_diagonal(alg, i, j)
+    _check_top_diagonal(alg.degrees.r, i, j)
     cert = find_filter_regular(alg, [(1, 0)] * i, config)
     witness_dim = _witness_dim(alg, alg.saturate(cert.ideal))
     return witness_dim == j + 1, witness_dim, cert
@@ -343,7 +343,7 @@ def e_value_via_criterion(
         z.bidegree() != (0, 1) for z in ys
     ):
         raise InputError("sequence must list (1,0)-elements then (0,1)-elements")
-    _check_top_diagonal(alg, i, j)
+    _check_top_diagonal(alg.degrees.r, i, j)
     cert_x = is_filter_regular(alg, xs)
     if not cert_x.ok:
         raise InputError("supplied sequence is not filter-regular")
@@ -416,7 +416,7 @@ def e_table_full(
         cert = FilterRegularCertificate(alg.defining)
         sat = alg.sat0
         for i, j in sorted(table.entries):
-            _check_top_diagonal(alg, i, j)
+            _check_top_diagonal(alg.degrees.r, i, j)
             for k in range(len(cert.steps), i):
                 _extend(alg, cert, [(1, 0)], replace(config, seed=config.seed + 101 * k),
                         "filter-regular element of bidegree {}")

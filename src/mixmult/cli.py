@@ -36,8 +36,8 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .bigraded import (BigradedAlgebra, degrees_report, e_positivity, e_table_full,
-                       e_value_from_prefix)
+from .bigraded import (BigradedAlgebra, _check_top_diagonal, degrees_report, e_positivity,
+                       e_table_full, e_value_from_prefix)
 from .config import RunConfig, load_config
 from .errors import GenericityExhausted, InputError, MathInvariantError, MixmultError
 from .groebner import Ideal
@@ -174,6 +174,12 @@ def _cmd_bigraded_report(args, config: RunConfig) -> str:
 
 
 def _cmd_bigraded_e(args, config: RunConfig) -> str:
+    """The e-table, or with ``--i``/``--j`` one top-diagonal cell read off it.
+
+    ``--verify`` recomputes the table's top diagonal by the positivity
+    criterion; with a cell, that cell alone, and it prints the criterion's
+    value, witness dimension and filter-regular certificate. Either exits 2
+    when the criterion and the table differ."""
     pf, inputs = _load_file(args.file)
     I = _pick_ideal(pf, args.ideal)
     inputs["ideal"] = args.ideal
@@ -182,8 +188,6 @@ def _cmd_bigraded_e(args, config: RunConfig) -> str:
     if (args.i is None) != (args.j is None):
         raise InputError("--i and --j must be given together")
     if args.i is not None and args.verify:
-        raise InputError("--i and --j must not be given with --verify")
-    if args.i is not None:
         positive, wdim, cert = e_positivity(alg, args.i, args.j, config)
         value = e_value_from_prefix(alg, cert, args.j, config) if positive else 0
         table = e_table_full(alg)
@@ -196,6 +200,12 @@ def _cmd_bigraded_e(args, config: RunConfig) -> str:
             "elements": [str(s.element) for s in cert.steps],
             "ok": cert.ok,
         }
+    elif args.i is not None:
+        alg._need_both_kinds()  # else a one-kind ring reads as a vanishing polynomial
+        table = e_table_full(alg)
+        _check_top_diagonal(table.r, args.i, args.j)
+        value = table.entries[(args.i, args.j)]
+        result = {"i": args.i, "j": args.j, "e": value, "positive": value > 0}
     else:
         table = e_table_full(alg, verify=args.verify, config=config)
         result = {"table": _table_payload(table), "verified": args.verify}
@@ -313,10 +323,11 @@ _SUBCOMMANDS = {
     "bigraded-report": ("degree data of the Hilbert polynomial", _IDEAL,
                         _cmd_bigraded_report),
     "bigraded-e": ("mixed multiplicities of a bigraded algebra", _IDEAL + (
-        ("--i", int, False, "row of one cell, read by the positivity criterion"),
+        ("--i", int, False, "row of one top-diagonal cell, read off the table"),
         ("--j", int, False, "column of that cell"),
         ("--verify", bool, False,
-         "recompute every top-diagonal cell of the table by the criterion"),
+         "recompute every top-diagonal cell of the table, or with --i and --j that "
+         "cell, by the positivity criterion; exit 2 when they differ"),
     ), _cmd_bigraded_e),
     "ideal-mixed": ("mixed multiplicities e_i(m|J) via the Rees algebra", _MIXED,
                     _cmd_mixed),

@@ -1,6 +1,7 @@
 """The certified-search loop: its contract, real exhaustion through the CLI,
 the retry budget reaching every search, the small-field chain guard of
-``ideal-mixed --verify``, and the Rees route answering over small fields."""
+``ideal-mixed --verify``, and the Rees route and the ``bigraded-e`` cells
+answering over small fields."""
 
 from __future__ import annotations
 
@@ -68,9 +69,11 @@ class TestExhaustionThroughTheCli:
     """Over F 2 with one attempt per search, these inputs run out of budget."""
 
     @pytest.mark.parametrize("stem,argv,seed,message", [
-        ("three_component", ["bigraded-e", "--ideal", "I", "--i", "2", "--j", "2"], 0,
+        ("three_component", ["bigraded-e", "--ideal", "I", "--i", "2", "--j", "2",
+                             "--verify"], 0,
          "no filter-regular (0,1)-element found in 1 attempts"),
-        ("three_component", ["bigraded-e", "--ideal", "I", "--i", "2", "--j", "2"], 1,
+        ("three_component", ["bigraded-e", "--ideal", "I", "--i", "2", "--j", "2",
+                             "--verify"], 1,
          "no filter-regular element of bidegree (1, 0) found in 1 attempts"),
         ("three_points", ["ideal-mixed", "--ideal", "J", "--verify"], 1,
          "no non-zerodivisor element of J found in 1 attempts"),
@@ -151,6 +154,43 @@ class TestBudgetReachesEverySearch:
         assert code == 0, err
         assert json.loads(out)["result"]["sum"] == "4"
         assert budgets == [] and spans == []
+
+    def test_bigraded_cell_searches_only_under_verify(self, capsys, tmp_path, spies):
+        budgets, spans = spies
+        path = rewrite_field(tmp_path, "three_component", "Q")
+        argv = ("bigraded-e", "--file", path, "--ideal", "I", "--i", "2", "--j", "2",
+                "--max-retries", "5", "--prime", "101")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, err
+        assert json.loads(out)["result"] == {"i": "2", "j": "2", "e": "1", "positive": True}
+        assert budgets == [] and spans == []
+        code, out, err = run_cli(capsys, *argv, "--verify")
+        assert code == 0, err
+        assert json.loads(out)["result"]["e"] == "1"
+        assert {what for what, _ in budgets} == {
+            "filter-regular element of bidegree (1, 0)", "filter-regular (0,1)-element"}
+        assert {budget for _, budget in budgets} == {5}
+        assert spans and set(spans) == {101}
+
+
+@pytest.mark.parametrize("field", ["F 2", "F 3"])
+def test_small_field_cells_are_read_off_the_table(capsys, tmp_path, field):
+    # a cell draws nothing, so one attempt per search is enough to answer
+    path = rewrite_field(tmp_path, "three_component", field)
+    code, out, err = run_cli(capsys, "bigraded-e", "--file", path, "--ideal", "I",
+                             "--max-retries", "1")
+    assert code == 0, err
+    table = json.loads(out)["result"]["table"]
+    r = int(table["r"])
+    assert r >= 0
+    for i in range(r + 1):
+        code, out, err = run_cli(capsys, "bigraded-e", "--file", path, "--ideal", "I",
+                                 "--i", str(i), "--j", str(r - i), "--max-retries", "1")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["result"]["e"] == table["entries"][f"{i},{r - i}"]
+        assert doc["result"]["positive"] is (doc["result"]["e"] != "0")
+        assert doc["certificates"] == {}
 
 
 def test_selftest_runs_under_its_configuration(capsys, monkeypatch):

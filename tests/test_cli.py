@@ -18,9 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mixmult.cli as cli
 from mixmult.cli import _SUBCOMMANDS, _Help, _read_argv, main
 from mixmult.config import RunConfig
 from mixmult.errors import InputError
+from mixmult.hilbert import ETable
 
 
 def run_cli(capsys, *argv):
@@ -66,7 +68,7 @@ class TestCommands:
     def test_bigraded_e_cell(self, capsys):
         doc = run_json(capsys, "bigraded-e", "--file",
                        "problems/three_component.mix", "--ideal", "I",
-                       "--i", "2", "--j", "2")
+                       "--i", "2", "--j", "2", "--verify")
         assert doc["result"]["e"] == "1"
         assert doc["certificates"]["filter_regular"]["ok"] is True
 
@@ -139,13 +141,34 @@ class TestExitCodes:
                              "--i", "2")
         assert code == 1
 
-    def test_verify_with_a_cell_rejected(self, capsys):
-        # --verify recomputes the full table; a cell query has none to check
+    def test_verify_cell_disagreeing_with_the_table_is_two(self, capsys, monkeypatch):
+        # the criterion reads e_22 = 1; a table that reads 2 there is a bug
+        monkeypatch.setattr(cli, "e_table_full",
+                            lambda alg: ETable(4, {(i, 4 - i): 2 * (i == 2) for i in range(5)}))
         code, out, err = run_cli(capsys, "bigraded-e", "--file",
                                  "problems/three_component.mix", "--ideal", "I",
                                  "--i", "2", "--j", "2", "--verify")
+        assert code == 2 and out == ""
+        assert err == "mathematical assertion failed: criterion and table disagree\n"
+
+    @pytest.mark.parametrize("verify", [[], ["--verify"]], ids=["table", "verify"])
+    @pytest.mark.parametrize("stem,ideal,cell,message", [
+        ("three_component", "I", ("1", "2"),
+         "(i, j) = (1, 2) is not on the top diagonal of degree 4"),
+        ("three_component", "I", ("5", "-1"),
+         "(i, j) = (5, -1) is not on the top diagonal of degree 4"),
+        ("mixed_products_vanish", "I", ("0", "0"),
+         "the Hilbert polynomial vanishes; no top diagonal"),
+        ("twisted_cubic", "J", ("1", "0"),
+         "this command needs variables of both bidegrees (1,0) and (0,1)"),
+    ])
+    def test_cell_off_the_top_diagonal_is_one(self, capsys, verify, stem, ideal, cell,
+                                              message):
+        # the table route and the criterion refuse a cell in the same words
+        code, out, err = run_cli(capsys, "bigraded-e", "--file", f"problems/{stem}.mix",
+                                 "--ideal", ideal, "--i", cell[0], "--j", cell[1], *verify)
         assert code == 1 and out == ""
-        assert err == "error: --i and --j must not be given with --verify\n"
+        assert err == f"error: {message}\n"
 
     def test_single_graded_bigraded_report_is_one(self, capsys):
         code, out, err = run_cli(capsys, "bigraded-report", "--file",

@@ -1,7 +1,7 @@
 """Golden CLI output: every problem subcommand on every shipped problem, single
-``bigraded-e`` cells, ``ideal-mixed --verify``, ``gb`` and ``hilbert`` on the
-ideals in ``tests/inputs``, ``selftest``, and the summary of
-``scripts/run_examples.py``.
+``bigraded-e`` cells with and without ``--verify``, ``ideal-mixed --verify``,
+``gb`` and ``hilbert`` on the ideals in ``tests/inputs``, ``selftest``, and
+the summary of ``scripts/run_examples.py``.
 
 Each case runs ``mixmult`` in process at ``--seed 0`` from the repository
 root and compares stdout byte for byte with ``tests/golden/<case>.out``. An
@@ -54,13 +54,17 @@ def golden_cases() -> list[tuple[str, list[str]]]:
                 cases.append((f"{path.stem}.sv.{x}.{y}",
                               ["sv", "--file", rel, "--x", x, "--y", y]))
     # single cells of bigraded-e: the top diagonal of three_component, and a
-    # cell of an algebra whose Hilbert polynomial vanishes (exit 1)
+    # cell of an algebra whose Hilbert polynomial vanishes (exit 1). With
+    # --verify a cell also runs the positivity criterion and prints its
+    # witness dimension and certificate: the output a cell gave when the
+    # criterion answered
     cells = [("three_component", i, 4 - i) for i in range(5)]
     cells.append(("mixed_products_vanish", 0, 0))
     for stem, i, j in cells:
-        cases.append((f"{stem}.bigraded-e.I.cell{i}{j}",
-                      ["bigraded-e", "--file", f"problems/{stem}.mix", "--ideal", "I",
-                       "--i", str(i), "--j", str(j)]))
+        argv = ["bigraded-e", "--file", f"problems/{stem}.mix", "--ideal", "I",
+                "--i", str(i), "--j", str(j)]
+        cases.append((f"{stem}.bigraded-e.I.cell{i}{j}", argv))
+        cases.append((f"{stem}.bigraded-e.I.cell{i}{j}.verify", argv + ["--verify"]))
     # gb and hilbert on homogeneous ideals that are not monomial, the input
     # of the signature kernel: (1,1)-forms in 4+4 (a regular sequence) and
     # (2,1)-forms in 3+3 (not one). They live in tests/inputs, not in

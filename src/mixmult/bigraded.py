@@ -39,7 +39,6 @@ without elimination (see ``groebner``).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -51,21 +50,18 @@ from .hilbert import (ETable, HilbertPoly2, HilbertSeries2, colon_numerator,
 from .rings import Bidegree, Poly, Ring, monomials_of_bidegree, swap_ring, transport
 
 
-@dataclass
 class BigradedAlgebra:
     """A standard bigraded quotient with its distinguished variable ideals."""
 
-    ring: Ring
-    defining: Ideal
-
-    def __post_init__(self):
-        if not self.ring.is_standard_bigraded:
+    def __init__(self, ring: Ring, defining: Ideal):
+        if not ring.is_standard_bigraded:
             raise InputError("ring is not standard bigraded")
-        if self.defining.ring != self.ring:
+        if defining.ring != ring:
             raise InputError("defining ideal lives in a different ring")
-        for g in self.defining.gens:
+        for g in defining.gens:
             if g.bidegree() is None:
                 raise InputError(f"defining ideal has inhomogeneous generator {g}")
+        self.ring, self.defining = ring, defining
 
     @cached_property
     def r1_ideal(self) -> Ideal:
@@ -118,7 +114,6 @@ class BigradedAlgebra:
         return BigradedAlgebra(ring2, Ideal(ring2, [transport(g, ring2) for g in self.defining.gens]))
 
 
-@dataclass
 class DegreesReport:
     """Degree data of the Hilbert polynomial via saturation dimensions.
 
@@ -127,15 +122,13 @@ class DegreesReport:
     alongside because they stay meaningful in that degenerate case.
     """
 
-    r: Optional[int]
-    r1: Optional[int]
-    r2: Optional[int]
-    dim_sat: int
-    dim_sat_plus_r2: int
-    dim_sat_plus_r1: int
-    dim_total: int
-    dim_mod_r1: int
-    dim_mod_r2: int
+    def __init__(self, r: Optional[int], r1: Optional[int], r2: Optional[int],
+                 dim_sat: int, dim_sat_plus_r2: int, dim_sat_plus_r1: int,
+                 dim_total: int, dim_mod_r1: int, dim_mod_r2: int):
+        self.r, self.r1, self.r2 = r, r1, r2
+        self.dim_sat = dim_sat
+        self.dim_sat_plus_r2, self.dim_sat_plus_r1 = dim_sat_plus_r2, dim_sat_plus_r1
+        self.dim_total, self.dim_mod_r1, self.dim_mod_r2 = dim_total, dim_mod_r1, dim_mod_r2
 
     @property
     def p_is_zero(self) -> bool:
@@ -174,23 +167,20 @@ def degrees_report(alg: BigradedAlgebra) -> DegreesReport:
     return DegreesReport(r, r1, r2, d, d2, d1, dim_total, dim_mod_r1, dim_mod_r2)
 
 
-@dataclass
 class FilterStep:
-    element: Poly
-    ok: bool
+    def __init__(self, element: Poly, ok: bool):
+        self.element, self.ok = element, ok
 
     def __bool__(self) -> bool:  # a step certifies its element only when it passed
         return self.ok
 
 
-@dataclass
 class FilterRegularCertificate:
     """Certified steps; ``ideal`` is the defining ideal plus the elements of
     the steps that passed, the ideal a continuation certifies over."""
 
-    ideal: Ideal
-    steps: list[FilterStep] = field(default_factory=list)
-    ok: bool = True
+    def __init__(self, ideal: Ideal, steps: Sequence[FilterStep] = ()):
+        self.ideal, self.steps, self.ok = ideal, list(steps), True
 
     @property
     def elements(self) -> list[Poly]:
@@ -218,7 +208,7 @@ def is_filter_regular(
     if cert is None:
         cert = FilterRegularCertificate(alg.defining)
     else:
-        cert = FilterRegularCertificate(cert.ideal, list(cert.steps))
+        cert = FilterRegularCertificate(cert.ideal, cert.steps)
     for z in seq:
         step = _filter_step(alg, cert.ideal, z)
         cert.steps.append(step)
@@ -367,8 +357,8 @@ def e_value_from_prefix(
     ``config.seed + 1`` and certified one by one over ``cert_x.ideal`` and
     the elements before, and take the multiplicity. ``sat_x`` is the
     saturation of ``cert_x.ideal`` by Rpp when the caller holds it."""
-    cert = FilterRegularCertificate(cert_x.ideal, list(cert_x.steps))
-    _extend(alg, cert, [(0, 1)] * j, replace(config, seed=config.seed + 1),
+    cert = FilterRegularCertificate(cert_x.ideal, cert_x.steps)
+    _extend(alg, cert, [(0, 1)] * j, config.with_seed(config.seed + 1),
             "filter-regular (0,1)-element")
     if sat_x is None:
         sat_x = alg.saturate(cert_x.ideal)
@@ -418,11 +408,11 @@ def e_table_full(
         for i, j in sorted(table.entries):
             _check_top_diagonal(alg.degrees.r, i, j)
             for k in range(len(cert.steps), i):
-                _extend(alg, cert, [(1, 0)], replace(config, seed=config.seed + 101 * k),
+                _extend(alg, cert, [(1, 0)], config.with_seed(config.seed + 101 * k),
                         "filter-regular element of bidegree {}")
                 sat = alg.saturate(ideal_sum(sat, cert.elements[-1:]))
             positive = _witness_dim(alg, sat) == j + 1
-            value = e_value_from_prefix(alg, cert, j, replace(config, seed=config.seed + 101 * i),
+            value = e_value_from_prefix(alg, cert, j, config.with_seed(config.seed + 101 * i),
                                         sat) if positive else 0
             if value != table.entries[(i, j)]:
                 raise MathInvariantError(

@@ -187,6 +187,7 @@ def _cmd_bigraded_e(args, config: RunConfig) -> str:
     certificates: dict = {}
     if (args.i is None) != (args.j is None):
         raise InputError("--i and --j must be given together")
+    alg._need_both_kinds()  # else a one-kind ring reads as a vanishing polynomial
     if args.i is not None and args.verify:
         positive, wdim, cert = e_positivity(alg, args.i, args.j, config)
         value = e_value_from_prefix(alg, cert, args.j, config) if positive else 0
@@ -201,7 +202,6 @@ def _cmd_bigraded_e(args, config: RunConfig) -> str:
             "ok": cert.ok,
         }
     elif args.i is not None:
-        alg._need_both_kinds()  # else a one-kind ring reads as a vanishing polynomial
         table = e_table_full(alg)
         _check_top_diagonal(table.r, args.i, args.j)
         value = table.entries[(args.i, args.j)]

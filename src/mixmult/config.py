@@ -4,7 +4,7 @@ Flags override the MIXMULT_SEED / MIXMULT_PRIME / MIXMULT_MAX_RETRIES
 environment variables, which override the defaults. The seed feeds Python's
 Mersenne-Twister generator (``random.Random``) and fully determines every
 random choice in a run. Every certified search takes one ``RunConfig``; a
-search that passes a derived seed on makes it with ``dataclasses.replace``.
+search that passes a derived seed on makes it with ``RunConfig.with_seed``.
 Every random choice that must be certified goes through ``certified_search``,
 the one loop that spends the retry budget.
 """
@@ -12,7 +12,6 @@ the one loop that spends the retry budget.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Callable, Optional, TypeVar
 
 from .errors import GenericityExhausted, InputError
@@ -42,14 +41,30 @@ def certified_search(draw: Callable[[], _T], certify: Callable[[_T], Optional[_C
     raise GenericityExhausted(f"no {what} found in {budget} attempts")
 
 
-@dataclass(frozen=True)
 class RunConfig:
     """The settings every certified search runs under. ``load_config``
-    checks them on user input; a derived seed may leave the 64-bit range."""
+    checks them on user input; a derived seed may leave the 64-bit range.
+    Equal, and hashed, as its field tuple: it keys caches."""
 
     seed: int = 0
     prime: int = DEFAULT_PRIME
     max_retries: int = MAX_RETRIES
+
+    def __init__(self, seed: int = seed, prime: int = prime, max_retries: int = max_retries):
+        self.seed, self.prime, self.max_retries = seed, prime, max_retries
+
+    def _key(self) -> tuple[int, int, int]:
+        return self.seed, self.prime, self.max_retries
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def with_seed(self, seed: int) -> RunConfig:
+        """This config with ``seed`` in place of its own."""
+        return RunConfig(seed, self.prime, self.max_retries)
 
     def span(self, field: FieldSpec) -> int:
         """Random coefficients are drawn below this: the characteristic of

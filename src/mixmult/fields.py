@@ -2,13 +2,11 @@
 
 Elements are plain Python values (``Fraction`` for the rationals, ``int`` in
 ``[0, p)`` for F_p); a :class:`FieldSpec` carries the arithmetic. Keeping
-coefficients unboxed keeps the polynomial inner loops cheap.
+coefficients unboxed keeps the polynomial inner loops cheap. ``fractions``
+loads on the first rational element, so a run over F_p never imports it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InputError
 
@@ -51,15 +49,26 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+def _rational(a):
+    """``Fraction(a)``; the first call rebinds this name to ``Fraction`` itself."""
+    global _rational
+    from fractions import Fraction as _rational
+    return _rational(a)
+
+
 class FieldSpec:
     """The rationals when ``p`` is None, otherwise the prime field F_p."""
 
-    p: int | None = None
+    def __init__(self, p: int | None = None):
+        if p is not None:
+            require_prime(p, "field characteristic")
+        self.p = p
 
-    def __post_init__(self):
-        if self.p is not None:
-            require_prime(self.p, "field characteristic")
+    def __eq__(self, other):
+        return self.p == other.p if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.p,))
 
     def __str__(self) -> str:
         return "Q" if self.p is None else f"F{self.p}"
@@ -68,24 +77,22 @@ class FieldSpec:
 
     @property
     def zero(self):
-        return 0 if self.p is not None else Fraction(0)
+        return 0 if self.p is not None else _rational(0)
 
     @property
     def one(self):
-        return 1 if self.p is not None else Fraction(1)
+        return 1 if self.p is not None else _rational(1)
 
     def coerce(self, a):
         """Map an int or Fraction into the field."""
+        if isinstance(a, int):
+            return a % self.p if self.p is not None else _rational(a)
         if self.p is None:
-            return a if isinstance(a, Fraction) else Fraction(a)
-        if isinstance(a, Fraction):
-            den = a.denominator % self.p
-            if den == 0:
-                raise InputError(
-                    f"denominator {a.denominator} is zero modulo {self.p}"
-                )
-            return a.numerator * pow(den, self.p - 2, self.p) % self.p
-        return a % self.p
+            return a
+        den = a.denominator % self.p
+        if den == 0:
+            raise InputError(f"denominator {a.denominator} is zero modulo {self.p}")
+        return a.numerator * pow(den, self.p - 2, self.p) % self.p
 
     # -- arithmetic ----------------------------------------------------------
 

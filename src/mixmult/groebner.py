@@ -101,7 +101,6 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, count
 from math import inf
 from operator import add, le, mul, sub
@@ -116,7 +115,6 @@ from .rings import Exponent, Poly, Ring, _degrevlex_sortkey
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class MonomialOrder:
     """Degrevlex on all variables, or a block order eliminating ``block``.
 
@@ -124,7 +122,14 @@ class MonomialOrder:
     involving a block variable exceeds every monomial without one.
     """
 
-    block: tuple[int, ...] = ()
+    def __init__(self, block: tuple[int, ...] = ()):
+        self.block = block
+
+    def __eq__(self, other):
+        return self.block == other.block if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.block,))
 
     @staticmethod
     def elimination(block: Sequence[int]) -> "MonomialOrder":

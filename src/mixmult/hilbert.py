@@ -46,7 +46,6 @@ on the layout of its one weight vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from operator import mul
 from typing import Optional, Sequence
 
@@ -246,12 +245,11 @@ class StandardCount:
         self.gens = gens + [packed]
 
 
-@dataclass
 class HilbertSeries2:
     """Numerator over prod_v (1 - t1^d1(v) t2^d2(v)) for the ambient ring."""
 
-    ring: Ring
-    numerator: Numerator
+    def __init__(self, ring: Ring, numerator: Numerator):
+        self.ring, self.numerator = ring, numerator
 
     @property
     def n1(self) -> int:
@@ -360,7 +358,6 @@ def gbinom(z: int, m: int) -> int:
     return value
 
 
-@dataclass
 class HilbertPoly2:
     """P(u, v) in the basis binom(u, i) * binom(v, j), with stability bounds.
 
@@ -369,12 +366,12 @@ class HilbertPoly2:
     function.
     """
 
-    coeffs: dict  # (i, j) -> int, zero entries dropped
-    total_degree: Optional[int]
-    deg_u: int  # -1 when P == 0
-    deg_v: int
-    u_star: int
-    v_star: int
+    def __init__(self, coeffs: dict, total_degree: Optional[int], deg_u: int, deg_v: int,
+                 u_star: int, v_star: int):
+        self.coeffs = coeffs  # (i, j) -> int, zero entries dropped
+        self.total_degree = total_degree
+        self.deg_u, self.deg_v = deg_u, deg_v  # -1 when P == 0
+        self.u_star, self.v_star = u_star, v_star
 
     def __call__(self, u: int, v: int) -> int:
         return sum(
@@ -431,7 +428,6 @@ def polynomial_of(S: HilbertSeries2) -> HilbertPoly2:
     )
 
 
-@dataclass
 class ETable:
     """Top-diagonal coefficients of the Hilbert polynomial.
 
@@ -440,10 +436,8 @@ class ETable:
     case the table is empty and r1 = r2 = -1.
     """
 
-    r: Optional[int]
-    entries: dict = field(default_factory=dict)
-    r1: int = -1
-    r2: int = -1
+    def __init__(self, r: Optional[int], entries: dict, r1: int = -1, r2: int = -1):
+        self.r, self.entries, self.r1, self.r2 = r, entries, r1, r2
 
     def diagonal(self) -> list[int]:
         """Values e_(i, r-i) for i = 0..r (empty when r is None)."""
@@ -463,7 +457,7 @@ class ETable:
 def e_table(P: HilbertPoly2) -> ETable:
     """Read the mixed multiplicities off the polynomial's top diagonal."""
     if P.is_zero:
-        return ETable(None)
+        return ETable(None, {})
     r = P.total_degree
     entries = {}
     for i in range(r + 1):

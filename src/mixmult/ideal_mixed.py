@@ -32,7 +32,6 @@ certified chain of generic elements avoiding minimal primes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
 from typing import Optional
@@ -46,7 +45,6 @@ from .hilbert import StandardCount, series_of, total_multiplicity
 from .rings import Poly, Ring
 
 
-@dataclass
 class GradedSetting:
     """Ambient data: A = ring/defining, m-primary ideal I (default m), and J.
 
@@ -54,25 +52,22 @@ class GradedSetting:
     ring, with the defining ideal folded in.
     """
 
-    ring: Ring
-    defining: Ideal
-    J: Ideal
-    primary: Optional[Ideal] = None  # None means the maximal graded ideal
-    _heights: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if any(d != (1, 0) for d in self.ring.bidegrees):
+    def __init__(self, ring: Ring, defining: Ideal, J: Ideal,
+                 primary: Optional[Ideal] = None):  # None means the maximal graded ideal
+        self.ring, self.defining, self.J, self.primary = ring, defining, J, primary
+        self._heights: dict = {}
+        if any(d != (1, 0) for d in ring.bidegrees):
             raise InputError(
                 "mixed multiplicities of ideals need a standard single-graded ring"
             )
-        for g in self.defining.gens + self.J.gens:
+        for g in defining.gens + J.gens:
             if g.bidegree() is None:
                 raise InputError(f"inhomogeneous generator {g}")
-        if self.J.is_zero:
+        if J.is_zero:
             raise InputError("J is the zero ideal")
-        if self.defining.is_unit:
+        if defining.is_unit:
             raise InputError("the ambient ideal is the unit ideal, so A is the zero ring")
-        if self.primary is not None:
+        if primary is not None:
             check = ideal_sum(self.defining, self.primary)
             if not saturation(check, self.maximal_ideal).is_unit:
                 raise InputError("the distinguished ideal is not primary to the "
@@ -197,18 +192,15 @@ def order_of(setting: GradedSetting) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ChainStep:
-    element: Poly
-    ideal: Ideal
-    dim: int
+    def __init__(self, element: Poly, ideal: Ideal, dim: int):
+        self.element, self.ideal, self.dim = element, ideal, dim
 
 
-@dataclass
 class SatChain:
-    s0: Ideal
-    dim0: int
-    steps: list[ChainStep] = field(default_factory=list)
+    def __init__(self, s0: Ideal, dim0: int):
+        self.s0, self.dim0 = s0, dim0
+        self.steps: list[ChainStep] = []
 
     def ideals(self) -> list[Ideal]:
         return [self.s0] + [s.ideal for s in self.steps]
@@ -268,17 +260,15 @@ def samuel_multiplicity(setting: GradedSetting, quotient: Ideal) -> int:
     return t ** dim * e
 
 
-@dataclass
 class MixedIdealReport:
     """Mixed multiplicities e_0..e_{s(J)-1} with their positivity window."""
 
-    dim_a: int  # dim A / 0 : J^inf
-    spread: int
-    height: int
-    e: list[int]
-    rho: int
-    dims: list[int] = field(default_factory=list)  # along the chain; empty on the Rees route
-    seed: Optional[int] = None  # the chain's; None on the Rees route
+    def __init__(self, dim_a: int, spread: int, height: int, e: list[int], rho: int,
+                 dims: list[int], seed: Optional[int]):
+        self.dim_a = dim_a  # dim A / 0 : J^inf
+        self.spread, self.height, self.e, self.rho = spread, height, e, rho
+        self.dims = dims  # along the chain; empty on the Rees route
+        self.seed = seed  # the chain's; None on the Rees route
 
 
 def _window(setting: GradedSetting, e: list[int], config: RunConfig,
@@ -345,7 +335,7 @@ def rees_report(setting: GradedSetting, config: RunConfig = RunConfig()) -> Mixe
     rho, ht = _window(setting, e, config, MathInvariantError(
         f"e = {e} vanishes below l(J) - 1 = {spread - 1} over a polynomial ring"
     ))
-    return MixedIdealReport(dim_a, spread, ht, e, rho)
+    return MixedIdealReport(dim_a, spread, ht, e, rho, [], None)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ algorithmically.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional
 
 from .bigraded import BigradedAlgebra
@@ -63,10 +62,9 @@ def trivial_plane() -> BigradedAlgebra:
     return BigradedAlgebra(bigraded_ring(1, 1, name="P"), Ideal(bigraded_ring(1, 1, name="P")))
 
 
-@dataclass
 class RigidInstance:
-    algebra: BigradedAlgebra
-    label: str  # "domain" | "cohen-macaulay" | both
+    def __init__(self, algebra: BigradedAlgebra, label: str):
+        self.algebra, self.label = algebra, label  # label: "domain" | "cohen-macaulay" | both
 
 
 def rigidity_instances() -> list[RigidInstance]:
@@ -140,24 +138,24 @@ def random_ideal_pair(rng: random.Random) -> tuple[Ideal, Ideal]:
 # -- graded ideal fixtures ----------------------------------------------------
 
 
-@dataclass
 class InstanceLabels:
     """Hypotheses that are instance knowledge, not computed: local structure
     at the top-dimensional primes and chain conditions."""
 
-    generically_complete_intersection: bool = False
-    first_chain_condition: bool = False
-    has_coprime_least_forms: bool = False
+    def __init__(self, generically_complete_intersection: bool = False,
+                 first_chain_condition: bool = False, has_coprime_least_forms: bool = False):
+        self.generically_complete_intersection = generically_complete_intersection
+        self.first_chain_condition = first_chain_condition
+        self.has_coprime_least_forms = has_coprime_least_forms
 
 
-@dataclass
 class IdealFixture:
-    name: str
-    setting: GradedSetting
-    labels: InstanceLabels
-    expected_e: Optional[list[int]] = None
-    expected_spread: Optional[int] = None
-    expected_height: Optional[int] = None
+    def __init__(self, name: str, setting: GradedSetting, labels: InstanceLabels,
+                 expected_e: Optional[list[int]] = None, expected_spread: Optional[int] = None,
+                 expected_height: Optional[int] = None):
+        self.name, self.setting, self.labels = name, setting, labels
+        self.expected_e, self.expected_spread = expected_e, expected_spread
+        self.expected_height = expected_height
 
 
 def nonrigid_pair_of_planes() -> IdealFixture:

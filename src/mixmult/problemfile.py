@@ -13,7 +13,6 @@ Polynomials are infix expressions over ``+ - * ^`` with integer literals
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import ParseError
 from .fields import FieldSpec
@@ -31,12 +30,12 @@ _EXPONENT_CAP = 1 << 20
 _TERM_CAP = 1 << 11
 
 
-@dataclass
 class Token:
-    kind: str  # "ident" | "int" | a symbol character | "eof"
-    value: str
-    line: int
-    col: int
+    __slots__ = ("kind", "value", "line", "col")
+
+    def __init__(self, kind: str, value: str, line: int, col: int):
+        self.kind = kind  # "ident" | "int" | a symbol character | "eof"
+        self.value, self.line, self.col = value, line, col
 
 
 def _tokenize(text: str) -> list[Token]:
@@ -79,11 +78,11 @@ def _tokenize(text: str) -> list[Token]:
     return tokens
 
 
-@dataclass
 class ProblemFile:
-    field_spec: FieldSpec
-    rings: dict[str, Ring] = field(default_factory=dict)
-    ideals: dict[str, Ideal] = field(default_factory=dict)
+    def __init__(self, field_spec: FieldSpec):
+        self.field_spec = field_spec
+        self.rings: dict[str, Ring] = {}
+        self.ideals: dict[str, Ideal] = {}
 
 
 class _Parser:

@@ -8,7 +8,6 @@ dict from exponent tuples to nonzero field elements; all arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 from operator import mul
@@ -21,23 +20,28 @@ Bidegree = Tuple[int, int]
 Exponent = Tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class Ring:
     """A named polynomial ring descriptor with per-variable bidegrees."""
 
-    name: str
-    variables: tuple[str, ...]
-    bidegrees: tuple[Bidegree, ...]
-    field: FieldSpec
-
-    def __post_init__(self):
-        if len(self.variables) != len(self.bidegrees):
+    def __init__(self, name: str, variables: tuple[str, ...],
+                 bidegrees: tuple[Bidegree, ...], field: FieldSpec):
+        if len(variables) != len(bidegrees):
             raise InputError("variable and bidegree counts differ")
-        if len(set(self.variables)) != len(self.variables):
-            raise InputError(f"duplicate variable names in ring {self.name}")
-        for v, (a, b) in zip(self.variables, self.bidegrees):
+        if len(set(variables)) != len(variables):
+            raise InputError(f"duplicate variable names in ring {name}")
+        for v, (a, b) in zip(variables, bidegrees):
             if a < 0 or b < 0 or (a == 0 and b == 0):
                 raise InputError(f"variable {v} has illegal bidegree ({a},{b})")
+        self.name, self.variables, self.bidegrees, self.field = name, variables, bidegrees, field
+
+    def _key(self) -> tuple:
+        return self.name, self.variables, self.bidegrees, self.field
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     # -- structure -----------------------------------------------------------
 

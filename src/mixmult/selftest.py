@@ -7,7 +7,6 @@ aggregates the results into one JSON document and a process exit code.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
 
 from .bigraded import (degrees_report, e_positivity, e_table_full,
                        e_value_from_prefix, e_value_via_criterion, sum_check)
@@ -22,12 +21,10 @@ from .instances import (graded_ring, ideal_fixtures, random_bigraded_algebra,
 from .sv_cycles import bezout_check, make_join, sv_degrees
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    checks: int = 0
-    failures: int = 0
-    notes: list[str] = field(default_factory=list)
+    def __init__(self, name: str):
+        self.name, self.checks, self.failures = name, 0, 0
+        self.notes: list[str] = []
 
     def ok(self):
         self.checks += 1
@@ -125,7 +122,7 @@ def suite_positivity_criterion(config: RunConfig) -> SuiteResult:
             continue
         for cell_idx, (i, j) in enumerate(sorted(table.entries)):
             entry = table.entries[(i, j)]
-            cell_config = replace(config, seed=config.seed + 13 * cell_idx)
+            cell_config = config.with_seed(config.seed + 13 * cell_idx)
             positive, wdim, cert = e_positivity(alg, i, j, cell_config)
             res.require(positive == (entry > 0),
                         f"instance {idx} cell {(i, j)}: criterion {positive} "

@@ -13,7 +13,6 @@ is a bug: ``sv_degrees`` raises ``MathInvariantError`` (exit 2 in the CLI).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InputError, MathInvariantError
@@ -49,13 +48,13 @@ def make_join(I_X: Ideal, I_Y: Ideal) -> GradedSetting:
     return GradedSetting(ring, Ideal(ring, lift_x + lift_y), Ideal(ring, diag))
 
 
-@dataclass
 class SVReport:
     """Cycle degrees (index 1..n+1) with the underlying e-sequence."""
 
-    degrees: list[int]
-    e_list: list[int]  # e_0 .. e_{n+1}, zero beyond the analytic spread
-    seeds: list[int]  # always empty: no seed is drawn
+    def __init__(self, degrees: list[int], e_list: list[int], seeds: list[int]):
+        self.degrees = degrees
+        self.e_list = e_list  # e_0 .. e_{n+1}, zero beyond the analytic spread
+        self.seeds = seeds  # always empty: no seed is drawn
 
 
 def sv_degrees(join: GradedSetting) -> SVReport:

@@ -176,6 +176,14 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "needs variables of both bidegrees (1,0) and (0,1)" in err
 
+    @pytest.mark.parametrize("verify", [(), ("--verify",)])
+    def test_single_graded_bigraded_e_table_is_one(self, capsys, verify):
+        # not an empty table: without both kinds Rpp is zero, not the polynomial
+        code, out, err = run_cli(capsys, "bigraded-e", "--file", "problems/twisted_cubic.mix",
+                                 "--ideal", "J", *verify)
+        assert code == 1 and out == ""
+        assert err == "error: this command needs variables of both bidegrees (1,0) and (0,1)\n"
+
     def test_verify_belongs_to_bigraded_e_only(self, capsys):
         code, out, err = run_cli(capsys, "gb", "--file", "problems/twisted_cubic.mix",
                                  "--ideal", "J", "--verify")

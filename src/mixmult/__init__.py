@@ -12,7 +12,7 @@ from .fields import DEFAULT_PRIME, FieldSpec
 from .groebner import (DEGREVLEX, Ideal, MonomialOrder, ideal_intersection,
                        ideal_power, ideal_product, ideal_quotient, ideal_sum,
                        in_radical, is_nzd, krull_dim, saturation)
-from .hilbert import (ETable, HilbertPoly2, HilbertSeries2, e_table,
+from .hilbert import (ETable, HilbertPoly, HilbertSeries, e_table,
                       hilbert_function, polynomial_of, series_of,
                       total_multiplicity)
 from .ideal_mixed import (GradedSetting, MixedIdealReport, SatChain, analytic_spread,

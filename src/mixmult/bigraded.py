@@ -45,7 +45,7 @@ from typing import Optional, Sequence
 from .config import RunConfig, certified_search
 from .errors import InputError, MathInvariantError
 from .groebner import Ideal, ideal_sum, krull_dim, saturation
-from .hilbert import (ETable, HilbertPoly2, HilbertSeries2, colon_numerator,
+from .hilbert import (ETable, HilbertPoly, HilbertSeries, colon_numerator,
                       e_table, polynomial_of, series_of, total_multiplicity)
 from .rings import Bidegree, Poly, Ring, monomials_of_bidegree, swap_ring, transport
 
@@ -105,7 +105,7 @@ class BigradedAlgebra:
         return degrees_report(self)
 
     @cached_property
-    def polynomial(self) -> HilbertPoly2:
+    def polynomial(self) -> HilbertPoly:
         """The Hilbert polynomial of the quotient."""
         return polynomial_of(series_of(self.defining))
 
@@ -157,9 +157,9 @@ def degrees_report(alg: BigradedAlgebra) -> DegreesReport:
     r, r1, r2 = d - 2, d2 - 1, d1 - 1
     if P.is_zero:
         raise MathInvariantError("nonunit saturation with vanishing polynomial")
-    if (P.total_degree, P.deg_u, P.deg_v) != (r, r1, r2):
+    if (P.total_degree, *P.degrees) != (r, r1, r2):
         raise MathInvariantError(
-            f"polynomial degrees {(P.total_degree, P.deg_u, P.deg_v)} disagree "
+            f"polynomial degrees {(P.total_degree, *P.degrees)} disagree "
             f"with saturation dimensions {(r, r1, r2)}"
         )
     if r > r1 + r2:
@@ -191,7 +191,7 @@ def _filter_step(alg: BigradedAlgebra, prev: Ideal, z: Poly) -> FilterStep:
     if z.bidegree() is None:
         raise InputError(f"inhomogeneous sequence element {z}")
     alg._need_both_kinds()
-    torsion = HilbertSeries2(alg.ring, colon_numerator(prev, z))
+    torsion = HilbertSeries(alg.ring, colon_numerator(prev, z))
     return FilterStep(z, polynomial_of(torsion).is_zero)
 
 
@@ -309,22 +309,15 @@ def e_positivity(
     return witness_dim == j + 1, witness_dim, cert
 
 
-def e_value_via_criterion(
-    alg: BigradedAlgebra,
-    i: int,
-    j: int,
-    config: RunConfig = RunConfig(),
-    sequence: Optional[Sequence[Poly]] = None,
-) -> int:
-    """e_ij as the multiplicity of R/(x_1..x_i, y_1..y_j) : Rpp^infinity.
+def e_value_via_criterion(alg: BigradedAlgebra, i: int, j: int,
+                          sequence: Sequence[Poly]) -> int:
+    """e_ij as the multiplicity of R/(x_1..x_i, y_1..y_j) : Rpp^infinity for
+    a named ``sequence``: the i (1,0)-elements, then the j (0,1)-elements.
 
     Returns 0 when the positivity test fails. In the positive branch the
-    saturated quotient must have dimension exactly 2. A named ``sequence``
-    lists the i (1,0)-elements, then the j (0,1)-elements.
+    saturated quotient must have dimension exactly 2. A random sequence is
+    ``e_positivity`` followed by ``e_value_from_prefix``.
     """
-    if sequence is None:
-        positive, _, cert_x = e_positivity(alg, i, j, config)
-        return e_value_from_prefix(alg, cert_x, j, config) if positive else 0
     seq = list(sequence)
     if len(seq) != i + j:
         raise InputError(f"sequence must have {i + j} elements")

@@ -111,10 +111,10 @@ def _graded_setting(pf: ProblemFile, args) -> tuple[GradedSetting, dict]:
 def _table_payload(table) -> dict:
     return {
         "r": table.r,
-        "r1": table.r1,
-        "r2": table.r2,
+        "r1": table.degrees[0],
+        "r2": table.degrees[1],
         "diagonal": table.diagonal(),
-        "entries": {f"{i},{j}": v for (i, j), v in sorted(table.entries.items())},
+        "entries": {",".join(map(str, a)): v for a, v in sorted(table.entries.items())},
     }
 
 
@@ -136,16 +136,16 @@ def _cmd_hilbert(args, config: RunConfig) -> str:
     inputs["ideal"] = args.ideal
     S = series_of(I)
     result: dict = {
-        "numerator": {f"{a},{b}": c for (a, b), c in sorted(S.numerator.items())},
+        "numerator": {",".join(map(str, a)): c for a, c in sorted(S.numerator.items())},
     }
     if I.ring.is_standard_bigraded and I.ring.first_kind and I.ring.second_kind:
         P = polynomial_of(S)
         result["polynomial"] = {
-            "coeffs": {f"{i},{j}": c for (i, j), c in sorted(P.coeffs.items())},
+            "coeffs": {",".join(map(str, a)): c for a, c in sorted(P.coeffs.items())},
             "total_degree": P.total_degree,
-            "deg_u": P.deg_u,
-            "deg_v": P.deg_v,
-            "stability": [P.u_star, P.v_star],
+            "deg_u": P.degrees[0],
+            "deg_v": P.degrees[1],
+            "stability": list(P.stability),
         }
         result["table"] = _table_payload(e_table(P))
     # with variables of other degrees the multiplicity depends on a normalisation

@@ -1,4 +1,4 @@
-"""Bivariate Hilbert series, Hilbert polynomials, and multiplicity extraction.
+"""Multigraded Hilbert series, Hilbert polynomials, and multiplicity extraction.
 
 The series of ring/I is computed from the leading-term monomial ideal M, whose
 minimal generators are the leading terms of the reduced basis. Its numerator
@@ -30,12 +30,18 @@ the lcm of all generators. Then M : x is one subtraction per generator, h
 divides e when e - h sets no guard bit, the support of m is the guard bits
 of m + (all ones below each exponent guard), and summing supports counts
 the generators on each variable. Inside the recursion a numerator is a dict
-keyed by the k degree fields as one int (a << width | b for t1^a t2^b under
-a bigrading), read off the top of a generator; the lcm bounds every such
-degree, so keys add without carries. Each node is memoised on its layout
-and generator set, and ``series_of`` keeps the series on the ideal handle.
-Hilbert data depends only on the ideal, so any fixed monomial order works;
-degrevlex is used throughout.
+keyed by the k degree fields as one int, read off the top of a generator;
+the lcm bounds every such degree, so keys add without carries. Each node is
+memoised on its layout and generator set, and ``series_of`` keeps the series
+on the ideal handle. Hilbert data depends only on the ideal, so any fixed
+monomial order works; degrevlex is used throughout.
+
+Outside the recursion every key is a tuple with one entry per grading of
+``Ring.degree_columns``: the numerator's degrees, the polynomial's
+multi-indices in the basis prod_l binom(u_l, i_l), and the e-table's cells.
+``HilbertSeries``, ``HilbertPoly`` and ``ETable`` take any number of
+gradings; ``total_multiplicity`` reads the single grading by total degree,
+the sum of each key.
 
 ``StandardCount`` serves the Hilbert-driven pair drop of ``groebner``: it
 counts the monomials of one weighted degree outside the leading terms of a
@@ -46,14 +52,15 @@ on the layout of its one weight vector.
 from __future__ import annotations
 
 import math
-from operator import mul
+from itertools import product
+from operator import add, mul, sub
 from typing import Optional, Sequence
 
 from .errors import InputError, MathInvariantError
 from .groebner import Ideal, _divisible, _minimal, ideal_sum, krull_dim
 from .rings import Exponent, Poly, Ring, monomials_of_bidegree
 
-Numerator = dict  # (a, b) -> int, over prod_v (1 - t1^d1 t2^d2)
+Numerator = dict  # degree tuple -> int, over prod_v (1 - t^deg v)
 
 _numerator_memo: dict = {}
 
@@ -245,29 +252,26 @@ class StandardCount:
         self.gens = gens + [packed]
 
 
-class HilbertSeries2:
-    """Numerator over prod_v (1 - t1^d1(v) t2^d2(v)) for the ambient ring."""
+class HilbertSeries:
+    """Numerator over prod_v (1 - t^deg v) for the ambient ring, keyed by
+    degree tuples with one entry per grading of ``ring.degree_columns``."""
 
     def __init__(self, ring: Ring, numerator: Numerator):
         self.ring, self.numerator = ring, numerator
 
     @property
-    def n1(self) -> int:
-        return sum(1 for d in self.ring.bidegrees if d == (1, 0))
+    def counts(self) -> tuple[int, ...]:
+        """The variables of each kind, for a standard graded ring: one sum
+        per degree column."""
+        return tuple(map(sum, self.ring.degree_columns))
 
-    @property
-    def n2(self) -> int:
-        return sum(1 for d in self.ring.bidegrees if d == (0, 1))
-
-    def coefficient(self, u: int, v: int) -> int:
-        """Exact coefficient of t1^u t2^v, for standard bigraded rings."""
+    def coefficient(self, *degree: int) -> int:
+        """Exact coefficient of t^degree, for standard graded rings."""
         if not self.ring.is_standard_bigraded:
             raise InputError("series coefficients need a standard bigraded ring")
-        n1, n2 = self.n1, self.n2
-        total = 0
-        for (a, b), c in self.numerator.items():
-            total += c * _count(u - a, n1) * _count(v - b, n2)
-        return total
+        counts = self.counts
+        return sum(c * math.prod(map(_count, map(sub, degree, a), counts))
+                   for a, c in self.numerator.items())
 
 
 def _count(w: int, k: int) -> int:
@@ -279,17 +283,17 @@ def _count(w: int, k: int) -> int:
     return math.comb(w + k - 1, k - 1)
 
 
-def series_of(I: Ideal) -> HilbertSeries2:
-    """Bigraded Hilbert series of ring/I for a (bi)homogeneous ideal, kept
-    on the handle."""
+def series_of(I: Ideal) -> HilbertSeries:
+    """Multigraded Hilbert series of ring/I for a homogeneous ideal, kept on
+    the handle."""
     if I._series is None:
         for g in I.gens:
             if g.bidegree() is None:
                 raise InputError(f"inhomogeneous generator: {g}")
         # the leading terms of a reduced basis are the minimal generators;
-        # their lcm bounds every exponent field (x_v scaled by a + b) and
-        # every bidegree the recursion meets, and a pivot count is at most
-        # their number
+        # their lcm bounds every exponent field (x_v scaled by its total
+        # degree) and every degree the recursion meets, and a pivot count is
+        # at most their number
         lead = I.leading_exponents()
         lcm = [max(col) for col in zip(*lead)]
         need = max([*map(mul, lcm, map(sum, I.ring.bidegrees)),
@@ -297,16 +301,19 @@ def series_of(I: Ideal) -> HilbertSeries2:
         width = 8
         while need >> width - 1 or len(lead) >> width:
             width *= 2
-        lay = _Layout(I.ring.degree_columns, width)
+        cols = I.ring.degree_columns
+        lay = _Layout(cols, width)
         num = _numerator(lay, frozenset(sum(map(mul, e, lay.units)) for e in lead),
                          _numerator_memo)
-        low = (1 << width) - 1
-        I._series = HilbertSeries2(I.ring, {(k >> width, k & low): c for k, c in num.items()})
+        # the degree fields of a key, the first grading highest
+        low, shifts = (1 << width) - 1, range((len(cols) - 1) * width, -1, -width)
+        I._series = HilbertSeries(I.ring, {tuple([k >> s & low for s in shifts]): c
+                                           for k, c in num.items()})
     return I._series
 
 
 def colon_numerator(I: Ideal, f: Poly) -> Numerator:
-    """Series numerator of ((I : f)/I)(-d), for a form f of bidegree d.
+    """Series numerator of ((I : f)/I)(-d), for a form f of degree d.
 
     Multiplication by f gives the exact sequence
 
@@ -314,7 +321,7 @@ def colon_numerator(I: Ideal, f: Poly) -> Numerator:
 
     so HS(R/(I + (f))) = (1 - t^d) HS(R/I) + t^d HS((I : f)/I), and the
     numerator is N(I + (f)) - (1 - t^d) N(I), with no colon computed. Both
-    f and I must be bihomogeneous; either one inhomogeneous raises
+    f and I must be homogeneous; either one inhomogeneous raises
     ``InputError`` (for I, from ``series_of``).
     """
     d = f.bidegree()
@@ -322,9 +329,10 @@ def colon_numerator(I: Ideal, f: Poly) -> Numerator:
         raise InputError("colon series expects a homogeneous element")
     base = series_of(I).numerator
     out = dict(series_of(ideal_sum(I, [f])).numerator)
-    for (a, b), c in base.items():
-        out[a, b] = out.get((a, b), 0) - c
-        out[a + d[0], b + d[1]] = out.get((a + d[0], b + d[1]), 0) + c
+    for a, c in base.items():
+        out[a] = out.get(a, 0) - c
+        shifted = tuple(map(add, a, d))
+        out[shifted] = out.get(shifted, 0) + c
     return {k: c for k, c in out.items() if c}
 
 
@@ -349,132 +357,114 @@ def gbinom(z: int, m: int) -> int:
     """Generalized binomial coefficient binom(z, m) for integer z, m >= 0."""
     if m < 0:
         return 0
-    num = 1
-    for i in range(m):
-        num *= z - i
-    value = num // math.factorial(m)
-    if value * math.factorial(m) != num:
-        raise MathInvariantError("generalized binomial was not integral")
-    return value
+    return math.comb(z, m) if z >= 0 else (-1) ** m * math.comb(m - z - 1, m)
 
 
-class HilbertPoly2:
-    """P(u, v) in the basis binom(u, i) * binom(v, j), with stability bounds.
+class HilbertPoly:
+    """P in the basis prod_l binom(u_l, i_l), with stability bounds.
 
-    ``total_degree`` is None exactly when P is identically zero. For all
-    u >= u_star and v >= v_star the polynomial agrees with the Hilbert
-    function.
+    Keys have one entry per grading. ``total_degree`` is None exactly when
+    P is identically zero. ``degrees`` holds the degree of P in each grading
+    (each -1 when P == 0). At every point at or beyond ``stability``, entry
+    by entry, the polynomial agrees with the Hilbert function.
     """
 
-    def __init__(self, coeffs: dict, total_degree: Optional[int], deg_u: int, deg_v: int,
-                 u_star: int, v_star: int):
-        self.coeffs = coeffs  # (i, j) -> int, zero entries dropped
+    def __init__(self, coeffs: dict, total_degree: Optional[int],
+                 degrees: tuple[int, ...], stability: tuple[int, ...]):
+        self.coeffs = coeffs  # alpha -> int, zero entries dropped
         self.total_degree = total_degree
-        self.deg_u, self.deg_v = deg_u, deg_v  # -1 when P == 0
-        self.u_star, self.v_star = u_star, v_star
+        self.degrees, self.stability = degrees, stability
 
-    def __call__(self, u: int, v: int) -> int:
-        return sum(
-            c * gbinom(u, i) * gbinom(v, j) for (i, j), c in self.coeffs.items()
-        )
+    def __call__(self, *point: int) -> int:
+        return sum(c * math.prod(map(gbinom, point, alpha))
+                   for alpha, c in self.coeffs.items())
 
     @property
     def is_zero(self) -> bool:
         return self.total_degree is None
 
 
-def polynomial_of(S: HilbertSeries2) -> HilbertPoly2:
+def polynomial_of(S: HilbertSeries) -> HilbertPoly:
     """The polynomial eventually equal to the Hilbert function of the series."""
     if not S.ring.is_standard_bigraded:
         raise InputError("Hilbert polynomials require a standard bigraded ring")
-    n1, n2 = S.n1, S.n2
-    num = S.numerator
+    counts, num = S.counts, S.numerator
+    absent = (-1,) * len(counts)  # the degrees of P == 0
     if not num:
-        return HilbertPoly2({}, None, -1, -1, 0, 0)
-    u_star = max(a for a, _ in num)
-    v_star = max(b for _, b in num)
-    if n1 == 0 or n2 == 0:
+        return HilbertPoly({}, None, absent, (0,) * len(counts))
+    stability = tuple(map(max, zip(*num)))
+    if 0 in counts:
         # a missing (1-t)-factor makes the function eventually zero; it dies
-        # only past the numerator support in that variable
-        return HilbertPoly2({}, None, -1, -1,
-                            u_star + (1 if n1 == 0 else 0),
-                            v_star + (1 if n2 == 0 else 0))
-    # a_ij = sum of c * binom(n1-1-a, n1-1-i) * binom(n2-1-b, n2-1-j) over
-    # the terms c t1^a t2^b: one binomial table per kind of variable,
-    # contracted first over b (for each a), then over a
-    vs = {b: [gbinom(n2 - 1 - b, n2 - 1 - j) for j in range(n2)] for b in {b for _, b in num}}
-    rows: dict = {}
-    for (a, b), c in num.items():
-        row = rows.setdefault(a, [0] * n2)
-        for j, x in enumerate(vs[b]):
-            row[j] += c * x
-    us = {a: [gbinom(n1 - 1 - a, n1 - 1 - i) for i in range(n1)] for a in rows}
-    coeffs: dict = {}
-    for i in range(n1):
-        for j in range(n2):
-            a_ij = sum(us[a][i] * row[j] for a, row in rows.items())
-            if a_ij:
-                coeffs[(i, j)] = a_ij
+        # only past the numerator support in that grading
+        return HilbertPoly({}, None, absent,
+                           tuple(s + (n == 0) for s, n in zip(stability, counts)))
+    # a_alpha = sum of c * prod_l binom(n_l-1-a_l, n_l-1-alpha_l) over the
+    # terms c t^a, contracted one grading at a time, the last first. A term
+    # keeps the degrees not yet contracted, with a vector over the indices of
+    # those contracted; each grading takes one binomial row per degree met
+    terms, tables = {a: (c,) for a, c in num.items()}, {}
+    for l in reversed(range(len(counts))):
+        n, groups = counts[l], {}
+        rows = tables.setdefault(n, {})  # gradings of one size share rows
+        for a, vec in terms.items():
+            row = rows.get(a[l])
+            if row is None:
+                rows[a[l]] = row = [gbinom(n - 1 - a[l], n - 1 - i) for i in range(n)]
+            groups.setdefault(a[:l], []).append((row, vec))
+        terms = {}
+        for prefix, pairs in groups.items():
+            left, right = zip(*pairs)
+            right = list(zip(*right))
+            terms[prefix] = [sum(map(mul, col, vcol)) for col in zip(*left) for vcol in right]
+    coeffs = {alpha: c for alpha, c in zip(product(*map(range, counts)), terms[()]) if c}
     if not coeffs:
-        return HilbertPoly2({}, None, -1, -1, u_star, v_star)
-    total = max(i + j for i, j in coeffs)
-    return HilbertPoly2(
-        coeffs,
-        total,
-        max(i for i, _ in coeffs),
-        max(j for _, j in coeffs),
-        u_star,
-        v_star,
-    )
+        return HilbertPoly({}, None, absent, stability)
+    return HilbertPoly(coeffs, max(map(sum, coeffs)), tuple(map(max, zip(*coeffs))), stability)
 
 
 class ETable:
     """Top-diagonal coefficients of the Hilbert polynomial.
 
-    ``entries`` holds every cell (i, r - i) for i = 0..r; all are nonnegative
-    integers. ``r`` is None when the polynomial vanishes identically, in which
-    case the table is empty and r1 = r2 = -1.
+    ``entries`` holds every cell alpha with |alpha| = r, one entry per
+    grading; all are nonnegative integers. ``r`` is None when the polynomial
+    vanishes identically, in which case the table is empty and each entry
+    of ``degrees``, the polynomial's degree in each grading, is -1.
     """
 
-    def __init__(self, r: Optional[int], entries: dict, r1: int = -1, r2: int = -1):
-        self.r, self.entries, self.r1, self.r2 = r, entries, r1, r2
+    def __init__(self, r: Optional[int], entries: dict, degrees: tuple[int, ...] = (-1, -1)):
+        self.r, self.entries, self.degrees = r, entries, degrees
 
     def diagonal(self) -> list[int]:
-        """Values e_(i, r-i) for i = 0..r (empty when r is None)."""
+        """Values e_alpha over the cells |alpha| = r in lexicographic order:
+        e_(i, r-i) for i = 0..r under two gradings (empty when r is None)."""
         if self.r is None:
             return []
-        return [self.entries.get((i, self.r - i), 0) for i in range(self.r + 1)]
-
-    def transposed(self) -> "ETable":
-        return ETable(
-            self.r,
-            {(j, i): v for (i, j), v in self.entries.items()},
-            self.r2,
-            self.r1,
-        )
+        return [self.entries.get(alpha, 0)
+                for alpha in product(range(self.r + 1), repeat=len(self.degrees))
+                if sum(alpha) == self.r]
 
 
-def e_table(P: HilbertPoly2) -> ETable:
+def e_table(P: HilbertPoly) -> ETable:
     """Read the mixed multiplicities off the polynomial's top diagonal."""
     if P.is_zero:
-        return ETable(None, {})
+        return ETable(None, {}, P.degrees)
     r = P.total_degree
     entries = {}
-    for i in range(r + 1):
-        v = P.coeffs.get((i, r - i), 0)
-        if v < 0:
-            raise MathInvariantError(
-                f"negative top coefficient a_{i}{r-i} = {v}; upstream bug"
-            )
-        entries[(i, r - i)] = v
-    return ETable(r, entries, P.deg_u, P.deg_v)
+    for alpha in product(range(r + 1), repeat=len(P.degrees)):
+        if sum(alpha) == r:
+            v = entries[alpha] = P.coeffs.get(alpha, 0)
+            if v < 0:
+                raise MathInvariantError(
+                    f"negative top coefficient a_{''.join(map(str, alpha))} = {v}; upstream bug"
+                )
+    return ETable(r, entries, P.degrees)
 
 
 def total_multiplicity(I: Ideal) -> tuple[int, int]:
     """(Krull dimension, multiplicity) of ring/I under the total grading,
     for a ring whose variables all have total degree 1.
 
-    Specializes the bigraded series at t1 = t2 = t, numerator Q = (1 - t)^k R
+    Specializes the multigraded series at t_l = t, numerator Q = (1 - t)^k R
     with R(1) != 0: the Taylor coefficients sum_j q_j C(j, m) of Q at t = 1
     vanish for m < k and equal (-1)^k R(1) at m = k. The pole order n - k is
     checked against the combinatorial Krull dimension. Other weights raise
@@ -485,8 +475,8 @@ def total_multiplicity(I: Ideal) -> tuple[int, int]:
     if not I.ring.is_standard_bigraded:
         raise InputError("the multiplicity needs every variable of total degree 1")
     q: dict[int, int] = {}
-    for (a, b), c in series_of(I).numerator.items():
-        q[a + b] = q.get(a + b, 0) + c
+    for a, c in series_of(I).numerator.items():
+        q[sum(a)] = q.get(sum(a), 0) + c
     for k in range(max(q, default=-1) + 1):
         taylor = sum(c * math.comb(j, k) for j, c in q.items())
         if taylor:

@@ -76,8 +76,7 @@ class Ring:
         return first, second
 
     def monomial_bidegree(self, exp: Exponent) -> Bidegree:
-        first, second = self.degree_columns
-        return (sum(map(mul, exp, first)), sum(map(mul, exp, second)))
+        return tuple(sum(map(mul, exp, col)) for col in self.degree_columns)
 
     # -- element constructors --------------------------------------------------
 

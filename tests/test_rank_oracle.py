@@ -150,7 +150,7 @@ def test_ideal_mixed_agrees_with_the_rank(tmp_path_factory, case):
     pring, pres = setting.presentation
     poly = BigradedAlgebra(pring, pres).polynomial
     s = len(setting.J.gens)
-    base = (max(poly.u_star - s + 1, 0), max(poly.v_star - 2, 0))
+    base = (max(poly.stability[0] - s + 1, 0), max(poly.stability[1] - 2, 0))
     expected = mixed_by_rank(setting.J.gens, base, 2)
 
     code, out = _ideal_mixed(path)

@@ -1,10 +1,12 @@
 """The library's surface: every module-level function and class in
-``src/mixmult`` is used by the program, not only by the tests.
+``src/mixmult``, and every method and property of such a class, is used by
+the program, not only by the tests.
 
 A definition counts as used when its name is read somewhere in ``src/`` or
 ``scripts/`` outside its own definition, or is named in README.md. Importing
 a name is not reading it, so a re-export from ``mixmult/__init__.py`` keeps
-nothing alive. Helpers only the tests need live in ``tests/``.
+nothing alive. Helpers only the tests need live in ``tests/``. Dunder
+methods are left out: Python calls them itself.
 """
 
 from __future__ import annotations
@@ -26,15 +28,41 @@ ALLOWED = {
     "ideal_quotient": "a traced benchmark layer: perfbench/layertrace.py wraps it",
 }
 
+# methods and properties kept with no reader outside tests/, each with its
+# reason, keyed by class and name
+ALLOWED_MEMBERS = {
+    "Ideal.normal_form": "the subject of test_groebner.py's TestNormalForm; no other "
+                         "reader sees the terms of a nonzero remainder",
+}
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _span(node) -> range:
+    first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+    return range(first, node.end_lineno + 1)
+
 
 def _definitions() -> list[tuple[Path, str, range]]:
     """(file, name, line span) of each module-level function and class."""
     out = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(), str(path)).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
-                out.append((path, node.name, range(first, node.end_lineno + 1)))
+            if isinstance(node, _FUNCTIONS + (ast.ClassDef,)):
+                out.append((path, node.name, _span(node)))
+    return out
+
+
+def _members() -> list[tuple[Path, str, range]]:
+    """(file, "Class.name", line span) of each method and property of a
+    module-level class, dunder methods left out."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.ClassDef):
+                out += [(path, f"{node.name}.{item.name}", _span(item)) for item in node.body
+                        if isinstance(item, _FUNCTIONS)
+                        and not (item.name.startswith("__") and item.name.endswith("__"))]
     return out
 
 
@@ -49,27 +77,38 @@ def _reads(path: Path) -> list[tuple[str, int]]:
     return out
 
 
-def _unused() -> set[str]:
+def _unused(definitions: list[tuple[Path, str, range]]) -> set[str]:
+    """The definitions, keyed as listed, whose last dotted part no reader
+    names."""
     reads = {path: _reads(path)
              for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))}
     readme = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
     unused = set()
-    for home, name, span in _definitions():
+    for home, key, span in definitions:
+        name = key.rpartition(".")[2]
         if name in readme:
             continue
         if not any(read == name and (path != home or line not in span)
                    for path, found in reads.items() for read, line in found):
-            unused.add(name)
+            unused.add(key)
     return unused
 
 
 def test_every_definition_is_used_outside_tests():
-    assert sorted(_unused() - ALLOWED.keys()) == []
+    assert sorted(_unused(_definitions()) - ALLOWED.keys()) == []
 
 
 def test_allowlist_names_only_unused_definitions():
     # an entry whose definition gained a reader, or left src/, goes
-    assert _unused() >= ALLOWED.keys()
+    assert _unused(_definitions()) >= ALLOWED.keys()
+
+
+def test_every_method_and_property_is_used_outside_tests():
+    assert sorted(_unused(_members()) - ALLOWED_MEMBERS.keys()) == []
+
+
+def test_member_allowlist_names_only_unused_members():
+    assert _unused(_members()) >= ALLOWED_MEMBERS.keys()
 
 
 def test_importing_the_cli_leaves_the_instances_unloaded():

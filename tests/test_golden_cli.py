@@ -75,6 +75,13 @@ def golden_cases() -> list[tuple[str, list[str]]]:
         for cmd in ("gb", "hilbert"):
             cases.append((f"{path.stem}.{cmd}.I",
                           [cmd, "--file", f"tests/inputs/{path.name}", "--ideal", "I"]))
+    # the e-table and the degree report of two more bigraded families in 3+3
+    # variables, a monomial three-component ideal and a bilinear hypersurface:
+    # the saturations by R1 and R2 along the certified chain, byte for byte
+    for stem in ("three_component3", "bilinear3"):
+        argv = ["--file", f"tests/inputs/{stem}.mix", "--ideal", "I"]
+        cases.append((f"{stem}.bigraded-e.I.verify", ["bigraded-e", *argv, "--verify"]))
+        cases.append((f"{stem}.bigraded-report.I", ["bigraded-report", *argv]))
     # ideal-mixed --verify also runs the saturation chain and prints its
     # dimensions and seed: the output ideal-mixed gave when the chain answered
     cases += [(f"{name}.verify", argv + ["--verify"])

@@ -33,7 +33,11 @@ R1 and R2 are generated by the (1,0)- and the (0,1)-variables, and
     I : Rpp^infinity = (I : R1^infinity) : R2^infinity.
 
 Both right-hand saturations are by variables, which Bayer's trick handles
-without elimination (see ``groebner``).
+without elimination (see ``groebner``), and ``saturation``'s exits for
+variables often spare it too: a variable that no generator involves ends
+the saturation at once, and the linear elements of a bihomogeneous basis
+are pure (1,0)- or (0,1)-forms, so each variable of R1 that leads one of
+the chain's (1,0)-forms is dropped from R1 before any step.
 """
 
 from __future__ import annotations

@@ -94,6 +94,24 @@ A generator after the first takes neither route when g times the
 intersection so far lies in I (a batch of normal forms modulo I): the
 intersection already lies in I : g, so in I : g^inf, and stays as it is.
 
+Three exits, exact for any I, skip the steps whose answer is already
+known. Let S be the variables that are generators of J, up to a constant.
+
+- Free variable: a variable of S that no generator of I involves is a
+  nonzerodivisor modulo I, so I : J^inf, which lies between I and
+  I : x^inf = I, is I itself.
+- Pivots: an element of the reduced basis of I whose terms are all
+  variables of S makes its leading variable x_p, modulo I, a combination
+  of variables of S that lead no element. Then J lies in (J without x_p)
+  + I, and the two saturate I alike, so x_p is dropped from J, with every
+  generator whose terms are all such pivots. When no generator is left, J
+  lies in I and the answer is the unit ideal. Every term must be a
+  variable of S: z1 leads z1 - z2 in (z1 - z2, z3*z4), which is still
+  z1-saturated, and x - 1 makes x a unit, not a member.
+- Nested: the intersection always contains I, and nested ideals with
+  equal leading-term ideals are equal, so it is I once its leading terms
+  are, with no tail pass of either.
+
 Intersections are tag eliminations too; ``eliminate`` is the one primitive.
 """
 
@@ -1053,6 +1071,29 @@ def _saturate_by(I: Ideal, g: Poly, homogeneous: bool) -> Ideal:
     return Ideal(I.ring, [Poly(I.ring, h, _trusted=True) for h in gens])
 
 
+def _free_variable(I: Ideal, S: set) -> bool:
+    """True when a variable of the exponents ``S`` appears in no generator
+    of I: it is then a nonzerodivisor modulo I, so I : x^infinity = I."""
+    return any(not any(e[s.index(1)] for f in I.gens for e in f.terms) for s in S)
+
+
+def _pivots(I: Ideal, S: set) -> set:
+    """The leading exponents of the elements of the reduced basis of I
+    whose terms all lie in the variable exponents ``S``. Modulo I each such
+    x_p is a combination of the variables of its tail; those lead no basis
+    element, so none of them is dropped with it. Only the leading terms are
+    read unless a variable of ``S`` leads an element."""
+    if not S.intersection(I.leading_exponents()):
+        return set()
+    return {next(iter(h.terms)) for h in I.groebner() if h.terms.keys() <= S}
+
+
+def _nested_equal(outer: Ideal, I: Ideal) -> bool:
+    """True when ``outer``, an ideal containing I, equals it: nested ideals
+    with equal leading-term ideals are equal, so no tail pass is needed."""
+    return outer.leading_exponents() == I.leading_exponents()
+
+
 def saturation(I: Ideal, J: Union[Poly, Ideal]) -> Ideal:
     """I : J^infinity, the intersection of I : g^infinity over the
     generators g of J, each by Bayer's trick or by Rabinowitsch's
@@ -1061,13 +1102,15 @@ def saturation(I: Ideal, J: Union[Poly, Ideal]) -> Ideal:
     A generator g after the first is skipped, with no elimination, when
     g * meet lies in I for the intersection ``meet`` so far: then meet lies
     in I : g, inside I : g^infinity, so intersecting cannot change meet. The
-    test is exact, one batch of normal forms against the basis of I that
-    the loop's exit test computes anyway. A part equal to the intersection
-    so far leaves it as it is, and the intersection stops once it equals I,
-    because every I : g^infinity contains I. The result is then I itself:
-    ``saturation(I, J) is I`` holds exactly when I : J^infinity = I.
-    Results are cached on I by the generators of J, so no basis of J is
-    computed.
+    test is exact, one batch of normal forms against the reduced basis of
+    I. A part equal to the intersection so far leaves it as it is, and the
+    intersection stops once it equals I, because every I : g^infinity
+    contains I; that test reads leading terms only (``_nested_equal``). The
+    result is then I itself: ``saturation(I, J) is I`` holds exactly when
+    I : J^infinity = I. Before the loop, the exits of the module docstring
+    read the generators of J that are variables (``_free_variable``,
+    ``_pivots``). Results are cached on I by the generators of J, so no
+    basis of J is computed.
     """
     if isinstance(J, Poly):
         J = Ideal(I.ring, [J])
@@ -1077,8 +1120,17 @@ def saturation(I: Ideal, J: Union[Poly, Ideal]) -> Ideal:
     if cached is not None:
         return cached
     homogeneous = _homogeneous(f.terms for f in I.gens)
-    meet = None
-    for g in J.gens:
+    # the exponents of J's generators that are variables times a constant
+    S = {e for g in J.gens if len(g.terms) == 1 for e in g.terms if sum(e) == 1}
+    meet, gens = None, J.gens
+    if _free_variable(I, S):
+        meet, gens = I, ()
+    elif S:
+        pivots = _pivots(I, S)
+        gens = [g for g in gens if g.terms.keys() - pivots]
+        if not gens:
+            meet = Ideal(I.ring, [I.ring.one()])
+    for g in gens:
         if meet is not None and I.contains_ideal(Ideal(I.ring, [g * k for k in meet.gens])):
             continue  # meet <= I : g <= I : g^inf, so the intersection stays meet
         part = _saturate_by(I, g, homogeneous)
@@ -1086,7 +1138,7 @@ def saturation(I: Ideal, J: Union[Poly, Ideal]) -> Ideal:
             meet = part
         elif not part.same_ideal(meet):
             meet = ideal_intersection(meet, part)
-        if meet.same_ideal(I):
+        if _nested_equal(meet, I):
             meet = I
             break
     I._satcache[J.gens] = meet

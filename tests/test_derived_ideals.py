@@ -74,7 +74,13 @@ class TestStableHandles:
         variable_sets = [frozenset(frozenset(g.terms.items()) for g in K.gens)
                          for K in (alg.r1_ideal, alg.r2_ideal)]
         calls = _spy_buchberger(monkeypatch)
-        alg.saturate(alg.defining)
+        # the defining ideal involves neither x4 nor y4, so both saturations
+        # return it with no Bayer step; x4*y4 involves both, and the
+        # saturations of the sum take Bayer steps
+        assert alg.saturate(alg.defining) is alg.defining
+        assert calls == []
+        x4, y4 = alg.ring.var(3), alg.ring.var(7)
+        alg.saturate(ideal_sum(alg.defining, [x4 * y4]))
         assert calls
         assert not [gens for _, gens in calls if gens in variable_sets]
 
